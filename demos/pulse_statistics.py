@@ -7,13 +7,7 @@ word: half the slots are signal (mean photon number 0.8), a quarter decoy
 
 import numpy as np
 
-from uwqkd import (
-    SourceConfig,
-    StateClass,
-    decode_random_word,
-    expected_class_distribution,
-    generate_pulse_train,
-)
+from uwqkd import WORD_CLASS, Polarization, SourceConfig, StateClass, generate_pulse_train
 
 cfg = SourceConfig()
 print(f"signal mu = {cfg.mu}, decoy nu = {cfg.nu}, clock = {cfg.repetition_rate_hz/1e6:.0f} MHz")
@@ -21,18 +15,19 @@ print(f"signal mu = {cfg.mu}, decoy nu = {cfg.nu}, clock = {cfg.repetition_rate_
 # The 4-bit word fully determines class and polarization.
 print("\nword table (word -> class, polarization)")
 for word in range(16):
-    intensity, pol = decode_random_word(word)
-    print(f"  {word:04b} -> {intensity.variant.name:<6} {pol.name}")
+    cls, pol = StateClass(int(WORD_CLASS[word])), Polarization(word & 0x3)
+    print(f"  {word:04b} -> {cls.name:<6} {pol.name}")
 
 # A million slots is enough to see the 2:1:1 mix cleanly.
 n = 1_000_000
 train = generate_pulse_train(cfg, n, np.random.default_rng(7))
 
 print("\nclass frequencies")
-expected = expected_class_distribution(cfg)
-for cls in (StateClass.SIGNAL, StateClass.DECOY, StateClass.VACUUM):
+# class_probabilities is ordered (signal, decoy, vacuum)
+expected = dict(zip((StateClass.SIGNAL, StateClass.DECOY, StateClass.VACUUM), cfg.class_probabilities))
+for cls, p in expected.items():
     observed = np.mean(train.kind == cls)
-    print(f"  {cls.name:<6} observed {observed:.4f}  expected {expected[cls]:.4f}")
+    print(f"  {cls.name:<6} observed {observed:.4f}  expected {p:.4f}")
 
 # Poisson check per class: mean and variance should agree.
 print("\nphoton number by class")

@@ -12,13 +12,11 @@ from .analysis import (
     SinglePhotonBounds,
     calibrate,
     cutoff_distance,
-    e1_upper_bound,
     estimate_bounds,
     expected_statistics,
     secure_key_rate,
     sweep_distance,
     sweep_to_csv,
-    y1_lower_bound,
 )
 from .channel import (
     DB_PER_NEPER,
@@ -34,12 +32,10 @@ from .channel import (
 from .detection import (
     ArrivalHistogram,
     DetectionBatch,
-    DetectionEvent,
     DetectorConfig,
     DoubleClickPolicy,
     align_gate,
     dark_prob_for_background_yield,
-    detect,
     expected_gain,
     expected_qber,
     simulate_detection,
@@ -93,26 +89,18 @@ from .protocol import (
     FrameDecodeError,
     FrameTruncatedError,
     FrameType,
-    MissingClassError,
     Phase,
     ProtocolOptions,
-    SiftRecord,
     UnknownFrameTypeError,
     decode_frame,
     encode_frame,
-    partition_by_intensity,
-    sift,
 )
 from .source import (
-    IntensityClass,
-    PulseRecord,
     PulseTrain,
     SourceConfig,
     StateClass,
-    decode_random_word,
-    expected_class_distribution,
+    WORD_CLASS,
     generate_pulse_train,
-    sample_photon_number,
 )
 from .transport import InProcessPump, TranscriptEntry, load_transcript, save_transcript
 

@@ -26,10 +26,6 @@ from .detection import expected_gain, expected_qber
 from .postprocess import binary_entropy
 
 
-class UnboundedErrorRate(ValueError):
-    """The single-photon yield bound is zero, so no error bound exists."""
-
-
 class CalibrationError(RuntimeError):
     """Raised by the CLI path when a calibration result is not usable."""
 
@@ -74,18 +70,6 @@ class SinglePhotonBounds:
     clamped: tuple[str, ...] = ()
 
 
-def y1_lower_bound(stats: DecoyStatistics) -> float:
-    """Vacuum+weak-decoy lower bound on the single-photon yield, clamped at 0."""
-    mu, nu = stats.mu, stats.nu
-    coeff = mu / (mu * nu - nu * nu)
-    value = coeff * (
-        stats.q_nu * math.exp(nu)
-        - stats.q_mu * math.exp(mu) * (nu * nu) / (mu * mu)
-        - (mu * mu - nu * nu) / (mu * mu) * stats.y0
-    )
-    return max(value, 0.0)
-
-
 def q1_from_yield(y1: float, mu: float) -> float:
     """Single-photon gain of the signal class: Y1 * mu * exp(-mu)."""
     if y1 < 0.0:
@@ -93,18 +77,12 @@ def q1_from_yield(y1: float, mu: float) -> float:
     return y1 * mu * math.exp(-mu)
 
 
-def e1_upper_bound(stats: DecoyStatistics, y1_lower: float) -> float:
-    """Upper bound on the single-photon error rate; needs a positive yield."""
-    if y1_lower <= 0.0:
-        raise UnboundedErrorRate("single-photon yield bound is zero")
-    raw = (stats.e_nu * stats.q_nu * math.exp(stats.nu) - 0.5 * stats.y0) / (
-        y1_lower * stats.nu
-    )
-    return min(max(raw, 0.0), 0.5)
-
-
 def estimate_bounds(stats: DecoyStatistics) -> SinglePhotonBounds:
-    """Bundle the three bounds, recording each clamp instead of raising."""
+    """Vacuum+weak-decoy bounds: Y1 from below, Q1 from Y1, e1 from above.
+
+    Each clamp is recorded in `clamped` instead of raised; a zero yield bound
+    leaves e1 at its ceiling of 1/2.
+    """
     mu, nu = stats.mu, stats.nu
     coeff = mu / (mu * nu - nu * nu)
     raw_y1 = coeff * (

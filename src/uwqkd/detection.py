@@ -18,9 +18,6 @@ from enum import Enum
 
 import numpy as np
 
-from .polarization import Basis
-from .source import PulseRecord
-
 _CHUNK = 1 << 20
 
 
@@ -61,28 +58,13 @@ def dark_prob_for_background_yield(y0: float) -> float:
 
 
 @dataclass(frozen=True)
-class DetectionEvent:
-    """Outcome of one gated slot. outcome is None when nothing fired."""
-
-    slot_index: int
-    basis: Basis
-    outcome: int | None
-    multi_click: bool = False
-
-    def __post_init__(self) -> None:
-        if self.outcome is None and self.multi_click:
-            raise ValueError("a no-click event cannot be a double click")
-        if self.outcome not in (None, 0, 1):
-            raise ValueError("outcome must be 0, 1 or None")
-
-
-@dataclass(frozen=True)
 class DetectionBatch:
-    """Column-wise outcomes for a batch of slots.
+    """Receiver outcomes for a batch of slots, one column entry per slot.
 
-    bit is only meaningful where clicked is True. discarded_doubles counts
-    slots suppressed by the DISCARD double-click policy (those read as
-    no-click in `clicked`).
+    bit is 0 wherever clicked is False. multi_click marks slots where both
+    detectors fired and the bit is a fair coin (RANDOM_BIT policy). Under
+    DISCARD those slots read as no-click, multi_click stays all False, and
+    discarded_doubles counts them.
     """
 
     basis: np.ndarray    # uint8, Basis values
@@ -93,14 +75,6 @@ class DetectionBatch:
 
     def __len__(self) -> int:
         return len(self.clicked)
-
-    def event(self, i: int) -> DetectionEvent:
-        return DetectionEvent(
-            slot_index=i,
-            basis=Basis(int(self.basis[i])),
-            outcome=int(self.bit[i]) if self.clicked[i] else None,
-            multi_click=bool(self.multi_click[i]),
-        )
 
 
 def _wrong_detector_prob(matched: np.ndarray, alice_bit: np.ndarray, theta: float) -> np.ndarray:
@@ -168,34 +142,6 @@ def simulate_detection(
         bit=bit,
         multi_click=multi,
         discarded_doubles=discarded,
-    )
-
-
-def detect(
-    pulse: PulseRecord,
-    channel_eta: float,
-    basis_choice: Basis,
-    cfg: DetectorConfig,
-    misalignment_theta: float,
-    rng: np.random.Generator,
-) -> DetectionEvent:
-    """Single-slot detection with the same draw order as the batch path."""
-    batch = simulate_detection(
-        alice_basis=np.array([pulse.polarization.basis.value], dtype=np.uint8),
-        alice_bit=np.array([pulse.key_bit], dtype=np.uint8),
-        photon_count=np.array([pulse.photon_count], dtype=np.int64),
-        bob_basis=np.array([Basis(basis_choice).value], dtype=np.uint8),
-        channel_eta=channel_eta,
-        cfg=cfg,
-        misalignment_theta=misalignment_theta,
-        rng=rng,
-    )
-    event = batch.event(0)
-    return DetectionEvent(
-        slot_index=pulse.slot_index,
-        basis=event.basis,
-        outcome=event.outcome,
-        multi_click=event.multi_click,
     )
 
 

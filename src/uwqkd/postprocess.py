@@ -248,6 +248,8 @@ class CascadeCorrector:
                 raise ReconciliationFailed("pass parities out of order")
             self.remote_parities[p] = np.asarray(msg[2], dtype=np.uint8)
             self.my_parities[p] = self._compute_my_parities(p)
+            if len(self.remote_parities[p]) != len(self.my_parities[p]):
+                raise ReconciliationFailed("pass parity count mismatch")
             self.parity_bits_received += len(msg[2])
             self.passes_begun += 1
             return self._next_action()

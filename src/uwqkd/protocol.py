@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import struct
 import zlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import Enum, IntEnum
 
 import numpy as np
@@ -41,7 +41,6 @@ from .analysis import (
     estimate_bounds,
     secure_key_rate,
 )
-from .detection import DetectionBatch, DetectionEvent
 from .postprocess import (
     CascadeCorrector,
     CascadeResponder,
@@ -52,7 +51,7 @@ from .postprocess import (
     generate_pa_seed,
     toeplitz_hash,
 )
-from .source import PulseRecord, StateClass
+from .source import StateClass
 
 MAX_PAYLOAD = (1 << 24) - 1
 _HEADER = struct.Struct(">BI")  # tag, sequence; then 3 length bytes
@@ -97,11 +96,6 @@ class Frame:
             raise ValueError("sequence must fit in 32 bits")
         if len(self.payload) > MAX_PAYLOAD:
             raise ValueError("payload exceeds 2^24 - 1 bytes")
-
-    @property
-    def checksum(self) -> int:
-        body = _HEADER.pack(int(self.frame_type), self.sequence) + len(self.payload).to_bytes(3, "big") + self.payload
-        return zlib.crc32(body)
 
 
 def encode_frame(frame: Frame) -> bytes:
@@ -158,104 +152,6 @@ def _unpack_u32s(data: bytes, n: int, offset: int = 0) -> tuple[np.ndarray, int]
     if len(chunk) != nbytes:
         raise FrameDecodeError("index field truncated")
     return np.frombuffer(chunk, dtype=">u4").astype(np.int64), offset + nbytes
-
-
-# ---------------------------------------------------------------------------
-# sifting
-
-
-@dataclass(frozen=True)
-class SiftRecord:
-    """One clicked slot after basis reveal; bob_bit is None only pre-click."""
-
-    slot_index: int
-    intensity_variant: StateClass
-    matched: bool
-    alice_bit: int
-    bob_bit: int | None
-
-    def __post_init__(self) -> None:
-        if self.matched and self.bob_bit is None:
-            raise ValueError("a matched record requires a receiver bit")
-
-
-class MissingClassError(ValueError):
-    """A class with zero emitted pulses cannot yield a gain estimate."""
-
-
-def sift(alice_slots, bob_events) -> list[SiftRecord]:
-    """Pair transmitter slots with receiver events; keep clicked slots only.
-
-    A record is matched when Bob clicked and both bases agree. Vacuum-class
-    records are retained for the tallies but never contribute key bits.
-    """
-    alice_slots = list(alice_slots)
-    if isinstance(bob_events, DetectionBatch):
-        bob_events = [bob_events.event(i) for i in range(len(bob_events))]
-    else:
-        bob_events = list(bob_events)
-    if len(alice_slots) != len(bob_events):
-        raise ValueError("transmitter and receiver slot counts differ")
-    records = []
-    for pulse, event in zip(alice_slots, bob_events):
-        if not isinstance(pulse, PulseRecord):
-            raise TypeError("alice_slots must contain PulseRecord items")
-        if not isinstance(event, DetectionEvent):
-            raise TypeError("bob_events must contain DetectionEvent items")
-        if pulse.slot_index != event.slot_index:
-            raise ValueError("slot indices out of step")
-        if event.outcome is None:
-            continue
-        records.append(
-            SiftRecord(
-                slot_index=pulse.slot_index,
-                intensity_variant=pulse.intensity.variant,
-                matched=pulse.polarization.basis == event.basis,
-                alice_bit=pulse.key_bit,
-                bob_bit=event.outcome,
-            )
-        )
-    return records
-
-
-def partition_by_intensity(
-    records: list[SiftRecord],
-    emitted_per_class: dict[StateClass, int],
-    *,
-    mu: float = 0.8,
-    nu: float = 0.1,
-) -> DecoyStatistics:
-    """Per-class gains over all emitted pulses and QBERs over matched clicks."""
-    for variant in (StateClass.SIGNAL, StateClass.DECOY, StateClass.VACUUM):
-        if emitted_per_class.get(variant, 0) <= 0:
-            raise MissingClassError(f"no emitted pulses in class {variant.name}")
-    clicks = {v: 0 for v in StateClass}
-    matched = {v: 0 for v in StateClass}
-    errors = {v: 0 for v in StateClass}
-    for rec in records:
-        clicks[rec.intensity_variant] += 1
-        if rec.matched:
-            matched[rec.intensity_variant] += 1
-            if rec.bob_bit != rec.alice_bit:
-                errors[rec.intensity_variant] += 1
-    flags = []
-
-    def qber(variant: StateClass) -> float:
-        if matched[variant] == 0:
-            flags.append(f"no_matched_clicks_{variant.name.lower()}")
-            return 0.0
-        return errors[variant] / matched[variant]
-
-    return DecoyStatistics(
-        q_mu=clicks[StateClass.SIGNAL] / emitted_per_class[StateClass.SIGNAL],
-        e_mu=qber(StateClass.SIGNAL),
-        q_nu=clicks[StateClass.DECOY] / emitted_per_class[StateClass.DECOY],
-        e_nu=qber(StateClass.DECOY),
-        y0=clicks[StateClass.VACUUM] / emitted_per_class[StateClass.VACUUM],
-        mu=mu,
-        nu=nu,
-        flags=tuple(flags),
-    )
 
 
 # ---------------------------------------------------------------------------
@@ -436,6 +332,26 @@ def _unpack_recon(payload: bytes) -> tuple:
     raise FrameDecodeError(f"unknown reconciliation subkind {kind}")
 
 
+def _pack_sample(subkind: int, signal: np.ndarray, decoy: np.ndarray, vacuum: np.ndarray) -> bytes:
+    """QBER_SAMPLE subkinds 1 and 2: the subkind byte, then the sampled signal
+    bits and all matched decoy and vacuum bits, each as u32 count + bit field."""
+    out = [struct.pack(">B", subkind)]
+    for bits in (signal, decoy, vacuum):
+        out += [struct.pack(">I", len(bits)), _pack_bits(bits)]
+    return b"".join(out)
+
+
+def _unpack_sample(payload: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(signal, decoy, vacuum) bits of a _pack_sample payload; the caller checks the subkind."""
+    fields = []
+    offset = 1
+    for _ in range(3):
+        (n,) = struct.unpack_from(">I", payload, offset)
+        bits, offset = _unpack_bits(payload, n, offset + 4)
+        fields.append(bits)
+    return tuple(fields)
+
+
 class _Session:
     """Shared state-machine mechanics for both endpoints."""
 
@@ -535,14 +451,18 @@ class _Session:
                 )
             self.next_recv_seq += 1
             if frame.frame_type is FrameType.ABORT:
-                reason = AbortReason(frame.payload[0]) if frame.payload else AbortReason.PEER_ABORT
+                try:
+                    reason = AbortReason(frame.payload[0])
+                except (IndexError, ValueError):
+                    reason = AbortReason.PEER_ABORT  # empty payload or a reason we do not know
                 self._abort(AbortReason.PEER_ABORT, f"peer aborted ({reason.name})", notify=False)
                 return []
             try:
                 return self._dispatch(frame)
             except ReconciliationFailed as exc:
                 return self._abort(AbortReason.INTERNAL, f"reconciliation broke down: {exc}")
-            except FrameDecodeError as exc:
+            except (FrameDecodeError, struct.error, IndexError) as exc:
+                # a payload too short for its fields, or with indices out of range
                 return self._abort(AbortReason.INTERNAL, f"malformed payload: {exc}")
         raise TypeError(f"unknown event {event!r}")
 
@@ -576,6 +496,17 @@ class _Session:
             return np.zeros(0, dtype=np.int64)
         rng = np.random.default_rng(sample_seed)
         return np.sort(rng.choice(n_matched_signal, size=k, replace=False)).astype(np.int64)
+
+    def _empty_class(self) -> StateClass | None:
+        """A class with no emitted pulses, if any: its gain would divide by zero."""
+        return next((v for v in StateClass if self.emitted_per_class[v] == 0), None)
+
+    def _sample_sizes_match(self, signal: np.ndarray, decoy: np.ndarray, vacuum: np.ndarray) -> bool:
+        return (len(signal), len(decoy), len(vacuum)) == (
+            len(self.sample_positions),
+            len(self.matched_decoy_bits),
+            len(self.matched_vacuum_bits),
+        )
 
     def _compute_qber_hint(self) -> float:
         n = len(self.sample_positions)
@@ -740,6 +671,9 @@ class AliceSession(_Session):
         self.emitted_per_class = {v: int(totals[v]) for v in StateClass}
         counts = np.bincount(clicked_kind, minlength=3)
         self.clicks_per_class = {v: int(counts[v]) for v in StateClass}
+        empty = self._empty_class()
+        if empty is not None:
+            return self._abort(AbortReason.INTERNAL, f"no emitted pulses in class {empty.name}")
         sift_ack = self._emit(FrameType.SIFT_ACK, struct.pack(">I", self.n_matched) + _pack_u32s(self._matched_slots))
         reveal_payload = (
             struct.pack(
@@ -763,34 +697,18 @@ class AliceSession(_Session):
         return [sift_ack, reveal, request]
 
     def _handle_sample_bits(self, frame: Frame) -> list[Frame]:
-        subkind = frame.payload[0]
-        if subkind != 1:
+        if frame.payload[0] != 1:
             return self._abort(AbortReason.PHASE_VIOLATION, "expected receiver sample disclosure")
-        offset = 1
-        (n_sig,) = struct.unpack_from(">I", frame.payload, offset)
-        offset += 4
-        bob_sig, offset = _unpack_bits(frame.payload, n_sig, offset)
-        (n_dec,) = struct.unpack_from(">I", frame.payload, offset)
-        offset += 4
-        bob_dec, offset = _unpack_bits(frame.payload, n_dec, offset)
-        (n_vac,) = struct.unpack_from(">I", frame.payload, offset)
-        offset += 4
-        bob_vac, offset = _unpack_bits(frame.payload, n_vac, offset)
-        if n_sig != len(self.sample_positions) or n_dec != len(self.matched_decoy_bits) or n_vac != len(self.matched_vacuum_bits):
+        bob_sig, bob_dec, bob_vac = _unpack_sample(frame.payload)
+        if not self._sample_sizes_match(bob_sig, bob_dec, bob_vac):
             return self._abort(AbortReason.LENGTH_MISMATCH, "sample disclosure sizes differ from sift result")
         my_sample = self.matched_signal_bits[self.sample_positions]
         self.sample_errors = int(np.sum(my_sample ^ bob_sig))
         self.decoy_errors = int(np.sum(self.matched_decoy_bits ^ bob_dec))
-        reply_payload = (
-            struct.pack(">B", 2)
-            + struct.pack(">I", n_sig)
-            + _pack_bits(my_sample)
-            + struct.pack(">I", n_dec)
-            + _pack_bits(self.matched_decoy_bits)
-            + struct.pack(">I", n_vac)
-            + _pack_bits(self.matched_vacuum_bits)
+        reply = self._emit(
+            FrameType.QBER_SAMPLE,
+            _pack_sample(2, my_sample, self.matched_decoy_bits, self.matched_vacuum_bits),
         )
-        reply = self._emit(FrameType.QBER_SAMPLE, reply_payload)
         self.remaining_key = np.delete(self.matched_signal_bits, self.sample_positions)
         self.qber_hint = self._compute_qber_hint()
         if len(self.remaining_key) < self.options.min_key_bits:
@@ -905,7 +823,9 @@ class BobSession(_Session):
         n_signal, n_decoy, n_vacuum, n_clicked = struct.unpack_from(">QQQI", frame.payload)
         if n_clicked != len(self._clicked_slots):
             return self._abort(AbortReason.LENGTH_MISMATCH, "intensity reveal size differs from clicks")
-        kinds = np.frombuffer(frame.payload, dtype=np.uint8, count=n_clicked, offset=28)
+        kinds = np.frombuffer(frame.payload[28 : 28 + n_clicked], dtype=np.uint8)
+        if len(kinds) != n_clicked:
+            raise FrameDecodeError("class field truncated")
         if n_signal + n_decoy + n_vacuum != self.n_slots:
             return self._abort(AbortReason.LENGTH_MISMATCH, "per-class totals do not cover all slots")
         self.emitted_per_class = {
@@ -913,6 +833,9 @@ class BobSession(_Session):
             StateClass.DECOY: int(n_decoy),
             StateClass.VACUUM: int(n_vacuum),
         }
+        empty = self._empty_class()
+        if empty is not None:
+            return self._abort(AbortReason.INTERNAL, f"no emitted pulses in class {empty.name}")
         counts = np.bincount(kinds, minlength=3)
         self.clicks_per_class = {v: int(counts[v]) for v in StateClass}
         matched_kinds = kinds[self._matched_positions]
@@ -933,28 +856,11 @@ class BobSession(_Session):
             self.cascade_seed = cascade_seed
             self.sample_positions = self._sample_selection(sample_seed, len(self.matched_signal_bits))
             my_sample = self.matched_signal_bits[self.sample_positions]
-            payload = (
-                struct.pack(">B", 1)
-                + struct.pack(">I", len(my_sample))
-                + _pack_bits(my_sample)
-                + struct.pack(">I", len(self.matched_decoy_bits))
-                + _pack_bits(self.matched_decoy_bits)
-                + struct.pack(">I", len(self.matched_vacuum_bits))
-                + _pack_bits(self.matched_vacuum_bits)
-            )
+            payload = _pack_sample(1, my_sample, self.matched_decoy_bits, self.matched_vacuum_bits)
             return [self._emit(FrameType.QBER_SAMPLE, payload)]
         if subkind == 2:
-            offset = 1
-            (n_sig,) = struct.unpack_from(">I", frame.payload, offset)
-            offset += 4
-            alice_sig, offset = _unpack_bits(frame.payload, n_sig, offset)
-            (n_dec,) = struct.unpack_from(">I", frame.payload, offset)
-            offset += 4
-            alice_dec, offset = _unpack_bits(frame.payload, n_dec, offset)
-            (n_vac,) = struct.unpack_from(">I", frame.payload, offset)
-            offset += 4
-            alice_vac, offset = _unpack_bits(frame.payload, n_vac, offset)
-            if n_sig != len(self.sample_positions) or n_dec != len(self.matched_decoy_bits):
+            alice_sig, alice_dec, alice_vac = _unpack_sample(frame.payload)
+            if not self._sample_sizes_match(alice_sig, alice_dec, alice_vac):
                 return self._abort(AbortReason.LENGTH_MISMATCH, "sample echo sizes differ")
             my_sample = self.matched_signal_bits[self.sample_positions]
             self.sample_errors = int(np.sum(my_sample ^ alice_sig))

@@ -13,35 +13,16 @@ number per pulse is Poisson with the class mean.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from enum import IntEnum
-from typing import Iterator
 
 import numpy as np
-
-from .polarization import Basis, Polarization
 
 
 class StateClass(IntEnum):
     VACUUM = 0
     DECOY = 1
     SIGNAL = 2
-
-
-@dataclass(frozen=True)
-class IntensityClass:
-    """One emitted intensity: which class it is and its mean photon number."""
-
-    variant: StateClass
-    mean_photon_number: float
-
-    def __post_init__(self) -> None:
-        if self.mean_photon_number < 0.0:
-            raise ValueError("mean photon number must be >= 0")
-        if self.variant is StateClass.VACUUM and self.mean_photon_number != 0.0:
-            raise ValueError("vacuum class must have mean photon number 0")
-        if self.variant is not StateClass.VACUUM and self.mean_photon_number == 0.0:
-            raise ValueError("non-vacuum class must have mean photon number > 0")
 
 
 @dataclass(frozen=True)
@@ -70,60 +51,22 @@ class SourceConfig:
         if len(p) != 3 or any(x < 0.0 for x in p) or abs(sum(p) - 1.0) > 1e-12:
             raise ValueError("class probabilities must be 3 nonnegative values summing to 1")
 
-    def intensity(self, variant: StateClass) -> IntensityClass:
-        return IntensityClass(variant, self.mean_photon_number(variant))
-
-    def mean_photon_number(self, variant: StateClass) -> float:
-        return {
-            StateClass.SIGNAL: self.mu,
-            StateClass.DECOY: self.nu,
-            StateClass.VACUUM: 0.0,
-        }[StateClass(variant)]
-
     @property
     def class_means(self) -> np.ndarray:
         """Means indexed by StateClass value: [vacuum, decoy, signal]."""
         return np.array([0.0, self.nu, self.mu])
 
 
-@dataclass(frozen=True)
-class PulseRecord:
-    """Ground-truth description of a single emitted pulse."""
-
-    slot_index: int
-    intensity: IntensityClass
-    polarization: Polarization
-    key_bit: int
-    photon_count: int
-
-    def __post_init__(self) -> None:
-        if self.photon_count < 0:
-            raise ValueError("photon count must be >= 0")
-        if self.key_bit != self.polarization.bit:
-            raise ValueError("key bit must match the polarization's low bit")
-        if self.intensity.variant is StateClass.VACUUM and self.photon_count != 0:
-            raise ValueError("vacuum pulse cannot carry photons")
-
-
 # word -> class, exploiting b0 = MSB: words 0..3 vacuum, 4..7 decoy, 8..15 signal
-_WORD_CLASS = np.array([StateClass.VACUUM] * 4 + [StateClass.DECOY] * 4 + [StateClass.SIGNAL] * 8, dtype=np.uint8)
-
-
-def decode_random_word(word: int, cfg: SourceConfig | None = None) -> tuple[IntensityClass, Polarization]:
-    """Map a 4-bit word to (intensity class, polarization) per the slot table."""
-    if not 0 <= word <= 15:
-        raise ValueError("word must be in [0, 15]")
-    cfg = cfg if cfg is not None else SourceConfig()
-    variant = StateClass(int(_WORD_CLASS[word]))
-    return cfg.intensity(variant), Polarization(word & 0x3)
+WORD_CLASS = np.array([StateClass.VACUUM] * 4 + [StateClass.DECOY] * 4 + [StateClass.SIGNAL] * 8, dtype=np.uint8)
 
 
 @dataclass(frozen=True)
 class PulseTrain:
-    """A generated batch of pulses, stored column-wise for speed.
+    """A generated batch of pulses, one column entry per slot.
 
-    Behaves as a sequence of PulseRecord; the arrays are the primary API for
-    bulk work (kind/polarization/key_bit/photon_count, one entry per slot).
+    The columns are the only per-slot API: kind, polarization and
+    photon_count are stored; key_bit and basis derive from polarization.
     """
 
     cfg: SourceConfig
@@ -138,24 +81,6 @@ class PulseTrain:
 
     def __len__(self) -> int:
         return len(self.kind)
-
-    def __getitem__(self, i: int) -> PulseRecord:
-        n = len(self)
-        if i < 0:
-            i += n
-        if not 0 <= i < n:
-            raise IndexError(i)
-        pol = Polarization(int(self.polarization[i]))
-        return PulseRecord(
-            slot_index=i,
-            intensity=self.cfg.intensity(StateClass(int(self.kind[i]))),
-            polarization=pol,
-            key_bit=pol.bit,
-            photon_count=int(self.photon_count[i]),
-        )
-
-    def __iter__(self) -> Iterator[PulseRecord]:
-        return (self[i] for i in range(len(self)))
 
     @property
     def key_bit(self) -> np.ndarray:
@@ -192,7 +117,7 @@ def generate_pulse_train(
         m = hi - lo
         if canonical_mix:
             words = rng.integers(0, 16, size=m, dtype=np.uint8)
-            kind[lo:hi] = _WORD_CLASS[words]
+            kind[lo:hi] = WORD_CLASS[words]
             pol[lo:hi] = words & 0x3
         else:
             # signal, decoy, vacuum -> StateClass 2, 1, 0
@@ -211,17 +136,3 @@ def generate_pulse_train(
                 chunk_photons[mask] = rng.poisson(mean, size=n_in_class)
         photons[lo:hi] = chunk_photons
     return PulseTrain(cfg=cfg, kind=kind, polarization=pol, photon_count=photons)
-
-
-def sample_photon_number(mean: float, rng: np.random.Generator) -> int:
-    """One Poisson draw; mean 0 is deterministically 0."""
-    if mean < 0.0:
-        raise ValueError("mean must be >= 0")
-    if mean == 0.0:
-        return 0
-    return int(rng.poisson(mean))
-
-
-def expected_class_distribution(cfg: SourceConfig) -> tuple[float, float, float]:
-    """(signal, decoy, vacuum) emission probabilities; exact under the word table."""
-    return cfg.class_probabilities

@@ -10,10 +10,8 @@ from uwqkd.analysis import (
     KeyRateReport,
     SWEEP_CSV_HEADER,
     SinglePhotonBounds,
-    UnboundedErrorRate,
     calibrate,
     cutoff_distance,
-    e1_upper_bound,
     estimate_bounds,
     expected_statistics,
     jerlov_sweep,
@@ -21,7 +19,6 @@ from uwqkd.analysis import (
     secure_key_rate,
     sweep_distance,
     sweep_to_csv,
-    y1_lower_bound,
 )
 from uwqkd.channel import ReceiverLoss, loss_db, transmittance
 from uwqkd.detection import expected_gain, expected_qber
@@ -32,17 +29,18 @@ from uwqkd.postprocess import binary_entropy
 ROW1 = DecoyStatistics(q_mu=1.48e-2, e_mu=0.0121, q_nu=1.89e-3, e_nu=0.0181, y0=0.0)
 
 
-def test_y1_lower_bound_reference_row():
-    y1 = y1_lower_bound(ROW1)
+def test_y1_lower_reference_row():
+    y1 = estimate_bounds(ROW1).y1_lower
     assert y1 == pytest.approx(1.799e-2, abs=5e-6)
     assert y1 == pytest.approx(0.017989905090846753, rel=1e-12)
 
 
 def test_q1_chains_from_y1():
-    y1 = y1_lower_bound(ROW1)
-    q1 = q1_from_yield(y1, 0.8)
+    bounds = estimate_bounds(ROW1)
+    q1 = q1_from_yield(bounds.y1_lower, 0.8)
+    assert q1 == bounds.q1
     assert q1 == pytest.approx(6.467e-3, abs=5e-7)
-    assert q1 == pytest.approx(y1 * 0.8 * math.exp(-0.8), rel=1e-12)
+    assert q1 == pytest.approx(bounds.y1_lower * 0.8 * math.exp(-0.8), rel=1e-12)
     assert q1_from_yield(0.0, 0.8) == 0.0
     # Y1*mu*exp(-mu) peaks at mu = 1
     assert q1_from_yield(1.0, 1.0) == pytest.approx(math.exp(-1.0), rel=1e-12)
@@ -50,25 +48,25 @@ def test_q1_chains_from_y1():
         q1_from_yield(-0.1, 0.8)
 
 
-def test_e1_upper_bound_reference_row():
-    y1 = y1_lower_bound(ROW1)
-    e1 = e1_upper_bound(ROW1, y1)
+def test_e1_upper_reference_row():
+    e1 = estimate_bounds(ROW1).e1_upper
     assert e1 == pytest.approx(2.10e-2, abs=5e-5)
     assert e1 == pytest.approx(0.021015559418201654, rel=1e-11)
 
 
-def test_e1_upper_bound_trivia():
+def test_e1_upper_error_free_decoy():
     stats = DecoyStatistics(q_mu=1e-2, e_mu=0.01, q_nu=1.3e-3, e_nu=0.0, y0=0.0)
-    assert e1_upper_bound(stats, y1_lower_bound(stats)) == 0.0
-    with pytest.raises(UnboundedErrorRate):
-        e1_upper_bound(ROW1, 0.0)
+    bounds = estimate_bounds(stats)
+    assert bounds.y1_lower > 0.0
+    assert bounds.e1_upper == 0.0
+    assert bounds.clamped == ()
 
 
 def test_y1_bound_dead_channel():
     # eta = 0 collapses both gains to Y0; the bound stays just below Y0.
     y0 = 3e-4
     stats = DecoyStatistics(q_mu=y0, e_mu=0.5, q_nu=y0, e_nu=0.5, y0=y0)
-    y1 = y1_lower_bound(stats)
+    y1 = estimate_bounds(stats).y1_lower
     coeff = y1 / y0
     assert coeff == pytest.approx(0.9832, abs=2e-4)
     assert coeff == pytest.approx(0.98310675506232, rel=1e-10)
@@ -79,7 +77,7 @@ def test_y1_bound_is_sound_at_model_point():
     y0, eta = 1e-4, 1e-2
     stats = expected_statistics(y0, eta, 0.8, 0.1, 0.01)
     y1_true = y0 + eta
-    assert y1_lower_bound(stats) <= y1_true + 1e-12
+    assert estimate_bounds(stats).y1_lower <= y1_true + 1e-12
 
 
 def test_bounds_soundness_sweep():

@@ -6,17 +6,14 @@ import pytest
 from uwqkd.detection import (
     ArrivalHistogram,
     DetectionBatch,
-    DetectionEvent,
     DetectorConfig,
     DoubleClickPolicy,
     align_gate,
     dark_prob_for_background_yield,
-    detect,
     expected_gain,
     expected_qber,
     simulate_detection,
 )
-from uwqkd.polarization import Basis
 from uwqkd.source import SourceConfig, generate_pulse_train
 
 
@@ -85,15 +82,6 @@ def test_dark_prob_inverts_background_yield():
         assert cfg.background_yield == pytest.approx(y0, rel=1e-9, abs=1e-15)
     with pytest.raises(ValueError):
         dark_prob_for_background_yield(1.0)
-
-
-def test_detection_event_validation():
-    DetectionEvent(0, Basis.RECTILINEAR, None)
-    DetectionEvent(0, Basis.DIAGONAL, 1, multi_click=True)
-    with pytest.raises(ValueError):
-        DetectionEvent(0, Basis.RECTILINEAR, None, multi_click=True)
-    with pytest.raises(ValueError):
-        DetectionEvent(0, Basis.RECTILINEAR, 2)
 
 
 def test_mc_gain_matches_analytic():
@@ -176,24 +164,22 @@ def test_detection_determinism():
     assert np.array_equal(a.multi_click, b.multi_click)
 
 
-def test_batch_event_view():
-    train, bob_basis, batch = _batch(1000, seed=41, eta=0.5)
-    i = int(np.flatnonzero(batch.clicked)[0])
-    ev = batch.event(i)
-    assert ev.outcome in (0, 1)
-    assert ev.basis == Basis(int(bob_basis[i]))
-    j = int(np.flatnonzero(~batch.clicked)[0])
-    assert batch.event(j).outcome is None
+def test_batch_columns_consistent():
+    for policy in DoubleClickPolicy:
+        _, bob_basis, batch = _batch(20_000, seed=41, eta=0.9, mu=5.0, p_dark=1e-3, policy=policy)
+        assert len(batch) == 20_000
+        assert np.array_equal(batch.basis, bob_basis)
+        assert set(np.unique(batch.bit)) <= {0, 1}
+        assert not batch.bit[~batch.clicked].any()  # no click reads as bit 0
+        assert not (batch.multi_click & ~batch.clicked).any()  # a no-click is never a double
 
 
-def test_detect_single_slot():
-    train = generate_pulse_train(SourceConfig(rng_seed=2), 10)
-    rng = np.random.default_rng(0)
-    ev = detect(train[0], 1.0, train[0].polarization.basis, DetectorConfig(),
-                misalignment_theta=0.0, rng=rng)
-    assert ev.slot_index == 0
-    if train[0].photon_count > 0:
-        assert ev.outcome == train[0].key_bit  # perfect channel, matched basis
+def test_perfect_channel_reproduces_key_bits():
+    train, bob_basis, batch = _batch(4096, seed=2, eta=1.0)
+    lit = (train.basis == bob_basis) & (train.photon_count > 0)
+    assert lit.any()
+    assert batch.clicked[lit].all()
+    assert np.array_equal(batch.bit[lit], train.key_bit[lit])
 
 
 def test_simulate_detection_validation():

@@ -328,6 +328,18 @@ def test_lossy_transport_aborts_cleanly():
     assert report.key["length"] == 0 and report.key["no_key"]
 
 
+def test_class_never_emitted_aborts_cleanly():
+    # no vacuum slots: Y0 has no denominator, so the session must abort
+    data = base_dict()
+    data["n_pulses"] = 20_000
+    data["source"]["class_probabilities"] = [0.5, 0.5, 0.0]
+    report = run_experiment(config_from_dict(data))
+    assert report.status == "aborted"
+    assert report.abort["reason"] == "INTERNAL"
+    assert "VACUUM" in report.abort["message"]
+    assert report.key["length"] == 0 and report.key["no_key"]
+
+
 def test_drop_probability_recorded_in_transcript(tmp_path):
     data = base_dict()
     data["n_pulses"] = 30_000

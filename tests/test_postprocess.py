@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from uwqkd.postprocess import (
+    CascadeCorrector,
+    CascadeResponder,
     KeyLengthDecision,
     PASeed,
     ReconciliationFailed,
@@ -134,6 +136,15 @@ def test_cascade_mismatched_seeds_fail_verification():
         assert not result.residual_check
     except ReconciliationFailed:
         pass  # budget guard tripping is also a loud failure
+
+
+def test_cascade_rejects_wrong_parity_count():
+    reference, noisy = _keys_with_errors(1024, 10, seed=7)
+    corrector = CascadeCorrector(noisy, 0.02, seed=1)
+    responder = CascadeResponder(reference, 0.02, seed=1)
+    kind, p, parities = responder.on_message(corrector.start())
+    with pytest.raises(ReconciliationFailed):
+        corrector.on_reply((kind, p, parities[:-1]))
 
 
 def test_cascade_hint_domain():

@@ -5,8 +5,6 @@ import zlib
 import numpy as np
 import pytest
 
-from uwqkd.detection import DetectionBatch, DetectionEvent
-from uwqkd.polarization import Basis
 from uwqkd.protocol import (
     AbortReason,
     AliceSession,
@@ -20,20 +18,17 @@ from uwqkd.protocol import (
     FrameType,
     IncomingFrame,
     LocalTimer,
-    MissingClassError,
     Phase,
     ProtocolOptions,
     QuantumBatchDone,
-    SiftRecord,
     UnknownFrameTypeError,
     decode_frame,
     encode_frame,
-    partition_by_intensity,
-    sift,
     _pack_recon,
+    _pack_sample,
     _unpack_recon,
+    _unpack_sample,
 )
-from uwqkd.source import PulseRecord, SourceConfig, StateClass, generate_pulse_train
 
 DIGEST = hashlib.md5(b"session-under-test").digest()
 
@@ -59,8 +54,7 @@ def test_frame_layout():
     assert data[1:5] == b"\x01\x02\x03\x04"      # big-endian sequence
     assert data[5:8] == b"\x00\x00\x03"          # 3-byte length
     assert data[8:11] == b"abc"
-    assert data[11:] == struct.pack(">I", zlib.crc32(data[:11]))
-    assert frame.checksum == zlib.crc32(data[:11])
+    assert data[-4:] == struct.pack(">I", zlib.crc32(data[:-4]))
 
 
 def test_frame_validation():
@@ -107,88 +101,6 @@ def test_every_single_bit_flip_is_detected():
 
 
 # ---------------------------------------------------------------------------
-# sifting and tallies
-
-
-def _pulses_and_events(n, seed):
-    train = generate_pulse_train(SourceConfig(rng_seed=seed), n)
-    rng = np.random.default_rng(seed + 1)
-    bob_basis = rng.integers(0, 2, size=n, dtype=np.uint8)
-    clicked = rng.random(n) < 0.6
-    bob_bit = rng.integers(0, 2, size=n, dtype=np.uint8)
-    batch = DetectionBatch(
-        basis=bob_basis,
-        clicked=clicked,
-        bit=np.where(clicked, bob_bit, 0).astype(np.uint8),
-        multi_click=np.zeros(n, dtype=bool),
-    )
-    return train, batch
-
-
-def test_sift_keeps_clicked_slots_only():
-    train, batch = _pulses_and_events(2000, seed=1)
-    records = sift(list(train), batch)
-    assert len(records) == int(batch.clicked.sum())
-    for rec in records[:50]:
-        assert batch.clicked[rec.slot_index]
-        assert rec.alice_bit == int(train.key_bit[rec.slot_index])
-        expected_match = train.basis[rec.slot_index] == batch.basis[rec.slot_index]
-        assert rec.matched == expected_match
-
-
-def test_sift_accepts_event_list():
-    train, batch = _pulses_and_events(500, seed=2)
-    events = [batch.event(i) for i in range(len(batch))]
-    assert sift(list(train), events) == sift(list(train), batch)
-
-
-def test_sift_validation():
-    train, batch = _pulses_and_events(100, seed=3)
-    with pytest.raises(ValueError):
-        sift(list(train)[:99], batch)
-    events = [batch.event(i) for i in range(len(batch))]
-    events[5] = DetectionEvent(slot_index=99, basis=Basis.RECTILINEAR, outcome=1)
-    with pytest.raises(ValueError):
-        sift(list(train), events)
-
-
-def test_partition_by_intensity_tallies():
-    def rec(i, variant, matched, a, b):
-        return SiftRecord(i, variant, matched, a, b)
-
-    records = [
-        rec(0, StateClass.SIGNAL, True, 0, 0),
-        rec(1, StateClass.SIGNAL, True, 1, 0),   # error
-        rec(2, StateClass.SIGNAL, False, 1, 1),
-        rec(3, StateClass.DECOY, True, 0, 1),    # error
-        rec(4, StateClass.VACUUM, True, 0, 0),
-        rec(5, StateClass.VACUUM, False, 1, 0),
-    ]
-    emitted = {StateClass.SIGNAL: 10, StateClass.DECOY: 5, StateClass.VACUUM: 8}
-    stats = partition_by_intensity(records, emitted)
-    assert stats.q_mu == pytest.approx(3 / 10)
-    assert stats.e_mu == pytest.approx(1 / 2)  # errors over matched clicks
-    assert stats.q_nu == pytest.approx(1 / 5)
-    assert stats.e_nu == pytest.approx(1 / 1)
-    assert stats.y0 == pytest.approx(2 / 8)
-
-
-def test_partition_missing_class():
-    records = [SiftRecord(0, StateClass.SIGNAL, True, 0, 0)]
-    with pytest.raises(MissingClassError):
-        partition_by_intensity(records, {StateClass.SIGNAL: 10, StateClass.DECOY: 0,
-                                         StateClass.VACUUM: 5})
-
-
-def test_partition_flags_zero_matches():
-    records = [SiftRecord(0, StateClass.SIGNAL, True, 0, 0)]
-    emitted = {StateClass.SIGNAL: 10, StateClass.DECOY: 5, StateClass.VACUUM: 8}
-    stats = partition_by_intensity(records, emitted)
-    assert stats.e_nu == 0.0
-    assert "no_matched_clicks_decoy" in stats.flags
-
-
-# ---------------------------------------------------------------------------
 # reconciliation payload encoding
 
 
@@ -215,6 +127,21 @@ def test_recon_payload_rejects_garbage():
         _unpack_recon(b"")
     with pytest.raises(FrameDecodeError):
         _unpack_recon(b"\x77\x00")
+
+
+def test_sample_payload_roundtrip():
+    signal = np.array([1, 0, 1], dtype=np.uint8)
+    decoy = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1], dtype=np.uint8)
+    vacuum = np.zeros(0, dtype=np.uint8)
+    payload = _pack_sample(2, signal, decoy, vacuum)
+    assert payload[0] == 2
+    assert payload[1:5] == struct.pack(">I", 3)
+    back = _unpack_sample(payload)
+    for a, b in zip(back, (signal, decoy, vacuum)):
+        assert np.array_equal(a, b)
+    for cut in (1, 5, len(payload) - 1):
+        with pytest.raises((FrameDecodeError, struct.error)):
+            _unpack_sample(payload[:-cut])
 
 
 # ---------------------------------------------------------------------------
@@ -315,6 +242,14 @@ def test_session_statistics_match_ground_truth():
         emitted = int((va.kind == variant).sum())
         clicks = int((clicked & (va.kind == variant)).sum())
         assert gain == pytest.approx(clicks / emitted, rel=1e-12)
+    matched = clicked & (va.basis == vb.basis)
+    assert alice.result.n_clicked == bob.result.n_clicked == int(clicked.sum())
+    assert alice.result.n_matched == bob.result.n_matched == int(matched.sum())
+    # decoy QBER: errors over matched decoy clicks, fully disclosed
+    decoy = matched & (va.kind == 1)
+    decoy_errors = int((va.bit[decoy] != vb.bit[decoy]).sum())
+    assert decoy_errors > 0
+    assert stats.e_nu == pytest.approx(decoy_errors / int(decoy.sum()), rel=1e-12)
     # sampled QBER should sit near the seeded 2% error rate
     assert alice.result.qber_sample == pytest.approx(0.02, abs=0.03)
     # the corrected remainder excludes the disclosed sample
@@ -405,6 +340,97 @@ def test_short_key_skips_reconciliation():
     assert len(alice.result.final_key) == 0
     assert "insufficient_key_bits" in alice.result.flags
     assert alice.result.residual_check is None
+
+
+def rewrite(frame_type, edit):
+    """A pump mangle that replaces each frame_type payload by edit(payload), CRC redone."""
+    def mangle(data):
+        frame = decode_frame(data)
+        if frame.frame_type is not frame_type:
+            return data
+        return encode_frame(Frame(frame.frame_type, frame.sequence, edit(frame.payload)))
+    return mangle
+
+
+def test_session_without_decoy_clicks_flags_it():
+    va, vb = make_views(4096, seed=5)
+    vb.clicked[va.kind == 1] = False
+    options = ProtocolOptions()
+    alice = AliceSession(va, options, DIGEST, coin_rng=np.random.default_rng([5, 77]))
+    bob = BobSession(vb, options, DIGEST)
+    pump(alice, bob)
+    assert alice.phase is Phase.DONE and bob.phase is Phase.DONE
+    for result in (alice.result, bob.result):
+        assert result.statistics.q_nu == 0.0
+        assert result.statistics.e_nu == 0.0
+        assert "no_matched_clicks_decoy" in result.flags
+
+
+def test_class_never_emitted_aborts_transmitter():
+    alice, bob = make_sessions()
+    alice.view.kind[alice.view.kind == 0] = 1  # no vacuum slots: Y0 has no denominator
+    pump(alice, bob)
+    assert alice.phase is Phase.ABORTED
+    assert alice.abort_reason is AbortReason.INTERNAL
+    assert "VACUUM" in alice.abort_message
+    assert bob.phase is Phase.ABORTED
+    assert bob.abort_reason is AbortReason.PEER_ABORT
+
+
+def test_class_never_emitted_aborts_receiver():
+    def zero_decoy_total(payload):
+        n_signal, n_decoy, n_vacuum = struct.unpack_from(">QQQ", payload)
+        return struct.pack(">QQQ", n_signal + n_decoy, 0, n_vacuum) + payload[24:]
+
+    alice, bob = make_sessions()
+    pump(alice, bob, mangle=rewrite(FrameType.INTENSITY_REVEAL, zero_decoy_total))
+    assert bob.phase is Phase.ABORTED
+    assert bob.abort_reason is AbortReason.INTERNAL
+    assert "DECOY" in bob.abort_message
+    assert alice.phase is Phase.ABORTED
+    assert alice.abort_reason is AbortReason.PEER_ABORT
+
+
+def test_sample_echo_checks_vacuum_count():
+    def drop_vacuum_bit(payload):
+        if payload[0] != 2:
+            return payload
+        signal, decoy, vacuum = _unpack_sample(payload)
+        return _pack_sample(2, signal, decoy, vacuum[:-1])
+
+    alice, bob = make_sessions()
+    pump(alice, bob, mangle=rewrite(FrameType.QBER_SAMPLE, drop_vacuum_bit))
+    assert bob.phase is Phase.ABORTED
+    assert bob.abort_reason is AbortReason.LENGTH_MISMATCH
+
+
+@pytest.mark.parametrize("payload", [b"", struct.pack(">BH", 0xFF, 0)])
+def test_peer_abort_with_unknown_reason(payload):
+    _, bob = make_sessions()
+    assert bob.step(IncomingFrame(encode_frame(Frame(FrameType.ABORT, 0, payload)))) == []
+    assert bob.phase is Phase.ABORTED
+    assert bob.abort_reason is AbortReason.PEER_ABORT
+    assert "PEER_ABORT" in bob.abort_message
+
+
+def test_truncated_payloads_abort_without_raising():
+    """Each frame of a clean session, its payload cut by 1-4 bytes and its CRC
+    redone, ends the session in an abort; step() never raises."""
+    clean = []
+    pump(*make_sessions(), mangle=lambda data: clean.append(data) or data)
+    assert {decode_frame(data).frame_type for data in clean} == set(FrameType) - {FrameType.ABORT}
+    for index in range(len(clean)):
+        for cut in range(1, 5):
+            deliveries = iter(range(len(clean)))
+
+            def truncate(data):
+                if next(deliveries, None) != index:
+                    return data
+                frame = decode_frame(data)
+                return encode_frame(Frame(frame.frame_type, frame.sequence, frame.payload[:-cut]))
+
+            alice, bob = pump(*make_sessions(), mangle=truncate)
+            assert Phase.ABORTED in (alice.phase, bob.phase), (index, cut)
 
 
 def test_terminal_sessions_ignore_events():

@@ -4,16 +4,7 @@ import numpy as np
 import pytest
 
 from uwqkd.polarization import Basis, Polarization
-from uwqkd.source import (
-    IntensityClass,
-    PulseRecord,
-    SourceConfig,
-    StateClass,
-    decode_random_word,
-    expected_class_distribution,
-    generate_pulse_train,
-    sample_photon_number,
-)
+from uwqkd.source import WORD_CLASS, SourceConfig, StateClass, generate_pulse_train
 
 # Full 4-bit slot table. b0 (MSB) and b1 select the class, b2 b3 the state.
 WORD_TABLE = {
@@ -37,21 +28,17 @@ WORD_TABLE = {
 
 
 @pytest.mark.parametrize("word", sorted(WORD_TABLE))
-def test_decode_random_word_table(word):
+def test_word_table(word):
     cls, expected_pol = WORD_TABLE[word]
-    intensity, pol = decode_random_word(word)
-    assert intensity.variant is cls
-    assert pol is expected_pol
+    assert WORD_CLASS[word] == cls
+    assert Polarization(word & 0x3) is expected_pol
 
 
-def test_decode_word_means():
+def test_word_class_means():
     cfg = SourceConfig(mu=0.8, nu=0.1)
-    assert decode_random_word(0b1000, cfg)[0].mean_photon_number == 0.8
-    assert decode_random_word(0b0100, cfg)[0].mean_photon_number == 0.1
-    assert decode_random_word(0b0000, cfg)[0].mean_photon_number == 0.0
-    for bad in (-1, 16):
-        with pytest.raises(ValueError):
-            decode_random_word(bad)
+    assert cfg.class_means[WORD_CLASS[0b1000]] == 0.8
+    assert cfg.class_means[WORD_CLASS[0b0100]] == 0.1
+    assert cfg.class_means[WORD_CLASS[0b0000]] == 0.0
 
 
 def test_source_config_defaults_and_validation():
@@ -60,32 +47,12 @@ def test_source_config_defaults_and_validation():
     assert cfg.nu == 0.1
     assert cfg.class_probabilities == (0.5, 0.25, 0.25)
     assert cfg.repetition_rate_hz == 20e6
-    assert expected_class_distribution(cfg) == (0.5, 0.25, 0.25)
     with pytest.raises(ValueError):
         SourceConfig(mu=0.1, nu=0.8)  # decoy must be weaker
     with pytest.raises(ValueError):
         SourceConfig(mu=0.8, nu=0.0)
     with pytest.raises(ValueError):
         SourceConfig(class_probabilities=(0.5, 0.3, 0.3))
-
-
-def test_intensity_class_validation():
-    with pytest.raises(ValueError):
-        IntensityClass(StateClass.VACUUM, 0.1)
-    with pytest.raises(ValueError):
-        IntensityClass(StateClass.SIGNAL, 0.0)
-    assert IntensityClass(StateClass.DECOY, 0.1).mean_photon_number == 0.1
-
-
-def test_pulse_record_validation():
-    sig = IntensityClass(StateClass.SIGNAL, 0.8)
-    rec = PulseRecord(0, sig, Polarization.V, key_bit=1, photon_count=2)
-    assert rec.key_bit == 1
-    with pytest.raises(ValueError):
-        PulseRecord(0, sig, Polarization.V, key_bit=0, photon_count=2)
-    vac = IntensityClass(StateClass.VACUUM, 0.0)
-    with pytest.raises(ValueError):
-        PulseRecord(0, vac, Polarization.H, key_bit=0, photon_count=1)
 
 
 def test_train_class_and_state_frequencies():
@@ -155,19 +122,16 @@ def test_train_different_seeds_differ():
     assert differ_fraction == pytest.approx(0.9494, abs=0.003)
 
 
-def test_train_sequence_protocol():
-    train = generate_pulse_train(SourceConfig(rng_seed=0), 64)
-    assert len(train) == 64
-    rec = train[10]
-    assert rec.slot_index == 10
-    assert rec.polarization.value == train.polarization[10]
-    assert rec.key_bit == rec.polarization.bit
-    assert train[-1].slot_index == 63
-    with pytest.raises(IndexError):
-        train[64]
-    records = list(train)
-    assert len(records) == 64
-    assert records[3].photon_count == int(train.photon_count[3])
+def test_train_follows_word_table():
+    """Each slot's class and polarization are the table entry for the word
+    drawn first from the same seed."""
+    cfg = SourceConfig(rng_seed=0)
+    n = 4096
+    train = generate_pulse_train(cfg, n)
+    words = np.random.default_rng(cfg.rng_seed).integers(0, 16, size=n, dtype=np.uint8)
+    assert len(train) == n
+    assert np.array_equal(train.kind, WORD_CLASS[words])
+    assert np.array_equal(train.polarization, words & 3)
 
 
 def test_non_canonical_mix_falls_back():
@@ -176,15 +140,6 @@ def test_non_canonical_mix_falls_back():
     counts = np.bincount(train.kind, minlength=3)
     assert counts[StateClass.SIGNAL] / len(train) == pytest.approx(0.6, abs=0.006)
     assert counts[StateClass.DECOY] / len(train) == pytest.approx(0.2, abs=0.006)
-
-
-def test_sample_photon_number():
-    rng = np.random.default_rng(0)
-    assert sample_photon_number(0.0, rng) == 0
-    draws = [sample_photon_number(0.8, rng) for _ in range(20_000)]
-    assert np.mean(draws) == pytest.approx(0.8, abs=0.02)
-    with pytest.raises(ValueError):
-        sample_photon_number(-0.5, rng)
 
 
 def test_generate_count_validation():
