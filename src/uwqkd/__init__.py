@@ -30,11 +30,9 @@ from .channel import (
     transmittance,
 )
 from .detection import (
-    ArrivalHistogram,
     DetectionBatch,
     DetectorConfig,
     DoubleClickPolicy,
-    align_gate,
     dark_prob_for_background_yield,
     expected_gain,
     expected_qber,
@@ -69,14 +67,10 @@ from .polarization import (
 )
 from .postprocess import (
     PASeed,
-    ReconciliationResult,
     binary_entropy,
-    cascade_correct,
-    estimate_qber,
     final_key_length,
     generate_pa_seed,
     key_hash_64,
-    local_oracle,
     toeplitz_hash,
 )
 from .protocol import (

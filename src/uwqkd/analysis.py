@@ -16,18 +16,14 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import optimize
 
-from .channel import ReceiverLoss, WaterChannel, jerlov_coefficient, loss_db, transmittance
+from .channel import ReceiverLoss, loss_db, transmittance
 from .detection import expected_gain, expected_qber
 from .postprocess import binary_entropy
-
-
-class CalibrationError(RuntimeError):
-    """Raised by the CLI path when a calibration result is not usable."""
 
 
 @dataclass(frozen=True)
@@ -415,11 +411,3 @@ def cutoff_distance(
         else:
             hi = mid
     return 0.5 * (lo + hi)
-
-
-def jerlov_sweep(
-    water_type: str,
-    distances_m,
-    **kwargs,
-) -> list[SweepPoint]:
-    return sweep_distance(jerlov_coefficient(water_type), distances_m, **kwargs)

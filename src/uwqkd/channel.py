@@ -8,7 +8,7 @@ loss and receiver insertion loss add.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 # 10*log10(e): converts a Beer-Lambert exponent c*L (nepers) into decibels.
 DB_PER_NEPER = 10.0 * math.log10(math.e)

@@ -18,7 +18,7 @@ from enum import Enum
 
 import numpy as np
 
-_CHUNK = 1 << 20
+from .source import chunk_slices
 
 
 class DoubleClickPolicy(Enum):
@@ -111,8 +111,7 @@ def simulate_detection(
     multi = np.zeros(n, dtype=bool)
     discarded = 0
     p_dark = cfg.dark_count_prob_per_gate
-    for lo in range(0, n, _CHUNK):
-        hi = min(lo + _CHUNK, n)
+    for lo, hi in chunk_slices(n):
         survivors = rng.binomial(photon_count[lo:hi].astype(np.int64), channel_eta)
         matched = alice_basis[lo:hi] == bob_basis[lo:hi]
         p_one = _wrong_detector_prob(matched, alice_bit[lo:hi], misalignment_theta)
@@ -165,34 +164,3 @@ def expected_qber(y0: float, eta: float, mean: float, e_detector: float) -> floa
         raise ValueError("gain is zero: QBER undefined")
     signal = -math.expm1(-eta * mean)
     return (0.5 * y0 + e_detector * signal) / gain
-
-
-@dataclass(frozen=True)
-class ArrivalHistogram:
-    """Arrival-time counts across one repetition period."""
-
-    counts: np.ndarray
-    bin_width_ns: float
-
-    def __post_init__(self) -> None:
-        counts = np.asarray(self.counts)
-        if counts.ndim != 1 or len(counts) == 0:
-            raise ValueError("histogram needs at least one bin")
-        if (counts < 0).any():
-            raise ValueError("histogram counts must be >= 0")
-        if self.bin_width_ns <= 0.0:
-            raise ValueError("bin width must be > 0")
-
-
-def align_gate(hist: ArrivalHistogram, gate_bins: int) -> int:
-    """Offset (in bins) of the cyclic window of gate_bins with the most counts.
-
-    Ties resolve to the smallest offset, so a flat histogram aligns at 0.
-    """
-    counts = np.asarray(hist.counts, dtype=np.int64)
-    n = len(counts)
-    if not 1 <= gate_bins <= n:
-        raise ValueError("gate width must be between 1 bin and the full period")
-    extended = np.concatenate([counts, counts[: gate_bins - 1]])
-    window = np.convolve(extended, np.ones(gate_bins, dtype=np.int64), mode="valid")
-    return int(np.argmax(window))

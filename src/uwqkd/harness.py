@@ -7,8 +7,8 @@ in their key names and have no implicit defaults; protocol conventions
 (sample fraction, Cascade passes, timeout) do default.
 
 `run_experiment` plays the whole protocol between two session machines over
-an in-memory transport. `run_two_party` plays the identical protocol over
-TCP: both endpoints recompute the quantum phase from the shared seeds
+an in-memory transport. `serve` and `connect` play the identical protocol
+over TCP: both endpoints recompute the quantum phase from the shared seeds
 (guarded by a config digest in the handshake) and each keeps only its own
 role's view, so the classical traffic is the real coordination channel.
 """
@@ -28,8 +28,6 @@ import numpy as np
 from .analysis import (
     DecoyStatistics,
     SinglePhotonBounds,
-    estimate_bounds,
-    secure_key_rate,
     sweep_distance,
     SweepPoint,
 )
@@ -38,7 +36,6 @@ from .channel import (
     WaterChannel,
     end_to_end_transmittance,
     jerlov_coefficient,
-    transmittance,
 )
 from .detection import DetectorConfig, DoubleClickPolicy, simulate_detection
 from .polarization import (
@@ -58,21 +55,12 @@ from .protocol import (
     Phase,
     ProtocolOptions,
 )
-from .source import SourceConfig, StateClass, generate_pulse_train
-from .transport import InProcessPump, TranscriptEntry, run_socket_session, save_transcript
+from .source import SourceConfig, chunk_slices, generate_pulse_train
+from .transport import InProcessPump, run_socket_session, save_transcript
 
 
 class ConfigError(ValueError):
     """A config file is missing required keys or holds invalid values."""
-
-
-class SessionAborted(RuntimeError):
-    def __init__(self, report: "RunReport"):
-        super().__init__(report.abort.get("message", "session aborted") if report.abort else "session aborted")
-        self.report = report
-
-
-_BASIS_CHUNK = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -91,8 +79,9 @@ class ExperimentConfig:
     raw: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
-        if self.n_pulses <= 0:
-            raise ConfigError("n_pulses must be > 0")
+        if not 0 < self.n_pulses < 1 << 32:
+            # slot indices travel as u32 on the wire
+            raise ConfigError("n_pulses must be in [1, 2^32 - 1]")
         if not 0.0 <= self.drop_probability < 1.0:
             raise ConfigError("drop probability must be in [0, 1)")
 
@@ -266,8 +255,7 @@ def simulate_quantum_phase(cfg: ExperimentConfig) -> QuantumPhaseResult:
     train = generate_pulse_train(cfg.source, cfg.n_pulses, np.random.default_rng(cfg.seed_alice))
     bob_rng = np.random.default_rng(cfg.seed_bob)
     bob_basis = np.empty(cfg.n_pulses, dtype=np.uint8)
-    for lo in range(0, cfg.n_pulses, _BASIS_CHUNK):
-        hi = min(lo + _BASIS_CHUNK, cfg.n_pulses)
+    for lo, hi in chunk_slices(cfg.n_pulses):
         bob_basis[lo:hi] = bob_rng.integers(0, 2, size=hi - lo, dtype=np.uint8)
     channel_rng = np.random.default_rng(cfg.seed_channel)
     batch = simulate_detection(

@@ -1,4 +1,4 @@
-"""Classical key distillation: error estimation, Cascade, privacy amplification.
+"""Classical key distillation: Cascade, privacy amplification, final key length.
 
 Cascade runs over four passes with block halving searches. The corrector
 (holder of the noisy key) drives; the responder (holder of the reference key)
@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 import struct
-from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Callable
+from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
@@ -37,17 +37,6 @@ def binary_entropy(x):
         h = -arr * np.log2(arr) - (1.0 - arr) * np.log2(1.0 - arr)
     h = np.where((arr == 0.0) | (arr == 1.0), 0.0, h)
     return float(h) if np.isscalar(x) or np.ndim(x) == 0 else h
-
-
-def estimate_qber(bits_a: np.ndarray, bits_b: np.ndarray) -> float:
-    """Fraction of disagreeing positions between two equal-length bit arrays."""
-    a = np.asarray(bits_a, dtype=np.uint8)
-    b = np.asarray(bits_b, dtype=np.uint8)
-    if a.shape != b.shape or a.ndim != 1:
-        raise ValueError("bit arrays must be 1-D and of equal length")
-    if len(a) == 0:
-        raise ValueError("cannot estimate QBER from zero bits")
-    return float(np.mean(a ^ b))
 
 
 # ---------------------------------------------------------------------------
@@ -102,16 +91,22 @@ def _pass_permutation(n: int, seed: int, pass_index: int) -> np.ndarray:
     return np.random.default_rng([seed & _MASK64, pass_index]).permutation(n)
 
 
-def _block_starts(n: int, block: int) -> np.ndarray:
-    return np.arange(0, n, block)
-
-
 @dataclass
 class _PassLayout:
     permutation: np.ndarray
     inverse: np.ndarray
     block_size: int
-    n_blocks: int
+
+
+def _block_parities(key: np.ndarray, lay: _PassLayout) -> np.ndarray:
+    """Parity of every block of one pass over the permuted key."""
+    starts = np.arange(0, len(key), lay.block_size)
+    return (np.add.reduceat(key[lay.permutation].astype(np.int64), starts) & 1).astype(np.uint8)
+
+
+def _parity_prefix(key: np.ndarray, lay: _PassLayout) -> np.ndarray:
+    """Prefix sums of the permuted key: [lo, hi) has parity (pref[hi] - pref[lo]) & 1."""
+    return np.concatenate([[0], np.cumsum(key[lay.permutation], dtype=np.int64)])
 
 
 def _layouts(n: int, qber_hint: float, seed: int, n_passes: int) -> list[_PassLayout]:
@@ -122,7 +117,7 @@ def _layouts(n: int, qber_hint: float, seed: int, n_passes: int) -> list[_PassLa
         inv = np.empty(n, dtype=np.int64)
         inv[perm] = np.arange(n)
         block = min(n, k1 << p)
-        layouts.append(_PassLayout(perm, inv, block, (n + block - 1) // block))
+        layouts.append(_PassLayout(perm, inv, block))
     return layouts
 
 
@@ -136,10 +131,7 @@ class CascadeResponder:
         self.n = len(self.key)
         self.layouts = _layouts(self.n, qber_hint, seed, n_passes)
         # prefix sums of the permuted key per pass give O(1) range parities
-        self._prefix = [
-            np.concatenate([[0], np.cumsum(self.key[lay.permutation], dtype=np.int64)])
-            for lay in self.layouts
-        ]
+        self._prefix = [_parity_prefix(self.key, lay) for lay in self.layouts]
         self.parity_bits_disclosed = 0
         self.digest_disclosed = False
 
@@ -153,9 +145,7 @@ class CascadeResponder:
         kind = msg[0]
         if kind == "pass_begin":
             p = msg[1]
-            lay = self.layouts[p]
-            starts = _block_starts(self.n, lay.block_size)
-            parities = (np.add.reduceat(self.key[lay.permutation].astype(np.int64), starts) & 1).astype(np.uint8)
+            parities = _block_parities(self.key, self.layouts[p])
             self.parity_bits_disclosed += len(parities)
             self._check_budget()
             return ("pass_parities", p, parities)
@@ -207,7 +197,6 @@ class CascadeCorrector:
         self.passes_begun = 0
         self.searches: list[_Search] = []
         self._search_prefix: np.ndarray | None = None
-        self._search_pass = -1
         self.corrections = 0
         self.parity_bits_received = 0
         self.residual_check: bool | None = None
@@ -215,11 +204,6 @@ class CascadeCorrector:
         self.finished = False
 
     # -- parity bookkeeping ------------------------------------------------
-
-    def _compute_my_parities(self, p: int) -> np.ndarray:
-        lay = self.layouts[p]
-        starts = _block_starts(self.n, lay.block_size)
-        return (np.add.reduceat(self.key[lay.permutation].astype(np.int64), starts) & 1).astype(np.uint8)
 
     def _flip(self, real_pos: int) -> None:
         self.key[real_pos] ^= 1
@@ -247,7 +231,7 @@ class CascadeCorrector:
             if p != self.passes_begun:
                 raise ReconciliationFailed("pass parities out of order")
             self.remote_parities[p] = np.asarray(msg[2], dtype=np.uint8)
-            self.my_parities[p] = self._compute_my_parities(p)
+            self.my_parities[p] = _block_parities(self.key, self.layouts[p])
             if len(self.remote_parities[p]) != len(self.my_parities[p]):
                 raise ReconciliationFailed("pass parity count mismatch")
             self.parity_bits_received += len(msg[2])
@@ -286,10 +270,7 @@ class CascadeCorrector:
 
     def _begin_searches(self, p: int, blocks: np.ndarray) -> tuple:
         lay = self.layouts[p]
-        self._search_pass = p
-        self._search_prefix = np.concatenate(
-            [[0], np.cumsum(self.key[lay.permutation], dtype=np.int64)]
-        )
+        self._search_prefix = _parity_prefix(self.key, lay)
         self.searches = []
         for b in blocks:
             lo = int(b) * lay.block_size
@@ -328,51 +309,6 @@ class CascadeCorrector:
     @property
     def leaked_bits(self) -> int:
         return self.parity_bits_received + (64 if self.residual_check is not None else 0)
-
-
-@dataclass(frozen=True)
-class ReconciliationResult:
-    corrected: np.ndarray
-    residual_check: bool
-    leaked_bits: int
-    corrections: int
-    parity_bits_disclosed: int
-    n_passes: int
-
-
-def cascade_correct(
-    local_key: np.ndarray,
-    parity_oracle: Callable[[tuple], tuple],
-    qber_hint: float,
-    *,
-    seed: int = 0,
-    n_passes: int = 4,
-) -> ReconciliationResult:
-    """Run Cascade to completion against a parity oracle.
-
-    The oracle must answer each message the way a CascadeResponder with the
-    same (qber_hint, seed, n_passes) would; `local_oracle` builds one from a
-    reference key.
-    """
-    corrector = CascadeCorrector(local_key, qber_hint, seed, n_passes)
-    msg = corrector.start()
-    while msg is not None:
-        msg = corrector.on_reply(parity_oracle(msg))
-    return ReconciliationResult(
-        corrected=corrector.key,
-        residual_check=bool(corrector.residual_check),
-        leaked_bits=corrector.leaked_bits,
-        corrections=corrector.corrections,
-        parity_bits_disclosed=corrector.parity_bits_received,
-        n_passes=n_passes,
-    )
-
-
-def local_oracle(
-    reference_key: np.ndarray, qber_hint: float, *, seed: int = 0, n_passes: int = 4
-) -> Callable[[tuple], tuple]:
-    responder = CascadeResponder(reference_key, qber_hint, seed, n_passes)
-    return responder.on_message
 
 
 # ---------------------------------------------------------------------------

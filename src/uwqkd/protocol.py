@@ -142,6 +142,12 @@ def _unpack_bits(data: bytes, n: int, offset: int = 0) -> tuple[np.ndarray, int]
     return bits.astype(np.uint8), offset + nbytes
 
 
+def _check_consumed(data: bytes, offset: int) -> None:
+    """End of every offset-based payload parser: bytes past the declared fields are malformed."""
+    if offset != len(data):
+        raise FrameDecodeError(f"{len(data) - offset} trailing payload bytes")
+
+
 def _pack_u32s(values: np.ndarray) -> bytes:
     return np.asarray(values, dtype=">u4").tobytes()
 
@@ -308,7 +314,8 @@ def _unpack_recon(payload: bytes) -> tuple:
         return ("pass_begin", p)
     if kind == _RM_PASS_PARITIES:
         _, p, n = struct.unpack_from(">BBI", payload)
-        bits, _ = _unpack_bits(payload, n, offset=6)
+        bits, offset = _unpack_bits(payload, n, offset=6)
+        _check_consumed(payload, offset)
         return ("pass_parities", p, bits)
     if kind == _RM_RANGE_QUERY:
         _, n = struct.unpack_from(">BI", payload)
@@ -318,10 +325,12 @@ def _unpack_recon(payload: bytes) -> tuple:
             p, lo, hi = struct.unpack_from(">BII", payload, offset)
             queries.append((p, lo, hi))
             offset += 9
+        _check_consumed(payload, offset)
         return ("range_query", queries)
     if kind == _RM_RANGE_REPLY:
         _, n = struct.unpack_from(">BI", payload)
-        bits, _ = _unpack_bits(payload, n, offset=5)
+        bits, offset = _unpack_bits(payload, n, offset=5)
+        _check_consumed(payload, offset)
         return ("range_reply", bits)
     if kind == _RM_VERIFY:
         _, h, corrections = struct.unpack(">BQI", payload)
@@ -349,6 +358,7 @@ def _unpack_sample(payload: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         (n,) = struct.unpack_from(">I", payload, offset)
         bits, offset = _unpack_bits(payload, n, offset + 4)
         fields.append(bits)
+    _check_consumed(payload, offset)
     return tuple(fields)
 
 
@@ -501,16 +511,33 @@ class _Session:
         """A class with no emitted pulses, if any: its gain would divide by zero."""
         return next((v for v in StateClass if self.emitted_per_class[v] == 0), None)
 
-    def _sample_sizes_match(self, signal: np.ndarray, decoy: np.ndarray, vacuum: np.ndarray) -> bool:
-        return (len(signal), len(decoy), len(vacuum)) == (
-            len(self.sample_positions),
-            len(self.matched_decoy_bits),
-            len(self.matched_vacuum_bits),
-        )
+    def _tally_classes(
+        self, clicked_kind: np.ndarray, matched_kind: np.ndarray, matched_bits: np.ndarray
+    ) -> None:
+        """Clicks per class, and the matched-basis bits split by class."""
+        counts = np.bincount(clicked_kind, minlength=3)
+        self.clicks_per_class = {v: int(counts[v]) for v in StateClass}
+        self.matched_signal_bits = matched_bits[matched_kind == StateClass.SIGNAL].copy()
+        self.matched_decoy_bits = matched_bits[matched_kind == StateClass.DECOY].copy()
+        self.matched_vacuum_bits = matched_bits[matched_kind == StateClass.VACUUM].copy()
 
-    def _compute_qber_hint(self) -> float:
-        n = len(self.sample_positions)
-        return float(min(0.25, (self.sample_errors + 1) / (n + 2)))
+    def _sample_disclosure(self, subkind: int) -> bytes:
+        """This side's sampled signal bits and all its matched decoy and vacuum bits."""
+        signal = self.matched_signal_bits[self.sample_positions]
+        return _pack_sample(subkind, signal, self.matched_decoy_bits, self.matched_vacuum_bits)
+
+    def _tally_sample(self, payload: bytes) -> bool:
+        """Count errors against the peer's disclosure, drop the sample from the
+        key and set the Cascade hint; False if the peer's sizes differ from ours."""
+        signal, decoy, vacuum = _unpack_sample(payload)
+        sizes = (len(self.sample_positions), len(self.matched_decoy_bits), len(self.matched_vacuum_bits))
+        if (len(signal), len(decoy), len(vacuum)) != sizes:
+            return False
+        self.sample_errors = int(np.sum(self.matched_signal_bits[self.sample_positions] ^ signal))
+        self.decoy_errors = int(np.sum(self.matched_decoy_bits ^ decoy))
+        self.remaining_key = np.delete(self.matched_signal_bits, self.sample_positions)
+        self.qber_hint = float(min(0.25, (self.sample_errors + 1) / (len(self.sample_positions) + 2)))
+        return True
 
     def _finalize_statistics(self) -> None:
         n_signal_matched = len(self.matched_signal_bits)
@@ -653,7 +680,8 @@ class AliceSession(_Session):
     def _handle_basis_reveal(self, frame: Frame) -> list[Frame]:
         (n_clicked,) = struct.unpack_from(">I", frame.payload)
         slots, offset = _unpack_u32s(frame.payload, n_clicked, offset=4)
-        bases, _ = _unpack_bits(frame.payload, n_clicked, offset=offset)
+        bases, offset = _unpack_bits(frame.payload, n_clicked, offset=offset)
+        _check_consumed(frame.payload, offset)
         if len(slots) and (slots[-1] >= self.n_slots or np.any(np.diff(slots) <= 0)):
             return self._abort(AbortReason.INTERNAL, "clicked slot list not strictly ascending in range")
         self.n_clicked = int(n_clicked)
@@ -662,15 +690,9 @@ class AliceSession(_Session):
         matched_mask = self.view.basis[slots] == bases
         self._matched_slots = slots[matched_mask]
         self.n_matched = len(self._matched_slots)
-        matched_kind = clicked_kind[matched_mask]
-        matched_bits = self.view.bit[self._matched_slots]
-        self.matched_signal_bits = matched_bits[matched_kind == StateClass.SIGNAL].copy()
-        self.matched_decoy_bits = matched_bits[matched_kind == StateClass.DECOY].copy()
-        self.matched_vacuum_bits = matched_bits[matched_kind == StateClass.VACUUM].copy()
+        self._tally_classes(clicked_kind, clicked_kind[matched_mask], self.view.bit[self._matched_slots])
         totals = np.bincount(self.view.kind, minlength=3)
         self.emitted_per_class = {v: int(totals[v]) for v in StateClass}
-        counts = np.bincount(clicked_kind, minlength=3)
-        self.clicks_per_class = {v: int(counts[v]) for v in StateClass}
         empty = self._empty_class()
         if empty is not None:
             return self._abort(AbortReason.INTERNAL, f"no emitted pulses in class {empty.name}")
@@ -699,18 +721,9 @@ class AliceSession(_Session):
     def _handle_sample_bits(self, frame: Frame) -> list[Frame]:
         if frame.payload[0] != 1:
             return self._abort(AbortReason.PHASE_VIOLATION, "expected receiver sample disclosure")
-        bob_sig, bob_dec, bob_vac = _unpack_sample(frame.payload)
-        if not self._sample_sizes_match(bob_sig, bob_dec, bob_vac):
+        if not self._tally_sample(frame.payload):
             return self._abort(AbortReason.LENGTH_MISMATCH, "sample disclosure sizes differ from sift result")
-        my_sample = self.matched_signal_bits[self.sample_positions]
-        self.sample_errors = int(np.sum(my_sample ^ bob_sig))
-        self.decoy_errors = int(np.sum(self.matched_decoy_bits ^ bob_dec))
-        reply = self._emit(
-            FrameType.QBER_SAMPLE,
-            _pack_sample(2, my_sample, self.matched_decoy_bits, self.matched_vacuum_bits),
-        )
-        self.remaining_key = np.delete(self.matched_signal_bits, self.sample_positions)
-        self.qber_hint = self._compute_qber_hint()
+        reply = self._emit(FrameType.QBER_SAMPLE, self._sample_disclosure(2))
         if len(self.remaining_key) < self.options.min_key_bits:
             return [reply] + self._finish_no_reconciliation()
         self._responder = CascadeResponder(
@@ -809,7 +822,8 @@ class BobSession(_Session):
 
     def _handle_sift_ack(self, frame: Frame) -> list[Frame]:
         (n_matched,) = struct.unpack_from(">I", frame.payload)
-        matched_slots, _ = _unpack_u32s(frame.payload, n_matched, offset=4)
+        matched_slots, offset = _unpack_u32s(frame.payload, n_matched, offset=4)
+        _check_consumed(frame.payload, offset)
         positions = np.searchsorted(self._clicked_slots, matched_slots)
         if np.any(positions >= len(self._clicked_slots)) or np.any(
             self._clicked_slots[np.minimum(positions, len(self._clicked_slots) - 1)] != matched_slots
@@ -826,6 +840,7 @@ class BobSession(_Session):
         kinds = np.frombuffer(frame.payload[28 : 28 + n_clicked], dtype=np.uint8)
         if len(kinds) != n_clicked:
             raise FrameDecodeError("class field truncated")
+        _check_consumed(frame.payload, 28 + n_clicked)
         if n_signal + n_decoy + n_vacuum != self.n_slots:
             return self._abort(AbortReason.LENGTH_MISMATCH, "per-class totals do not cover all slots")
         self.emitted_per_class = {
@@ -836,14 +851,8 @@ class BobSession(_Session):
         empty = self._empty_class()
         if empty is not None:
             return self._abort(AbortReason.INTERNAL, f"no emitted pulses in class {empty.name}")
-        counts = np.bincount(kinds, minlength=3)
-        self.clicks_per_class = {v: int(counts[v]) for v in StateClass}
-        matched_kinds = kinds[self._matched_positions]
-        matched_slots = self._clicked_slots[self._matched_positions]
-        matched_bits = self.view.bit[matched_slots]
-        self.matched_signal_bits = matched_bits[matched_kinds == StateClass.SIGNAL].copy()
-        self.matched_decoy_bits = matched_bits[matched_kinds == StateClass.DECOY].copy()
-        self.matched_vacuum_bits = matched_bits[matched_kinds == StateClass.VACUUM].copy()
+        matched_bits = self.view.bit[self._clicked_slots[self._matched_positions]]
+        self._tally_classes(kinds, kinds[self._matched_positions], matched_bits)
         self.phase = Phase.ESTIMATION
         return []
 
@@ -855,18 +864,10 @@ class BobSession(_Session):
                 return self._abort(AbortReason.CONFIG_MISMATCH, "sample fraction differs from shared options")
             self.cascade_seed = cascade_seed
             self.sample_positions = self._sample_selection(sample_seed, len(self.matched_signal_bits))
-            my_sample = self.matched_signal_bits[self.sample_positions]
-            payload = _pack_sample(1, my_sample, self.matched_decoy_bits, self.matched_vacuum_bits)
-            return [self._emit(FrameType.QBER_SAMPLE, payload)]
+            return [self._emit(FrameType.QBER_SAMPLE, self._sample_disclosure(1))]
         if subkind == 2:
-            alice_sig, alice_dec, alice_vac = _unpack_sample(frame.payload)
-            if not self._sample_sizes_match(alice_sig, alice_dec, alice_vac):
+            if not self._tally_sample(frame.payload):
                 return self._abort(AbortReason.LENGTH_MISMATCH, "sample echo sizes differ")
-            my_sample = self.matched_signal_bits[self.sample_positions]
-            self.sample_errors = int(np.sum(my_sample ^ alice_sig))
-            self.decoy_errors = int(np.sum(self.matched_decoy_bits ^ alice_dec))
-            self.remaining_key = np.delete(self.matched_signal_bits, self.sample_positions)
-            self.qber_hint = self._compute_qber_hint()
             if len(self.remaining_key) < self.options.min_key_bits:
                 self.phase = Phase.AMPLIFICATION
                 return []
@@ -895,7 +896,8 @@ class BobSession(_Session):
 
     def _handle_pa_seed(self, frame: Frame) -> list[Frame]:
         m, n, flags = struct.unpack_from(">IIB", frame.payload)
-        seed_bits, _ = _unpack_bits(frame.payload, max(n + m - 1, 0), offset=9)
+        seed_bits, offset = _unpack_bits(frame.payload, max(n + m - 1, 0), offset=9)
+        _check_consumed(frame.payload, offset)
         if n != len(self.remaining_key):
             return self._abort(AbortReason.LENGTH_MISMATCH, "amplification input length differs")
         if self.statistics is None:

@@ -48,8 +48,9 @@ class SourceConfig:
         if self.repetition_rate_hz <= 0.0:
             raise ValueError("repetition rate must be > 0")
         p = self.class_probabilities
-        if len(p) != 3 or any(x < 0.0 for x in p) or abs(sum(p) - 1.0) > 1e-12:
-            raise ValueError("class probabilities must be 3 nonnegative values summing to 1")
+        # a class never emitted leaves its gain without a denominator
+        if len(p) != 3 or any(x <= 0.0 for x in p) or abs(sum(p) - 1.0) > 1e-12:
+            raise ValueError("class probabilities must be 3 positive values summing to 1")
 
     @property
     def class_means(self) -> np.ndarray:
@@ -94,6 +95,16 @@ class PulseTrain:
 _CHUNK = 1 << 20
 
 
+def chunk_slices(n: int):
+    """(lo, hi) bounds of consecutive 2^20-slot slices covering n slots.
+
+    Every per-slot RNG stream of the quantum phase draws chunk by chunk in
+    this order, which is what keeps equal seeds bit-identical for any n.
+    """
+    for lo in range(0, n, _CHUNK):
+        yield lo, min(lo + _CHUNK, n)
+
+
 def generate_pulse_train(
     cfg: SourceConfig, count: int, rng: np.random.Generator | None = None
 ) -> PulseTrain:
@@ -112,8 +123,7 @@ def generate_pulse_train(
     pol = np.empty(count, dtype=np.uint8)
     photons = np.empty(count, dtype=np.int32)
     means = cfg.class_means
-    for lo in range(0, count, _CHUNK):
-        hi = min(lo + _CHUNK, count)
+    for lo, hi in chunk_slices(count):
         m = hi - lo
         if canonical_mix:
             words = rng.integers(0, 16, size=m, dtype=np.uint8)

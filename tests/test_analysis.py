@@ -14,13 +14,12 @@ from uwqkd.analysis import (
     cutoff_distance,
     estimate_bounds,
     expected_statistics,
-    jerlov_sweep,
     q1_from_yield,
     secure_key_rate,
     sweep_distance,
     sweep_to_csv,
 )
-from uwqkd.channel import ReceiverLoss, loss_db, transmittance
+from uwqkd.channel import ReceiverLoss, jerlov_coefficient, loss_db, transmittance
 from uwqkd.detection import expected_gain, expected_qber
 from uwqkd.postprocess import binary_entropy
 
@@ -196,7 +195,7 @@ def test_expected_statistics_consistency():
 def test_sweep_monotone_and_ordered():
     distances = np.linspace(0.0, 400.0, 81)
     kw = dict(y0=1e-5, e_detector=0.012)
-    curves = {wt: jerlov_sweep(wt, distances, **kw) for wt in ("I", "II", "III")}
+    curves = {wt: sweep_distance(jerlov_coefficient(wt), distances, **kw) for wt in ("I", "II", "III")}
     for wt, pts in curves.items():
         rates = [p.r_per_pulse for p in pts]
         assert all(a >= b for a, b in zip(rates, rates[1:])), wt

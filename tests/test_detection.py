@@ -4,11 +4,9 @@ import numpy as np
 import pytest
 
 from uwqkd.detection import (
-    ArrivalHistogram,
     DetectionBatch,
     DetectorConfig,
     DoubleClickPolicy,
-    align_gate,
     dark_prob_for_background_yield,
     expected_gain,
     expected_qber,
@@ -190,33 +188,3 @@ def test_simulate_detection_validation():
     with pytest.raises(ValueError):
         simulate_detection(z[:2], z, z.astype(np.int64), z, 0.5, DetectorConfig(), 0.0,
                            np.random.default_rng(0))
-
-
-def test_align_gate_finds_peak():
-    counts = np.zeros(50, dtype=int)
-    counts[17:21] += 100
-    hist = ArrivalHistogram(counts=counts, bin_width_ns=1.0)
-    assert align_gate(hist, 4) == 17
-    # flat histogram ties resolve to offset 0
-    assert align_gate(ArrivalHistogram(np.ones(50), 1.0), 4) == 0
-
-
-def test_align_gate_wraps_around():
-    counts = np.zeros(20, dtype=int)
-    counts[19] = 40
-    counts[0] = 60
-    hist = ArrivalHistogram(counts=counts, bin_width_ns=0.5)
-    assert align_gate(hist, 2) == 19  # window [19, 0] beats any other pair
-    with pytest.raises(ValueError):
-        align_gate(hist, 0)
-    with pytest.raises(ValueError):
-        align_gate(hist, 21)
-
-
-def test_arrival_histogram_validation():
-    with pytest.raises(ValueError):
-        ArrivalHistogram(np.array([1, -2, 3]), 1.0)
-    with pytest.raises(ValueError):
-        ArrivalHistogram(np.array([1, 2, 3]), 0.0)
-    with pytest.raises(ValueError):
-        ArrivalHistogram(np.array([]), 1.0)

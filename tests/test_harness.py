@@ -16,6 +16,7 @@ from uwqkd import (
     ExperimentConfig,
     InProcessPump,
     RunReport,
+    StateClass,
     TranscriptEntry,
     config_from_dict,
     decode_frame,
@@ -141,6 +142,8 @@ def test_config_missing_key_raises(mutate):
     "mutate",
     [
         lambda d: d.__setitem__("n_pulses", 0),
+        lambda d: d.__setitem__("n_pulses", 2**32),  # slot indices travel as u32
+        lambda d: d["source"].__setitem__("class_probabilities", [0.5, 0.5, 0.0]),
         lambda d: d["source"].__setitem__("mu", "eight tenths"),
         lambda d: d["source"].__setitem__("nu", 0.9),  # decoy must sit below signal
         lambda d: d["channel"].__setitem__("length_m", -3.0),
@@ -148,7 +151,10 @@ def test_config_missing_key_raises(mutate):
         lambda d: d.setdefault("transport", {}).__setitem__("drop_probability", 1.0),
         lambda d: d["detector"].__setitem__("double_click_policy", "keep_both"),
     ],
-    ids=["n_pulses", "mu_type", "nu_order", "length", "efficiency", "drop", "policy"],
+    ids=[
+        "n_pulses", "n_pulses_u32", "class_never_emitted", "mu_type", "nu_order", "length",
+        "efficiency", "drop", "policy",
+    ],
 )
 def test_config_bad_value_raises(mutate):
     data = base_dict()
@@ -329,11 +335,14 @@ def test_lossy_transport_aborts_cleanly():
 
 
 def test_class_never_emitted_aborts_cleanly():
-    # no vacuum slots: Y0 has no denominator, so the session must abort
+    # a few-slot train can miss a class by chance; with no vacuum slot, Y0 has
+    # no denominator, so the session must abort
     data = base_dict()
-    data["n_pulses"] = 20_000
-    data["source"]["class_probabilities"] = [0.5, 0.5, 0.0]
-    report = run_experiment(config_from_dict(data))
+    data["n_pulses"] = 8
+    data["seeds"]["alice"] = 17
+    cfg = config_from_dict(data)
+    assert not np.any(simulate_quantum_phase(cfg).alice_view.kind == StateClass.VACUUM)
+    report = run_experiment(cfg)
     assert report.status == "aborted"
     assert report.abort["reason"] == "INTERNAL"
     assert "VACUUM" in report.abort["message"]

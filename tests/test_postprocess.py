@@ -6,16 +6,12 @@ import pytest
 from uwqkd.postprocess import (
     CascadeCorrector,
     CascadeResponder,
-    KeyLengthDecision,
     PASeed,
     ReconciliationFailed,
     binary_entropy,
-    cascade_correct,
-    estimate_qber,
     final_key_length,
     generate_pa_seed,
     key_hash_64,
-    local_oracle,
     toeplitz_hash,
 )
 from uwqkd.analysis import DecoyStatistics, SinglePhotonBounds, secure_key_rate
@@ -30,15 +26,14 @@ def _keys_with_errors(n, n_errors, seed):
     return reference, noisy
 
 
-def test_estimate_qber():
-    a = np.array([0, 1, 1, 0, 1], dtype=np.uint8)
-    b = np.array([0, 1, 0, 0, 0], dtype=np.uint8)
-    assert estimate_qber(a, b) == pytest.approx(0.4)
-    assert estimate_qber(a, a) == 0.0
-    with pytest.raises(ValueError):
-        estimate_qber(a, b[:3])
-    with pytest.raises(ValueError):
-        estimate_qber(np.array([], dtype=np.uint8), np.array([], dtype=np.uint8))
+def _cascade(noisy, reference, qber_hint, seed=0, responder_seed=None):
+    """Run a corrector holding `noisy` to completion against a responder holding `reference`."""
+    corrector = CascadeCorrector(noisy, qber_hint, seed)
+    responder = CascadeResponder(reference, qber_hint, seed if responder_seed is None else responder_seed)
+    msg = corrector.start()
+    while msg is not None:
+        msg = corrector.on_reply(responder.on_message(msg))
+    return corrector
 
 
 def test_key_hash_is_sensitive():
@@ -77,62 +72,61 @@ def test_key_hash_matches_bitwise_crc():
 
 def test_cascade_error_free_key():
     reference, _ = _keys_with_errors(1024, 0, seed=1)
-    result = cascade_correct(reference.copy(), local_oracle(reference, 0.02), 0.02)
+    result = _cascade(reference.copy(), reference, 0.02)
     assert result.residual_check
     assert result.corrections == 0
-    assert np.array_equal(result.corrected, reference)
+    assert np.array_equal(result.key, reference)
     # initial block 37 bits (half-up rounding of 0.73/0.02), doubling per pass:
     # 28 + 14 + 7 + 4 block parities, plus the 64-bit verification digest.
-    assert result.parity_bits_disclosed == 53
+    assert result.parity_bits_received == 53
     assert result.leaked_bits == 117
 
 
-def test_cascade_corrects_two_percent():
+def test_cascade_repairs_two_percent():
     n, n_err = 10_000, 200
     reference, noisy = _keys_with_errors(n, n_err, seed=7)
-    result = cascade_correct(noisy, local_oracle(reference, 0.02), 0.02)
+    result = _cascade(noisy, reference, 0.02)
     assert result.residual_check
-    assert np.array_equal(result.corrected, reference)
+    assert np.array_equal(result.key, reference)
     # every flip lands on a true error, so corrections count them exactly
     assert result.corrections == n_err
     assert result.leaked_bits <= 1.5 * n * binary_entropy(0.02)
-    assert result.parity_bits_disclosed <= 4 * n
+    assert result.parity_bits_received <= 4 * n
 
 
 @pytest.mark.parametrize("qber", [0.005, 0.05, 0.10])
 def test_cascade_across_error_rates(qber):
     n = 6000
     reference, noisy = _keys_with_errors(n, int(n * qber), seed=int(qber * 1000))
-    result = cascade_correct(noisy, local_oracle(reference, qber), qber)
+    result = _cascade(noisy, reference, qber)
     assert result.residual_check
-    assert np.array_equal(result.corrected, reference)
-    assert result.parity_bits_disclosed <= 4 * n
+    assert np.array_equal(result.key, reference)
+    assert result.parity_bits_received <= 4 * n
 
 
 def test_cascade_survives_wrong_hint():
     # the hint only sizes blocks; convergence does not depend on it
     reference, noisy = _keys_with_errors(4096, 80, seed=9)
-    result = cascade_correct(noisy, local_oracle(reference, 0.05), 0.05)
+    result = _cascade(noisy, reference, 0.05)
     assert result.residual_check
-    assert np.array_equal(result.corrected, reference)
+    assert np.array_equal(result.key, reference)
 
 
 def test_cascade_deterministic():
     reference, noisy = _keys_with_errors(4096, 80, seed=11)
-    r1 = cascade_correct(noisy.copy(), local_oracle(reference, 0.02, seed=5), 0.02, seed=5)
-    r2 = cascade_correct(noisy.copy(), local_oracle(reference, 0.02, seed=5), 0.02, seed=5)
+    r1 = _cascade(noisy.copy(), reference, 0.02, seed=5)
+    r2 = _cascade(noisy.copy(), reference, 0.02, seed=5)
     assert r1.leaked_bits == r2.leaked_bits
     assert r1.corrections == r2.corrections
-    assert np.array_equal(r1.corrected, r2.corrected)
+    assert np.array_equal(r1.key, r2.key)
 
 
 def test_cascade_mismatched_seeds_fail_verification():
     # different permutation seeds make the transcripts inconsistent; the final
     # digest comparison has to catch it
     reference, noisy = _keys_with_errors(2048, 40, seed=13)
-    oracle = local_oracle(reference, 0.02, seed=1)
     try:
-        result = cascade_correct(noisy, oracle, 0.02, seed=2)
+        result = _cascade(noisy, reference, 0.02, seed=2, responder_seed=1)
         assert not result.residual_check
     except ReconciliationFailed:
         pass  # budget guard tripping is also a loud failure
@@ -150,11 +144,11 @@ def test_cascade_rejects_wrong_parity_count():
 def test_cascade_hint_domain():
     reference, noisy = _keys_with_errors(256, 4, seed=3)
     with pytest.raises(ValueError):
-        cascade_correct(noisy, local_oracle(reference, 0.02), 0.0)
+        _cascade(noisy, reference, 0.0)
     with pytest.raises(ValueError):
-        cascade_correct(noisy, local_oracle(reference, 0.02), 0.3)
+        _cascade(noisy, reference, 0.3)
     with pytest.raises(ValueError):
-        cascade_correct(noisy[:32], local_oracle(reference, 0.02), 0.02)  # too short
+        _cascade(noisy[:32], reference, 0.02)  # too short
 
 
 def test_toeplitz_hand_example():

@@ -256,6 +256,24 @@ def test_session_statistics_match_ground_truth():
     assert len(alice.remaining_key) == alice.result.n_matched_signal - alice.result.n_sampled
 
 
+def test_sample_tally_counts_errors_exactly():
+    """Both endpoints count the disclosed sample's errors exactly, and size the
+    Cascade hint from that count."""
+    alice, bob = make_sessions(n=4096, seed=8)
+    va, vb = alice.view, bob.view
+    pump(alice, bob)
+    signal = vb.clicked & (va.basis == vb.basis) & (va.kind == 2)
+    errors = va.bit[signal] != vb.bit[signal]
+    for side in (alice, bob):
+        assert np.array_equal(side.sample_positions, alice.sample_positions)
+        assert side.sample_errors == int(errors[alice.sample_positions].sum())
+        assert side.decoy_errors == alice.decoy_errors
+        n = len(alice.sample_positions)
+        assert side.qber_hint == min(0.25, (side.sample_errors + 1) / (n + 2))
+        assert side.result.qber_sample == pytest.approx(side.sample_errors / n, rel=1e-12)
+    assert alice.sample_errors > 0
+
+
 def test_session_digest_mismatch_aborts():
     alice, bob = make_sessions(digest_b=hashlib.md5(b"other").digest())
     pump(alice, bob)
@@ -414,23 +432,26 @@ def test_peer_abort_with_unknown_reason(payload):
 
 
 def test_truncated_payloads_abort_without_raising():
-    """Each frame of a clean session, its payload cut by 1-4 bytes and its CRC
-    redone, ends the session in an abort; step() never raises."""
+    """Each frame of a clean session, its payload cut by 1-4 bytes or grown by
+    1-2 bytes and its CRC redone, ends the session in an abort; step() never
+    raises."""
     clean = []
     pump(*make_sessions(), mangle=lambda data: clean.append(data) or data)
     assert {decode_frame(data).frame_type for data in clean} == set(FrameType) - {FrameType.ABORT}
+    resizes = [lambda p, cut=cut: p[:-cut] for cut in range(1, 5)]
+    resizes += [lambda p: p + b"\x00", lambda p: p + b"\x00\x00"]
     for index in range(len(clean)):
-        for cut in range(1, 5):
+        for case, resize in enumerate(resizes):
             deliveries = iter(range(len(clean)))
 
-            def truncate(data):
+            def mangle(data):
                 if next(deliveries, None) != index:
                     return data
                 frame = decode_frame(data)
-                return encode_frame(Frame(frame.frame_type, frame.sequence, frame.payload[:-cut]))
+                return encode_frame(Frame(frame.frame_type, frame.sequence, resize(frame.payload)))
 
-            alice, bob = pump(*make_sessions(), mangle=truncate)
-            assert Phase.ABORTED in (alice.phase, bob.phase), (index, cut)
+            alice, bob = pump(*make_sessions(), mangle=mangle)
+            assert Phase.ABORTED in (alice.phase, bob.phase), (index, case)
 
 
 def test_terminal_sessions_ignore_events():

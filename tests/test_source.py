@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uwqkd.polarization import Basis, Polarization
-from uwqkd.source import WORD_CLASS, SourceConfig, StateClass, generate_pulse_train
+from uwqkd.source import WORD_CLASS, SourceConfig, StateClass, chunk_slices, generate_pulse_train
 
 # Full 4-bit slot table. b0 (MSB) and b1 select the class, b2 b3 the state.
 WORD_TABLE = {
@@ -104,6 +104,17 @@ def test_train_chunking_invisible():
     assert np.array_equal(big.kind[: 1 << 20], small.kind)
     assert np.array_equal(big.polarization[: 1 << 20], small.polarization)
     assert np.array_equal(big.photon_count[: 1 << 20], small.photon_count)
+
+
+@pytest.mark.parametrize("n", [0, 1, 1 << 20, (1 << 20) + 1, 3 << 20])
+def test_chunk_slices_tile_the_train(n):
+    """The one chunk rule: consecutive 2^20-slot slices that cover [0, n) once."""
+    slices = list(chunk_slices(n))
+    assert len(slices) == -(-n // (1 << 20))
+    edges = [0] + [hi for _, hi in slices]
+    assert [lo for lo, _ in slices] == edges[:-1]
+    assert edges[-1] == n
+    assert all(0 < hi - lo <= 1 << 20 for lo, hi in slices)
 
 
 def test_train_different_seeds_differ():
