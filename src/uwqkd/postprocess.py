@@ -3,9 +3,12 @@
 Cascade runs over four passes with block halving searches. The corrector
 (holder of the noisy key) drives; the responder (holder of the reference key)
 only ever answers parity questions about fixed ranges of its own key, plus a
-final 64-bit digest comparison. A correction found in pass p re-checks the
-containing blocks of every earlier pass (backtracking), which is what pushes
-residual errors to zero at the QBERs this link produces.
+64-bit digest comparison after the last pass. A correction found in pass p
+re-checks the containing blocks of every earlier pass (backtracking). That
+still leaves errors when the sampled QBER hint is far too low: the blocks are
+then too large for four passes. So the first digest mismatch starts a second
+round of as many fresh passes, block sizes again from the first pass's, and
+then a second digest; only a second mismatch fails the reconciliation.
 
 Privacy amplification is a Toeplitz-matrix hash over GF(2) with
 T[i][j] = seed[i - j + n - 1], applied via an integer convolution.
@@ -75,7 +78,7 @@ def key_hash_64(bits: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 # Cascade
 
-_MIN_KEY_BITS = 64
+MIN_KEY_BITS = 64
 _PARITY_BUDGET_FACTOR = 8  # hard loop guard; observed usage stays under 4n
 
 
@@ -109,14 +112,14 @@ def _parity_prefix(key: np.ndarray, lay: _PassLayout) -> np.ndarray:
     return np.concatenate([[0], np.cumsum(key[lay.permutation], dtype=np.int64)])
 
 
-def _layouts(n: int, qber_hint: float, seed: int, n_passes: int) -> list[_PassLayout]:
-    k1 = _initial_block_size(qber_hint)
+def _layouts(n: int, k1: int, seed: int, first: int, n_passes: int) -> list[_PassLayout]:
+    """Passes first .. first + n_passes - 1, with block sizes k1, 2 k1, 4 k1, ..."""
     layouts = []
-    for p in range(n_passes):
+    for p in range(first, first + n_passes):
         perm = _pass_permutation(n, seed, p)
         inv = np.empty(n, dtype=np.int64)
         inv[perm] = np.arange(n)
-        block = min(n, k1 << p)
+        block = min(n, k1 << (p - first))
         layouts.append(_PassLayout(perm, inv, block))
     return layouts
 
@@ -126,14 +129,16 @@ class CascadeResponder:
 
     def __init__(self, key: np.ndarray, qber_hint: float, seed: int, n_passes: int = 4):
         self.key = np.asarray(key, dtype=np.uint8)
-        if self.key.ndim != 1 or len(self.key) < _MIN_KEY_BITS:
-            raise ValueError(f"key must be 1-D with at least {_MIN_KEY_BITS} bits")
+        if self.key.ndim != 1 or len(self.key) < MIN_KEY_BITS:
+            raise ValueError(f"key must be 1-D with at least {MIN_KEY_BITS} bits")
         self.n = len(self.key)
-        self.layouts = _layouts(self.n, qber_hint, seed, n_passes)
+        self.n_passes = n_passes
+        self._k1, self._seed = _initial_block_size(qber_hint), seed
+        self.layouts = _layouts(self.n, self._k1, seed, 0, n_passes)
         # prefix sums of the permuted key per pass give O(1) range parities
         self._prefix = [_parity_prefix(self.key, lay) for lay in self.layouts]
         self.parity_bits_disclosed = 0
-        self.digest_disclosed = False
+        self.digests_disclosed = 0
 
     def _range_parity(self, pass_index: int, lo: int, hi: int) -> int:
         pref = self._prefix[pass_index]
@@ -159,10 +164,13 @@ class CascadeResponder:
             self._check_budget()
             return ("range_reply", answers)
         if kind == "verify":
-            their_hash = msg[1]
             mine = key_hash_64(self.key)
-            self.digest_disclosed = True
-            return ("verify_result", their_hash == mine, mine)
+            self.digests_disclosed += 1
+            if msg[1] != mine and self.digests_disclosed == 1:
+                new = _layouts(self.n, self._k1, self._seed, self.n_passes, self.n_passes)
+                self.layouts += new
+                self._prefix += [_parity_prefix(self.key, lay) for lay in new]
+            return ("verify_result", msg[1] == mine, mine)
         raise ReconciliationFailed(f"unexpected reconciliation message {kind!r}")
 
     def _check_budget(self) -> None:
@@ -171,7 +179,7 @@ class CascadeResponder:
 
     @property
     def leaked_bits(self) -> int:
-        return self.parity_bits_disclosed + (64 if self.digest_disclosed else 0)
+        return self.parity_bits_disclosed + 64 * self.digests_disclosed
 
 
 @dataclass
@@ -187,11 +195,12 @@ class CascadeCorrector:
 
     def __init__(self, key: np.ndarray, qber_hint: float, seed: int, n_passes: int = 4):
         self.key = np.array(key, dtype=np.uint8)
-        if self.key.ndim != 1 or len(self.key) < _MIN_KEY_BITS:
-            raise ValueError(f"key must be 1-D with at least {_MIN_KEY_BITS} bits")
+        if self.key.ndim != 1 or len(self.key) < MIN_KEY_BITS:
+            raise ValueError(f"key must be 1-D with at least {MIN_KEY_BITS} bits")
         self.n = len(self.key)
         self.n_passes = n_passes
-        self.layouts = _layouts(self.n, qber_hint, seed, n_passes)
+        self._k1, self._seed = _initial_block_size(qber_hint), seed
+        self.layouts = _layouts(self.n, self._k1, seed, 0, n_passes)
         self.remote_parities: dict[int, np.ndarray] = {}
         self.my_parities: dict[int, np.ndarray] = {}
         self.passes_begun = 0
@@ -199,6 +208,7 @@ class CascadeCorrector:
         self._search_prefix: np.ndarray | None = None
         self.corrections = 0
         self.parity_bits_received = 0
+        self.digests_received = 0
         self.residual_check: bool | None = None
         self.remote_hash: int | None = None
         self.finished = False
@@ -242,6 +252,11 @@ class CascadeCorrector:
             self._consume_range_reply(np.asarray(msg[1], dtype=np.uint8))
             return self._next_action()
         if kind == "verify_result":
+            self.digests_received += 1
+            if not msg[1] and self.digests_received == 1:
+                # the responder has added the same second round of passes
+                self.layouts += _layouts(self.n, self._k1, self._seed, self.n_passes, self.n_passes)
+                return self._next_action()
             self.residual_check = bool(msg[1])
             self.remote_hash = int(msg[2])
             self.finished = True
@@ -264,7 +279,7 @@ class CascadeCorrector:
             blocks = self._mismatched_blocks(p)
             if len(blocks):
                 return self._begin_searches(p, blocks)
-        if self.passes_begun < self.n_passes:
+        if self.passes_begun < len(self.layouts):
             return ("pass_begin", self.passes_begun)
         return ("verify", key_hash_64(self.key), self.corrections)
 
@@ -308,7 +323,7 @@ class CascadeCorrector:
 
     @property
     def leaked_bits(self) -> int:
-        return self.parity_bits_received + (64 if self.residual_check is not None else 0)
+        return self.parity_bits_received + 64 * self.digests_received
 
 
 # ---------------------------------------------------------------------------

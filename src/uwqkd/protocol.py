@@ -20,6 +20,9 @@ Message flow after the SYNC_HELLO handshake (config digests must match):
     Alice PA_SEED           Toeplitz seed and final length
     both  Done
 
+Every payload layout is one row of PAYLOAD_LAYOUTS, the payload spec;
+encode_payload and decode_payload are its only writer and reader.
+
 Sampled signal bits are the only signal-class key material ever put on the
 wire; they are removed from the key on both sides. Decoy and vacuum class
 bits are fully disclosed for exact estimation, never used as key.
@@ -42,6 +45,7 @@ from .analysis import (
     secure_key_rate,
 )
 from .postprocess import (
+    MIN_KEY_BITS,
     CascadeCorrector,
     CascadeResponder,
     KeyLengthDecision,
@@ -126,38 +130,120 @@ def decode_frame(data: bytes) -> Frame:
 
 
 # ---------------------------------------------------------------------------
-# payload packing helpers
+# payload layouts: the wire spec of every frame payload
+#
+# A layout is an ordered tuple of fields. A scalar is (name, big-endian struct
+# code). An array is (name, kind, count): kind is "bits" (packed MSB first,
+# padded to a whole byte), ">u4" (slot indices, read as int64), "u1" (bytes)
+# or _QUERY (Cascade range queries, read as a list of tuples); count is the
+# earlier field holding its length, which the encoder fills in, or a function
+# of the fields before it. QBER_SAMPLE and RECON_MSG payloads open with a
+# subkind byte that picks the layout.
+
+_QUERY = np.dtype([("pass_index", "u1"), ("lo", ">u4"), ("hi", ">u4")])  # 9 bytes, as >BII
+_SAMPLE_DISCLOSURE = (  # sampled signal bits, all matched decoy and vacuum bits
+    ("subkind", ">B"),
+    ("n_signal", ">I"), ("signal", "bits", "n_signal"),
+    ("n_decoy", ">I"), ("decoy", "bits", "n_decoy"),
+    ("n_vacuum", ">I"), ("vacuum", "bits", "n_vacuum"),
+)
+PAYLOAD_LAYOUTS = {
+    FrameType.SYNC_HELLO: (("role", ">B"), ("digest", ">16s"), ("n_slots", ">Q")),
+    FrameType.BASIS_REVEAL: (("n", ">I"), ("slots", ">u4", "n"), ("bases", "bits", "n")),
+    FrameType.SIFT_ACK: (("n", ">I"), ("slots", ">u4", "n")),
+    FrameType.INTENSITY_REVEAL: (
+        ("n_signal", ">Q"), ("n_decoy", ">Q"), ("n_vacuum", ">Q"), ("n", ">I"), ("kinds", "u1", "n"),
+    ),
+    (FrameType.QBER_SAMPLE, 0): (
+        ("subkind", ">B"), ("sample_seed", ">Q"), ("cascade_seed", ">Q"), ("fraction", ">d"),
+    ),
+    (FrameType.QBER_SAMPLE, 1): _SAMPLE_DISCLOSURE,
+    (FrameType.QBER_SAMPLE, 2): _SAMPLE_DISCLOSURE,
+    # RECON_MSG subkind i carries Cascade's message RECON_KINDS[i]
+    (FrameType.RECON_MSG, 0): (("subkind", ">B"), ("pass_index", ">B")),
+    (FrameType.RECON_MSG, 1): (
+        ("subkind", ">B"), ("pass_index", ">B"), ("n", ">I"), ("parities", "bits", "n"),
+    ),
+    (FrameType.RECON_MSG, 2): (("subkind", ">B"), ("n", ">I"), ("queries", _QUERY, "n")),
+    (FrameType.RECON_MSG, 3): (("subkind", ">B"), ("n", ">I"), ("parities", "bits", "n")),
+    (FrameType.RECON_MSG, 4): (("subkind", ">B"), ("digest", ">Q"), ("corrections", ">I")),
+    (FrameType.RECON_MSG, 5): (("subkind", ">B"), ("ok", ">?"), ("digest", ">Q")),
+    FrameType.PA_SEED: (
+        ("m", ">I"), ("n", ">I"), ("flags", ">B"),
+        ("seed", "bits", lambda fields: max(fields["n"] + fields["m"] - 1, 0)),
+    ),
+    FrameType.ABORT: (("reason", ">B"), ("length", ">H"), ("message", "u1", "length")),
+}
+RECON_KINDS = ("pass_begin", "pass_parities", "range_query", "range_reply", "verify", "verify_result")
+_SUBKINDED = (FrameType.QBER_SAMPLE, FrameType.RECON_MSG)
+# the fields a caller passes and gets back: all but the filled-in counts
+_VALUES = {
+    key: tuple(f[0] for f in layout if f[0] not in {c[2] for c in layout if len(c) == 3})
+    for key, layout in PAYLOAD_LAYOUTS.items()
+}
 
 
-def _pack_bits(bits: np.ndarray) -> bytes:
-    return np.packbits(np.asarray(bits, dtype=np.uint8)).tobytes()
+def _array_bytes(kind, count: int) -> int:
+    return (count + 7) // 8 if kind == "bits" else count * np.dtype(kind).itemsize
 
 
-def _unpack_bits(data: bytes, n: int, offset: int = 0) -> tuple[np.ndarray, int]:
-    nbytes = (n + 7) // 8
-    chunk = data[offset : offset + nbytes]
-    if len(chunk) != nbytes:
-        raise FrameDecodeError("bit field truncated")
-    bits = np.unpackbits(np.frombuffer(chunk, dtype=np.uint8), count=n) if n else np.zeros(0, np.uint8)
-    return bits.astype(np.uint8), offset + nbytes
+def _write_array(kind, values) -> bytes:
+    if kind == "bits":
+        return np.packbits(np.asarray(values, dtype=np.uint8)).tobytes()
+    return np.asarray(values, dtype=kind).tobytes()
 
 
-def _check_consumed(data: bytes, offset: int) -> None:
-    """End of every offset-based payload parser: bytes past the declared fields are malformed."""
+def _read_array(kind, data, count: int):
+    if kind == "bits":
+        return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count)
+    values = np.frombuffer(data, dtype=kind)
+    if kind is _QUERY:
+        return values.tolist()
+    return values.astype(np.int64) if kind == ">u4" else values
+
+
+def encode_payload(frame_type: FrameType, *values) -> bytes:
+    """The payload holding `values` in the order of their layout's fields,
+    counts left out; a QBER_SAMPLE or RECON_MSG subkind comes first."""
+    key = (frame_type, values[0]) if frame_type in _SUBKINDED else frame_type
+    layout = PAYLOAD_LAYOUTS[key]
+    fields = dict(zip(_VALUES[key], values, strict=True))
+    for name, _, *count in layout:
+        if count and isinstance(count[0], str):
+            fields[count[0]] = len(fields[name])
+    return b"".join(
+        _write_array(kind, fields[name]) if count else struct.pack(kind, fields[name])
+        for name, kind, *count in layout
+    )
+
+
+def decode_payload(frame_type: FrameType, payload: bytes) -> tuple:
+    """The values encode_payload took; FrameDecodeError unless the payload is
+    exactly one of the frame type's layouts."""
+    key = frame_type
+    if frame_type in _SUBKINDED:
+        if not payload:
+            raise FrameDecodeError(f"empty {frame_type.name} payload")
+        key = (frame_type, payload[0])
+        if key not in PAYLOAD_LAYOUTS:
+            raise FrameDecodeError(f"unknown {frame_type.name} subkind {payload[0]}")
+    data = memoryview(payload)
+    fields = {}
+    offset = 0
+    for name, kind, *count in PAYLOAD_LAYOUTS[key]:
+        if count:
+            n = fields[count[0]] if isinstance(count[0], str) else count[0](fields)
+            size = _array_bytes(kind, n)
+        else:
+            size = struct.calcsize(kind)
+        if offset + size > len(data):
+            raise FrameDecodeError(f"{frame_type.name} field {name} truncated")
+        chunk = data[offset : offset + size]
+        fields[name] = _read_array(kind, chunk, n) if count else struct.unpack(kind, chunk)[0]
+        offset += size
     if offset != len(data):
-        raise FrameDecodeError(f"{len(data) - offset} trailing payload bytes")
-
-
-def _pack_u32s(values: np.ndarray) -> bytes:
-    return np.asarray(values, dtype=">u4").tobytes()
-
-
-def _unpack_u32s(data: bytes, n: int, offset: int = 0) -> tuple[np.ndarray, int]:
-    nbytes = 4 * n
-    chunk = data[offset : offset + nbytes]
-    if len(chunk) != nbytes:
-        raise FrameDecodeError("index field truncated")
-    return np.frombuffer(chunk, dtype=">u4").astype(np.int64), offset + nbytes
+        raise FrameDecodeError(f"{len(data) - offset} trailing {frame_type.name} payload bytes")
+    return tuple(fields[name] for name in _VALUES[key])
 
 
 # ---------------------------------------------------------------------------
@@ -216,8 +302,11 @@ class ProtocolOptions:
     def __post_init__(self) -> None:
         if not 0.0 < self.sample_fraction < 1.0:
             raise ValueError("sample fraction must be in (0, 1)")
-        if self.n_cascade_passes < 1:
-            raise ValueError("need at least one reconciliation pass")
+        if not 1 <= self.n_cascade_passes <= 128:
+            # pass indices travel as one byte, and a retried Cascade runs twice as many
+            raise ValueError("reconciliation passes must be in [1, 128]")
+        if self.min_key_bits < MIN_KEY_BITS:
+            raise ValueError(f"min_key_bits must be >= {MIN_KEY_BITS}, Cascade's shortest key")
         if self.timeout_s <= 0.0:
             raise ValueError("timeout must be > 0")
 
@@ -275,93 +364,6 @@ class SessionResult:
     flags: tuple[str, ...]
 
 
-_RM_PASS_BEGIN = 0
-_RM_PASS_PARITIES = 1
-_RM_RANGE_QUERY = 2
-_RM_RANGE_REPLY = 3
-_RM_VERIFY = 4
-_RM_VERIFY_RESULT = 5
-
-
-def _pack_recon(msg: tuple) -> bytes:
-    kind = msg[0]
-    if kind == "pass_begin":
-        return struct.pack(">BB", _RM_PASS_BEGIN, msg[1])
-    if kind == "pass_parities":
-        parities = np.asarray(msg[2], dtype=np.uint8)
-        return struct.pack(">BBI", _RM_PASS_PARITIES, msg[1], len(parities)) + _pack_bits(parities)
-    if kind == "range_query":
-        queries = msg[1]
-        out = [struct.pack(">BI", _RM_RANGE_QUERY, len(queries))]
-        out.extend(struct.pack(">BII", p, lo, hi) for p, lo, hi in queries)
-        return b"".join(out)
-    if kind == "range_reply":
-        bits = np.asarray(msg[1], dtype=np.uint8)
-        return struct.pack(">BI", _RM_RANGE_REPLY, len(bits)) + _pack_bits(bits)
-    if kind == "verify":
-        return struct.pack(">BQI", _RM_VERIFY, msg[1], msg[2])
-    if kind == "verify_result":
-        return struct.pack(">BBQ", _RM_VERIFY_RESULT, int(msg[1]), msg[2])
-    raise ValueError(f"unknown reconciliation message {kind!r}")
-
-
-def _unpack_recon(payload: bytes) -> tuple:
-    if not payload:
-        raise FrameDecodeError("empty reconciliation payload")
-    kind = payload[0]
-    if kind == _RM_PASS_BEGIN:
-        (_, p) = struct.unpack(">BB", payload)
-        return ("pass_begin", p)
-    if kind == _RM_PASS_PARITIES:
-        _, p, n = struct.unpack_from(">BBI", payload)
-        bits, offset = _unpack_bits(payload, n, offset=6)
-        _check_consumed(payload, offset)
-        return ("pass_parities", p, bits)
-    if kind == _RM_RANGE_QUERY:
-        _, n = struct.unpack_from(">BI", payload)
-        queries = []
-        offset = 5
-        for _ in range(n):
-            p, lo, hi = struct.unpack_from(">BII", payload, offset)
-            queries.append((p, lo, hi))
-            offset += 9
-        _check_consumed(payload, offset)
-        return ("range_query", queries)
-    if kind == _RM_RANGE_REPLY:
-        _, n = struct.unpack_from(">BI", payload)
-        bits, offset = _unpack_bits(payload, n, offset=5)
-        _check_consumed(payload, offset)
-        return ("range_reply", bits)
-    if kind == _RM_VERIFY:
-        _, h, corrections = struct.unpack(">BQI", payload)
-        return ("verify", h, corrections)
-    if kind == _RM_VERIFY_RESULT:
-        _, ok, h = struct.unpack(">BBQ", payload)
-        return ("verify_result", bool(ok), h)
-    raise FrameDecodeError(f"unknown reconciliation subkind {kind}")
-
-
-def _pack_sample(subkind: int, signal: np.ndarray, decoy: np.ndarray, vacuum: np.ndarray) -> bytes:
-    """QBER_SAMPLE subkinds 1 and 2: the subkind byte, then the sampled signal
-    bits and all matched decoy and vacuum bits, each as u32 count + bit field."""
-    out = [struct.pack(">B", subkind)]
-    for bits in (signal, decoy, vacuum):
-        out += [struct.pack(">I", len(bits)), _pack_bits(bits)]
-    return b"".join(out)
-
-
-def _unpack_sample(payload: bytes) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(signal, decoy, vacuum) bits of a _pack_sample payload; the caller checks the subkind."""
-    fields = []
-    offset = 1
-    for _ in range(3):
-        (n,) = struct.unpack_from(">I", payload, offset)
-        bits, offset = _unpack_bits(payload, n, offset + 4)
-        fields.append(bits)
-    _check_consumed(payload, offset)
-    return tuple(fields)
-
-
 class _Session:
     """Shared state-machine mechanics for both endpoints."""
 
@@ -415,10 +417,13 @@ class _Session:
 
     # -- plumbing ----------------------------------------------------------
 
-    def _emit(self, frame_type: FrameType, payload: bytes = b"") -> Frame:
-        frame = Frame(frame_type, self.next_send_seq, payload)
+    def _emit(self, frame_type: FrameType, *values) -> Frame:
+        frame = Frame(frame_type, self.next_send_seq, encode_payload(frame_type, *values))
         self.next_send_seq += 1
         return frame
+
+    def _emit_recon(self, msg: tuple) -> Frame:
+        return self._emit(FrameType.RECON_MSG, RECON_KINDS.index(msg[0]), *msg[1:])
 
     def _abort(self, reason: AbortReason, message: str, *, notify: bool = True) -> list[Frame]:
         self.phase = Phase.ABORTED
@@ -427,8 +432,7 @@ class _Session:
         self.no_key = True
         if not notify:
             return []
-        payload = struct.pack(">BH", int(reason), len(message.encode())) + message.encode()
-        return [self._emit(FrameType.ABORT, payload)]
+        return [self._emit(FrameType.ABORT, int(reason), np.frombuffer(message.encode(), np.uint8))]
 
     def step(self, event) -> list[Frame]:
         """Advance the machine; returns frames to transmit."""
@@ -462,17 +466,20 @@ class _Session:
             self.next_recv_seq += 1
             if frame.frame_type is FrameType.ABORT:
                 try:
-                    reason = AbortReason(frame.payload[0])
-                except (IndexError, ValueError):
-                    reason = AbortReason.PEER_ABORT  # empty payload or a reason we do not know
+                    reason = AbortReason(decode_payload(FrameType.ABORT, frame.payload)[0])
+                except ValueError:
+                    reason = AbortReason.PEER_ABORT  # a malformed payload or a reason we do not know
                 self._abort(AbortReason.PEER_ABORT, f"peer aborted ({reason.name})", notify=False)
                 return []
+            handler = self._HANDLERS.get((frame.frame_type, self.phase))
+            if handler is None:
+                return self._violation(frame)
             try:
-                return self._dispatch(frame)
+                return handler(self, *decode_payload(frame.frame_type, frame.payload))
             except ReconciliationFailed as exc:
                 return self._abort(AbortReason.INTERNAL, f"reconciliation broke down: {exc}")
-            except (FrameDecodeError, struct.error, IndexError) as exc:
-                # a payload too short for its fields, or with indices out of range
+            except (FrameDecodeError, IndexError) as exc:
+                # a payload that is not its layout, or with indices out of range
                 return self._abort(AbortReason.INTERNAL, f"malformed payload: {exc}")
         raise TypeError(f"unknown event {event!r}")
 
@@ -521,15 +528,16 @@ class _Session:
         self.matched_decoy_bits = matched_bits[matched_kind == StateClass.DECOY].copy()
         self.matched_vacuum_bits = matched_bits[matched_kind == StateClass.VACUUM].copy()
 
-    def _sample_disclosure(self, subkind: int) -> bytes:
+    def _sample_disclosure(self, subkind: int) -> Frame:
         """This side's sampled signal bits and all its matched decoy and vacuum bits."""
         signal = self.matched_signal_bits[self.sample_positions]
-        return _pack_sample(subkind, signal, self.matched_decoy_bits, self.matched_vacuum_bits)
+        return self._emit(
+            FrameType.QBER_SAMPLE, subkind, signal, self.matched_decoy_bits, self.matched_vacuum_bits
+        )
 
-    def _tally_sample(self, payload: bytes) -> bool:
+    def _tally_sample(self, signal: np.ndarray, decoy: np.ndarray, vacuum: np.ndarray) -> bool:
         """Count errors against the peer's disclosure, drop the sample from the
         key and set the Cascade hint; False if the peer's sizes differ from ours."""
-        signal, decoy, vacuum = _unpack_sample(payload)
         sizes = (len(self.sample_positions), len(self.matched_decoy_bits), len(self.matched_vacuum_bits))
         if (len(signal), len(decoy), len(vacuum)) != sizes:
             return False
@@ -589,6 +597,10 @@ class _Session:
         if self.decision.capped:
             self.flags.append("final_length_capped")
 
+    def _pa_flags(self) -> int:
+        """The PA_SEED flags byte of this side's key-length decision."""
+        return (1 if self.decision.capped else 0) | (2 if self.decision.length == 0 else 0)
+
     def _apply_pa(self, seed: PASeed) -> None:
         self.final_key = toeplitz_hash(self.remaining_key, seed)
         self.no_key = self.decision.length == 0
@@ -646,8 +658,7 @@ class AliceSession(_Session):
         if self.phase is not Phase.IDLE or self._hello_sent:
             return []
         self._hello_sent = True
-        payload = struct.pack(">B16sQ", 0, self.config_digest, self.n_slots)
-        return [self._emit(FrameType.SYNC_HELLO, payload)]
+        return [self._emit(FrameType.SYNC_HELLO, 0, self.config_digest, self.n_slots)]
 
     def _on_timer(self, now_s: float) -> list[Frame]:
         # the first timer tick opens the session
@@ -659,32 +670,16 @@ class AliceSession(_Session):
         self.phase = Phase.SIFTING
         return []
 
-    def _dispatch(self, frame: Frame) -> list[Frame]:
-        if frame.frame_type is FrameType.SYNC_HELLO and self.phase is Phase.IDLE:
-            return self._handle_hello_ack(frame)
-        if frame.frame_type is FrameType.BASIS_REVEAL and self.phase is Phase.SIFTING:
-            return self._handle_basis_reveal(frame)
-        if frame.frame_type is FrameType.QBER_SAMPLE and self.phase is Phase.ESTIMATION:
-            return self._handle_sample_bits(frame)
-        if frame.frame_type is FrameType.RECON_MSG and self.phase is Phase.RECONCILIATION:
-            return self._handle_recon(frame)
-        return self._violation(frame)
-
-    def _handle_hello_ack(self, frame: Frame) -> list[Frame]:
-        role, digest, n_slots = struct.unpack(">B16sQ", frame.payload)
+    def _handle_hello_ack(self, role: int, digest: bytes, n_slots: int) -> list[Frame]:
         if role != 1 or digest != self.config_digest or n_slots != self.n_slots:
             return self._abort(AbortReason.CONFIG_MISMATCH, "peer configuration digest differs")
         self.phase = Phase.QUANTUM
         return []
 
-    def _handle_basis_reveal(self, frame: Frame) -> list[Frame]:
-        (n_clicked,) = struct.unpack_from(">I", frame.payload)
-        slots, offset = _unpack_u32s(frame.payload, n_clicked, offset=4)
-        bases, offset = _unpack_bits(frame.payload, n_clicked, offset=offset)
-        _check_consumed(frame.payload, offset)
+    def _handle_basis_reveal(self, slots: np.ndarray, bases: np.ndarray) -> list[Frame]:
         if len(slots) and (slots[-1] >= self.n_slots or np.any(np.diff(slots) <= 0)):
             return self._abort(AbortReason.INTERNAL, "clicked slot list not strictly ascending in range")
-        self.n_clicked = int(n_clicked)
+        self.n_clicked = len(slots)
         self._clicked_slots = slots
         clicked_kind = self.view.kind[slots]
         matched_mask = self.view.basis[slots] == bases
@@ -696,34 +691,27 @@ class AliceSession(_Session):
         empty = self._empty_class()
         if empty is not None:
             return self._abort(AbortReason.INTERNAL, f"no emitted pulses in class {empty.name}")
-        sift_ack = self._emit(FrameType.SIFT_ACK, struct.pack(">I", self.n_matched) + _pack_u32s(self._matched_slots))
-        reveal_payload = (
-            struct.pack(
-                ">QQQI",
-                self.emitted_per_class[StateClass.SIGNAL],
-                self.emitted_per_class[StateClass.DECOY],
-                self.emitted_per_class[StateClass.VACUUM],
-                n_clicked,
-            )
-            + clicked_kind.astype(np.uint8).tobytes()
+        sift_ack = self._emit(FrameType.SIFT_ACK, self._matched_slots)
+        reveal = self._emit(
+            FrameType.INTENSITY_REVEAL,
+            *(self.emitted_per_class[v] for v in (StateClass.SIGNAL, StateClass.DECOY, StateClass.VACUUM)),
+            clicked_kind,
         )
-        reveal = self._emit(FrameType.INTENSITY_REVEAL, reveal_payload)
         self._sample_seed = int(self.coin_rng.integers(0, 2**63))
         self.cascade_seed = int(self.coin_rng.integers(0, 2**63))
         request = self._emit(
-            FrameType.QBER_SAMPLE,
-            struct.pack(">BQQd", 0, self._sample_seed, self.cascade_seed, self.options.sample_fraction),
+            FrameType.QBER_SAMPLE, 0, self._sample_seed, self.cascade_seed, self.options.sample_fraction
         )
         self.sample_positions = self._sample_selection(self._sample_seed, len(self.matched_signal_bits))
         self.phase = Phase.ESTIMATION
         return [sift_ack, reveal, request]
 
-    def _handle_sample_bits(self, frame: Frame) -> list[Frame]:
-        if frame.payload[0] != 1:
+    def _handle_sample_bits(self, subkind: int, *disclosure) -> list[Frame]:
+        if subkind != 1:
             return self._abort(AbortReason.PHASE_VIOLATION, "expected receiver sample disclosure")
-        if not self._tally_sample(frame.payload):
+        if not self._tally_sample(*disclosure):
             return self._abort(AbortReason.LENGTH_MISMATCH, "sample disclosure sizes differ from sift result")
-        reply = self._emit(FrameType.QBER_SAMPLE, self._sample_disclosure(2))
+        reply = self._sample_disclosure(2)
         if len(self.remaining_key) < self.options.min_key_bits:
             return [reply] + self._finish_no_reconciliation()
         self._responder = CascadeResponder(
@@ -737,16 +725,19 @@ class AliceSession(_Session):
         self.phase = Phase.AMPLIFICATION
         return self._send_pa_seed()
 
-    def _handle_recon(self, frame: Frame) -> list[Frame]:
-        msg = _unpack_recon(frame.payload)
+    def _handle_recon(self, subkind: int, *values) -> list[Frame]:
+        msg = (RECON_KINDS[subkind], *values)
         if msg[0] == "verify":
             self.corrections = int(msg[2])
         reply = self._responder.on_message(msg)
         self.parity_bits = self._responder.parity_bits_disclosed
-        frames = [self._emit(FrameType.RECON_MSG, _pack_recon(reply))]
+        frames = [self._emit_recon(reply)]
         if reply[0] == "verify_result":
             self.leaked_bits = self._responder.leaked_bits
             if not reply[1]:
+                if self._responder.digests_disclosed == 1:  # the corrector starts a second round
+                    self.flags.append("reconciliation_retried")
+                    return frames
                 self.residual_check = False
                 return frames + self._abort(AbortReason.VERIFY_FAILED, "reconciliation digest mismatch")
             self.residual_check = True
@@ -759,11 +750,16 @@ class AliceSession(_Session):
         n = len(self.remaining_key)
         m = self.decision.length
         seed = generate_pa_seed(n, m, self.coin_rng)
-        flags = (1 if self.decision.capped else 0) | (2 if self.decision.length == 0 else 0)
-        payload = struct.pack(">IIB", m, n, flags) + _pack_bits(seed.bits)
-        frame = self._emit(FrameType.PA_SEED, payload)
+        frame = self._emit(FrameType.PA_SEED, m, n, self._pa_flags(), seed.bits)
         self._apply_pa(seed)
         return [frame]
+
+    _HANDLERS = {
+        (FrameType.SYNC_HELLO, Phase.IDLE): _handle_hello_ack,
+        (FrameType.BASIS_REVEAL, Phase.SIFTING): _handle_basis_reveal,
+        (FrameType.QBER_SAMPLE, Phase.ESTIMATION): _handle_sample_bits,
+        (FrameType.RECON_MSG, Phase.RECONCILIATION): _handle_recon,
+    }
 
 
 class BobSession(_Session):
@@ -780,7 +776,6 @@ class BobSession(_Session):
         super().__init__(options, config_digest, len(view))
         self.view = view
         self._corrector: CascadeCorrector | None = None
-        self._sample_fraction = options.sample_fraction
         self._clicked_slots = np.flatnonzero(view.clicked).astype(np.int64)
         self._matched_positions = np.zeros(0, dtype=np.int64)  # into clicked list
 
@@ -788,59 +783,33 @@ class BobSession(_Session):
         self.phase = Phase.SIFTING
         slots = self._clicked_slots
         self.n_clicked = len(slots)
-        payload = (
-            struct.pack(">I", len(slots))
-            + _pack_u32s(slots)
-            + _pack_bits(self.view.basis[slots])
-        )
-        return [self._emit(FrameType.BASIS_REVEAL, payload)]
+        return [self._emit(FrameType.BASIS_REVEAL, slots, self.view.basis[slots])]
 
-    def _dispatch(self, frame: Frame) -> list[Frame]:
-        if frame.frame_type is FrameType.SYNC_HELLO and self.phase is Phase.IDLE:
-            return self._handle_hello(frame)
-        if frame.frame_type is FrameType.SIFT_ACK and self.phase is Phase.SIFTING:
-            return self._handle_sift_ack(frame)
-        if frame.frame_type is FrameType.INTENSITY_REVEAL and self.phase is Phase.SIFTING:
-            return self._handle_intensity_reveal(frame)
-        if frame.frame_type is FrameType.QBER_SAMPLE and self.phase is Phase.ESTIMATION:
-            return self._handle_qber_sample(frame)
-        if frame.frame_type is FrameType.RECON_MSG and self.phase is Phase.RECONCILIATION:
-            return self._handle_recon(frame)
-        if frame.frame_type is FrameType.PA_SEED and self.phase is Phase.AMPLIFICATION:
-            return self._handle_pa_seed(frame)
-        return self._violation(frame)
-
-    def _handle_hello(self, frame: Frame) -> list[Frame]:
-        role, digest, n_slots = struct.unpack(">B16sQ", frame.payload)
+    def _handle_hello(self, role: int, digest: bytes, n_slots: int) -> list[Frame]:
         if role != 0:
             return self._abort(AbortReason.PHASE_VIOLATION, "unexpected hello role")
         if digest != self.config_digest or n_slots != self.n_slots:
             return self._abort(AbortReason.CONFIG_MISMATCH, "peer configuration digest differs")
         self.phase = Phase.QUANTUM
-        payload = struct.pack(">B16sQ", 1, self.config_digest, self.n_slots)
-        return [self._emit(FrameType.SYNC_HELLO, payload)]
+        return [self._emit(FrameType.SYNC_HELLO, 1, self.config_digest, self.n_slots)]
 
-    def _handle_sift_ack(self, frame: Frame) -> list[Frame]:
-        (n_matched,) = struct.unpack_from(">I", frame.payload)
-        matched_slots, offset = _unpack_u32s(frame.payload, n_matched, offset=4)
-        _check_consumed(frame.payload, offset)
+    def _handle_sift_ack(self, matched_slots: np.ndarray) -> list[Frame]:
         positions = np.searchsorted(self._clicked_slots, matched_slots)
         if np.any(positions >= len(self._clicked_slots)) or np.any(
             self._clicked_slots[np.minimum(positions, len(self._clicked_slots) - 1)] != matched_slots
         ):
             return self._abort(AbortReason.INTERNAL, "matched slots are not a subset of clicked slots")
         self._matched_positions = positions.astype(np.int64)
-        self.n_matched = int(n_matched)
+        self.n_matched = len(matched_slots)
         return []
 
-    def _handle_intensity_reveal(self, frame: Frame) -> list[Frame]:
-        n_signal, n_decoy, n_vacuum, n_clicked = struct.unpack_from(">QQQI", frame.payload)
-        if n_clicked != len(self._clicked_slots):
+    def _handle_intensity_reveal(
+        self, n_signal: int, n_decoy: int, n_vacuum: int, kinds: np.ndarray
+    ) -> list[Frame]:
+        if len(kinds) != len(self._clicked_slots):
             return self._abort(AbortReason.LENGTH_MISMATCH, "intensity reveal size differs from clicks")
-        kinds = np.frombuffer(frame.payload[28 : 28 + n_clicked], dtype=np.uint8)
-        if len(kinds) != n_clicked:
-            raise FrameDecodeError("class field truncated")
-        _check_consumed(frame.payload, 28 + n_clicked)
+        if np.any(kinds >= len(StateClass)):
+            raise FrameDecodeError("class byte out of range")
         if n_signal + n_decoy + n_vacuum != self.n_slots:
             return self._abort(AbortReason.LENGTH_MISMATCH, "per-class totals do not cover all slots")
         self.emitted_per_class = {
@@ -856,17 +825,16 @@ class BobSession(_Session):
         self.phase = Phase.ESTIMATION
         return []
 
-    def _handle_qber_sample(self, frame: Frame) -> list[Frame]:
-        subkind = frame.payload[0]
+    def _handle_qber_sample(self, subkind: int, *values) -> list[Frame]:
         if subkind == 0:
-            _, sample_seed, cascade_seed, fraction = struct.unpack(">BQQd", frame.payload)
-            if abs(fraction - self.options.sample_fraction) > 1e-12:
+            sample_seed, cascade_seed, fraction = values
+            if not abs(fraction - self.options.sample_fraction) <= 1e-12:  # NaN fails too
                 return self._abort(AbortReason.CONFIG_MISMATCH, "sample fraction differs from shared options")
             self.cascade_seed = cascade_seed
             self.sample_positions = self._sample_selection(sample_seed, len(self.matched_signal_bits))
-            return [self._emit(FrameType.QBER_SAMPLE, self._sample_disclosure(1))]
+            return [self._sample_disclosure(1)]
         if subkind == 2:
-            if not self._tally_sample(frame.payload):
+            if not self._tally_sample(*values):
                 return self._abort(AbortReason.LENGTH_MISMATCH, "sample echo sizes differ")
             if len(self.remaining_key) < self.options.min_key_bits:
                 self.phase = Phase.AMPLIFICATION
@@ -875,18 +843,19 @@ class BobSession(_Session):
                 self.remaining_key, self.qber_hint, self.cascade_seed, self.options.n_cascade_passes
             )
             self.phase = Phase.RECONCILIATION
-            return [self._emit(FrameType.RECON_MSG, _pack_recon(self._corrector.start()))]
+            return [self._emit_recon(self._corrector.start())]
         return self._abort(AbortReason.PHASE_VIOLATION, "unexpected sample subkind")
 
-    def _handle_recon(self, frame: Frame) -> list[Frame]:
-        msg = _unpack_recon(frame.payload)
-        nxt = self._corrector.on_reply(msg)
+    def _handle_recon(self, subkind: int, *values) -> list[Frame]:
+        nxt = self._corrector.on_reply((RECON_KINDS[subkind], *values))
         self.parity_bits = self._corrector.parity_bits_received
         if nxt is not None:
-            return [self._emit(FrameType.RECON_MSG, _pack_recon(nxt))]
+            return [self._emit_recon(nxt)]
         self.corrections = self._corrector.corrections
         self.leaked_bits = self._corrector.leaked_bits
         self.residual_check = self._corrector.residual_check
+        if self._corrector.digests_received > 1:
+            self.flags.append("reconciliation_retried")
         if not self.residual_check:
             return self._abort(AbortReason.VERIFY_FAILED, "reconciliation digest mismatch")
         self.remaining_key = self._corrector.key
@@ -894,10 +863,7 @@ class BobSession(_Session):
         self.phase = Phase.AMPLIFICATION
         return []
 
-    def _handle_pa_seed(self, frame: Frame) -> list[Frame]:
-        m, n, flags = struct.unpack_from(">IIB", frame.payload)
-        seed_bits, offset = _unpack_bits(frame.payload, max(n + m - 1, 0), offset=9)
-        _check_consumed(frame.payload, offset)
+    def _handle_pa_seed(self, m: int, n: int, flags: int, seed_bits: np.ndarray) -> list[Frame]:
         if n != len(self.remaining_key):
             return self._abort(AbortReason.LENGTH_MISMATCH, "amplification input length differs")
         if self.statistics is None:
@@ -908,6 +874,19 @@ class BobSession(_Session):
                 AbortReason.LENGTH_MISMATCH,
                 f"peer final length {m} != local decision {self.decision.length}",
             )
+        if flags != self._pa_flags():
+            return self._abort(
+                AbortReason.LENGTH_MISMATCH, f"peer length flags {flags} != local flags {self._pa_flags()}"
+            )
         seed = PASeed(bits=seed_bits, input_length=n, output_length=m)
         self._apply_pa(seed)
         return []
+
+    _HANDLERS = {
+        (FrameType.SYNC_HELLO, Phase.IDLE): _handle_hello,
+        (FrameType.SIFT_ACK, Phase.SIFTING): _handle_sift_ack,
+        (FrameType.INTENSITY_REVEAL, Phase.SIFTING): _handle_intensity_reveal,
+        (FrameType.QBER_SAMPLE, Phase.ESTIMATION): _handle_qber_sample,
+        (FrameType.RECON_MSG, Phase.RECONCILIATION): _handle_recon,
+        (FrameType.PA_SEED, Phase.AMPLIFICATION): _handle_pa_seed,
+    }

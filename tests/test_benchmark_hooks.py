@@ -1,4 +1,5 @@
-"""The library names the benchmark reaches still exist.
+"""The library names the benchmark reaches still exist, and a benchmark
+session that once failed now completes.
 
 perfbench/spans.py wraps each layer's functions at the name where the caller
 looks them up, and perfbench/sessions.py imports library names directly.
@@ -13,8 +14,9 @@ ROOT = Path(__file__).resolve().parents[1]
 if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
-import perfbench.sessions  # noqa: E402,F401  (importing it resolves the names it uses)
+from perfbench.sessions import EndpointCapture, run_session  # noqa: E402
 from perfbench.spans import _TRACED  # noqa: E402
+from perfbench.workloads import WORKLOADS  # noqa: E402
 
 
 def test_traced_patch_sites_resolve():
@@ -24,3 +26,15 @@ def test_traced_patch_sites_resolve():
         if not callable(getattr(owner, attr, None))
     ]
     assert not missing
+
+
+def test_tank_session_with_low_qber_hint_completes():
+    """Tank session 1365414681 samples 2 errors in 574 bits (hint 0.52%, true
+    rate about 1.7%); four passes of too-large blocks leave errors, and
+    Cascade's second round has to repair them for both endpoints to finish."""
+    capture = EndpointCapture()
+    with capture.installed():
+        record = run_session(WORKLOADS["tank"], 1365414681, capture)
+    assert record.ok, record.failure
+    for endpoint in capture.endpoints.values():
+        assert "reconciliation_retried" in endpoint.flags

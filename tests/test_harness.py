@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import hashlib
 import io
 import json
 import socket
@@ -150,10 +151,11 @@ def test_config_missing_key_raises(mutate):
         lambda d: d["receiver"].__setitem__("detector_efficiency", 1.5),
         lambda d: d.setdefault("transport", {}).__setitem__("drop_probability", 1.0),
         lambda d: d["detector"].__setitem__("double_click_policy", "keep_both"),
+        lambda d: d.setdefault("protocol", {}).__setitem__("min_key_bits", 8),  # Cascade needs 64
     ],
     ids=[
         "n_pulses", "n_pulses_u32", "class_never_emitted", "mu_type", "nu_order", "length",
-        "efficiency", "drop", "policy",
+        "efficiency", "drop", "policy", "min_key_bits",
     ],
 )
 def test_config_bad_value_raises(mutate):
@@ -311,6 +313,10 @@ def test_transcript_written_and_replayable(tmp_path, base_cfg, base_report):
     assert directions == {"alice->bob", "bob->alice"}
     for e in entries:  # every logged frame is a valid wire frame
         decode_frame(e.data)
+    # the wire bytes of the whole session, in transcript order
+    assert hashlib.sha256(b"".join(e.data for e in entries)).hexdigest() == (
+        "4bbca7c5ef44222012345191e1d742d97269ef09ff703f8b5e7182c05febf614"
+    )
     # save/load is lossless
     copy_path = tmp_path / "copy.jsonl"
     save_transcript(entries, copy_path)

@@ -104,12 +104,20 @@ def test_cascade_across_error_rates(qber):
     assert result.parity_bits_received <= 4 * n
 
 
-def test_cascade_survives_wrong_hint():
-    # the hint only sizes blocks; convergence does not depend on it
-    reference, noisy = _keys_with_errors(4096, 80, seed=9)
-    result = _cascade(noisy, reference, 0.05)
+@pytest.mark.parametrize(
+    "n_errors, seed, qber_hint",
+    [(80, 9, 0.05), (70, 0, 0.002)],
+    ids=["hint_too_high", "hint_too_low"],
+)
+def test_cascade_survives_wrong_hint(n_errors, seed, qber_hint):
+    # the hint only sizes blocks; convergence does not depend on it. Blocks
+    # sized for a hint 8x too low leave errors after four passes, so this one
+    # needs the second round that the first digest mismatch starts.
+    reference, noisy = _keys_with_errors(4096, n_errors, seed=seed)
+    result = _cascade(noisy, reference, qber_hint)
     assert result.residual_check
     assert np.array_equal(result.key, reference)
+    assert result.leaked_bits == result.parity_bits_received + 64 * result.digests_received
 
 
 def test_cascade_deterministic():

@@ -6,6 +6,8 @@ import numpy as np
 import pytest
 
 from uwqkd.protocol import (
+    PAYLOAD_LAYOUTS,
+    RECON_KINDS,
     AbortReason,
     AliceSession,
     AliceView,
@@ -23,11 +25,9 @@ from uwqkd.protocol import (
     QuantumBatchDone,
     UnknownFrameTypeError,
     decode_frame,
+    decode_payload,
     encode_frame,
-    _pack_recon,
-    _pack_sample,
-    _unpack_recon,
-    _unpack_sample,
+    encode_payload,
 )
 
 DIGEST = hashlib.md5(b"session-under-test").digest()
@@ -101,7 +101,7 @@ def test_every_single_bit_flip_is_detected():
 
 
 # ---------------------------------------------------------------------------
-# reconciliation payload encoding
+# payload layouts
 
 
 @pytest.mark.parametrize("msg", [
@@ -113,9 +113,11 @@ def test_every_single_bit_flip_is_detected():
     ("verify_result", True, 0x0123456789ABCDEF),
 ])
 def test_recon_payload_roundtrip(msg):
-    back = _unpack_recon(_pack_recon(msg))
-    assert back[0] == msg[0]
-    for a, b in zip(back[1:], msg[1:]):
+    subkind = RECON_KINDS.index(msg[0])
+    payload = encode_payload(FrameType.RECON_MSG, subkind, *msg[1:])
+    back = decode_payload(FrameType.RECON_MSG, payload)
+    assert back[0] == subkind
+    for a, b in zip(back[1:], msg[1:], strict=True):
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
             assert np.array_equal(a, b)
         else:
@@ -124,24 +126,41 @@ def test_recon_payload_roundtrip(msg):
 
 def test_recon_payload_rejects_garbage():
     with pytest.raises(FrameDecodeError):
-        _unpack_recon(b"")
+        decode_payload(FrameType.RECON_MSG, b"")
     with pytest.raises(FrameDecodeError):
-        _unpack_recon(b"\x77\x00")
+        decode_payload(FrameType.RECON_MSG, b"\x77\x00")
+
+
+def test_payload_bytes_follow_the_layouts():
+    """Pinned bytes: a range query is the old >BII record per query, and
+    counts are filled in from the arrays' lengths."""
+    queries = [(0, 0, 16), (2, 37, 74)]
+    assert encode_payload(FrameType.RECON_MSG, 2, queries) == (
+        struct.pack(">BI", 2, 2) + struct.pack(">BII", 0, 0, 16) + struct.pack(">BII", 2, 37, 74)
+    )
+    assert encode_payload(FrameType.SIFT_ACK, np.array([3, 70000])) == struct.pack(">III", 2, 3, 70000)
+    bits = np.array([1, 0, 1, 1, 0, 0, 0, 0, 1], dtype=np.uint8)
+    assert encode_payload(FrameType.PA_SEED, 4, 6, 1, bits) == struct.pack(">IIB", 4, 6, 1) + b"\xb0\x80"
+    assert encode_payload(FrameType.ABORT, 4, np.frombuffer(b"hi", np.uint8)) == b"\x04\x00\x02hi"
+    assert {key if isinstance(key, FrameType) else key[0] for key in PAYLOAD_LAYOUTS} == set(FrameType)
 
 
 def test_sample_payload_roundtrip():
     signal = np.array([1, 0, 1], dtype=np.uint8)
     decoy = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1], dtype=np.uint8)
     vacuum = np.zeros(0, dtype=np.uint8)
-    payload = _pack_sample(2, signal, decoy, vacuum)
+    payload = encode_payload(FrameType.QBER_SAMPLE, 2, signal, decoy, vacuum)
     assert payload[0] == 2
     assert payload[1:5] == struct.pack(">I", 3)
-    back = _unpack_sample(payload)
-    for a, b in zip(back, (signal, decoy, vacuum)):
+    subkind, *back = decode_payload(FrameType.QBER_SAMPLE, payload)
+    assert subkind == 2
+    for a, b in zip(back, (signal, decoy, vacuum), strict=True):
         assert np.array_equal(a, b)
     for cut in (1, 5, len(payload) - 1):
-        with pytest.raises((FrameDecodeError, struct.error)):
-            _unpack_sample(payload[:-cut])
+        with pytest.raises(FrameDecodeError):
+            decode_payload(FrameType.QBER_SAMPLE, payload[:-cut])
+    with pytest.raises(FrameDecodeError):
+        decode_payload(FrameType.QBER_SAMPLE, payload + b"\x00")
 
 
 # ---------------------------------------------------------------------------
@@ -409,17 +428,52 @@ def test_class_never_emitted_aborts_receiver():
     assert alice.abort_reason is AbortReason.PEER_ABORT
 
 
-def test_sample_echo_checks_vacuum_count():
-    def drop_vacuum_bit(payload):
-        if payload[0] != 2:
+def edit_values(frame_type, edit, subkind=None):
+    """A rewrite edit: decode the payload, change its values, encode it again."""
+    def apply(payload):
+        values = list(decode_payload(frame_type, payload))
+        if subkind is not None and values[0] != subkind:
             return payload
-        signal, decoy, vacuum = _unpack_sample(payload)
-        return _pack_sample(2, signal, decoy, vacuum[:-1])
+        edit(values)
+        return encode_payload(frame_type, *values)
+    return rewrite(frame_type, apply)
 
+
+def _drop_vacuum_bit(values):
+    values[3] = values[3][:-1]
+
+
+def _vacuum_bytes_to_3(values):
+    values[3] = np.where(values[3] == 0, 3, values[3]).astype(np.uint8)
+
+
+def _nan_fraction(values):
+    values[3] = float("nan")
+
+
+def _flip_capped_flag(values):
+    values[2] ^= 1
+
+
+@pytest.mark.parametrize(
+    "mangle, reason, message",
+    [
+        (edit_values(FrameType.QBER_SAMPLE, _drop_vacuum_bit, 2), AbortReason.LENGTH_MISMATCH, "sizes"),
+        (edit_values(FrameType.INTENSITY_REVEAL, _vacuum_bytes_to_3), AbortReason.INTERNAL, "malformed"),
+        (edit_values(FrameType.QBER_SAMPLE, _nan_fraction, 0), AbortReason.CONFIG_MISMATCH, "fraction"),
+        (edit_values(FrameType.PA_SEED, _flip_capped_flag), AbortReason.LENGTH_MISMATCH, "flags"),
+    ],
+    ids=["vacuum_echo", "class_byte", "nan_fraction", "pa_flags"],
+)
+def test_receiver_checks_peer_fields(mangle, reason, message):
+    """Bob aborts, naming the field, when one of Alice's fields disagrees with
+    his own state: her sample echo's sizes, a class byte above 2, the sample
+    fraction, or the key-length flags of PA_SEED."""
     alice, bob = make_sessions()
-    pump(alice, bob, mangle=rewrite(FrameType.QBER_SAMPLE, drop_vacuum_bit))
+    pump(alice, bob, mangle=mangle)
     assert bob.phase is Phase.ABORTED
-    assert bob.abort_reason is AbortReason.LENGTH_MISMATCH
+    assert bob.abort_reason is reason
+    assert message in bob.abort_message
 
 
 @pytest.mark.parametrize("payload", [b"", struct.pack(">BH", 0xFF, 0)])
@@ -438,6 +492,10 @@ def test_truncated_payloads_abort_without_raising():
     clean = []
     pump(*make_sessions(), mangle=lambda data: clean.append(data) or data)
     assert {decode_frame(data).frame_type for data in clean} == set(FrameType) - {FrameType.ABORT}
+    # the wire bytes of the clean session, in delivery order
+    assert hashlib.sha256(b"".join(clean)).hexdigest() == (
+        "bf10b756f16238948d91dc141c8965ff79dbf580239c2a13f3b8fc213e5e0da9"
+    )
     resizes = [lambda p, cut=cut: p[:-cut] for cut in range(1, 5)]
     resizes += [lambda p: p + b"\x00", lambda p: p + b"\x00\x00"]
     for index in range(len(clean)):
@@ -469,5 +527,9 @@ def test_protocol_options_validation():
         ProtocolOptions(sample_fraction=1.0)
     with pytest.raises(ValueError):
         ProtocolOptions(n_cascade_passes=0)
+    with pytest.raises(ValueError):
+        ProtocolOptions(n_cascade_passes=129)  # a retried Cascade's pass indices would pass 255
+    with pytest.raises(ValueError):
+        ProtocolOptions(min_key_bits=63)  # Cascade refuses keys under 64 bits
     with pytest.raises(ValueError):
         ProtocolOptions(timeout_s=0.0)
