@@ -8,6 +8,11 @@ surviving photon to the wrong detector of a matched basis with probability
 sin(theta)^2; when bases differ each photon picks a detector 50/50. Each
 detector also fires on its own (a dark count) once per gate with a fixed
 probability.
+
+At a lossy link few slots click, so detection draws its binomials only where
+photons are. The draw order is that of a dense draw over every slot, and a
+binomial draw with zero trials consumes no randomness, so equal seeds give the
+same stream and the same batch either way.
 """
 
 from __future__ import annotations
@@ -94,47 +99,54 @@ def simulate_detection(
     misalignment_theta: float,
     rng: np.random.Generator,
 ) -> DetectionBatch:
-    """Vectorized slot-by-slot detection.
+    """Slot-by-slot detection, drawn only where it can change the outcome.
 
     channel_eta is the end-to-end transmittance INCLUDING detector efficiency.
     Draw order per chunk of 2^20 slots: survivors, bit-1 routing, dark counts
     on detector 0 then 1, then double-click coins. Fixed so a given rng seed
     reproduces the batch exactly.
+
+    The survivor draw runs only at slots that hold photons, and the routing
+    draw only at slots with survivors. A binomial draw with zero trials
+    returns 0 without consuming randomness, so skipping the other slots
+    leaves the stream, and every later draw, as a dense draw over all slots
+    would. Dark uniforms and coins are drawn for every slot.
     """
     if not 0.0 <= channel_eta <= 1.0:
         raise ValueError("transmittance must be in [0, 1]")
     n = len(photon_count)
     if not (len(alice_basis) == len(alice_bit) == len(bob_basis) == n):
         raise ValueError("input columns must have equal length")
-    clicked = np.empty(n, dtype=bool)
+    clicked = np.zeros(n, dtype=bool)
     bit = np.zeros(n, dtype=np.uint8)
     multi = np.zeros(n, dtype=bool)
     discarded = 0
     p_dark = cfg.dark_count_prob_per_gate
     for lo, hi in chunk_slices(n):
-        survivors = rng.binomial(photon_count[lo:hi].astype(np.int64), channel_eta)
-        matched = alice_basis[lo:hi] == bob_basis[lo:hi]
-        p_one = _wrong_detector_prob(matched, alice_bit[lo:hi], misalignment_theta)
+        count = photon_count[lo:hi]
+        lit = np.flatnonzero(count > 0)
+        survivors = rng.binomial(count[lit], channel_eta)
+        hit = lit[survivors > 0]
+        survivors = survivors[survivors > 0]
+        matched = alice_basis[lo:hi][hit] == bob_basis[lo:hi][hit]
+        p_one = _wrong_detector_prob(matched, alice_bit[lo:hi][hit], misalignment_theta)
         n_one = rng.binomial(survivors, p_one)
-        n_zero = survivors - n_one
-        dark0 = rng.random(hi - lo) < p_dark
-        dark1 = rng.random(hi - lo) < p_dark
-        fire0 = (n_zero > 0) | dark0
-        fire1 = (n_one > 0) | dark1
+        fire0 = rng.random(hi - lo) < p_dark
+        fire1 = rng.random(hi - lo) < p_dark
         coin = rng.integers(0, 2, size=hi - lo, dtype=np.uint8)
-        both = fire0 & fire1
-        single = fire0 ^ fire1
-        chunk_clicked = fire0 | fire1
-        chunk_bit = np.where(single, fire1.astype(np.uint8), coin)
-        if cfg.double_click_policy is DoubleClickPolicy.RANDOM_BIT:
-            chunk_multi = both
+        fire0[hit[n_one < survivors]] = True
+        fire1[hit[n_one > 0]] = True
+        fired = np.flatnonzero(fire0 | fire1)
+        one = fire1[fired]
+        both = fire0[fired] & one
+        fired_bit = np.where(both, coin[fired], one)
+        if cfg.double_click_policy is DoubleClickPolicy.DISCARD:
+            discarded += int(np.count_nonzero(both))
+            fired, fired_bit = fired[~both], fired_bit[~both]
         else:
-            discarded += int(both.sum())
-            chunk_clicked = chunk_clicked & ~both
-            chunk_multi = np.zeros_like(both)
-        clicked[lo:hi] = chunk_clicked
-        bit[lo:hi] = np.where(chunk_clicked, chunk_bit, 0)
-        multi[lo:hi] = chunk_multi
+            multi[lo:hi][fired[both]] = True
+        clicked[lo:hi][fired] = True
+        bit[lo:hi][fired] = fired_bit
     return DetectionBatch(
         basis=np.asarray(bob_basis, dtype=np.uint8),
         clicked=clicked,

@@ -251,30 +251,45 @@ class QuantumPhaseResult:
 
 
 def simulate_quantum_phase(cfg: ExperimentConfig) -> QuantumPhaseResult:
-    """Deterministic quantum phase from the three role seeds."""
-    train = generate_pulse_train(cfg.source, cfg.n_pulses, np.random.default_rng(cfg.seed_alice))
-    bob_rng = np.random.default_rng(cfg.seed_bob)
-    bob_basis = np.empty(cfg.n_pulses, dtype=np.uint8)
-    for lo, hi in chunk_slices(cfg.n_pulses):
-        bob_basis[lo:hi] = bob_rng.integers(0, 2, size=hi - lo, dtype=np.uint8)
-    channel_rng = np.random.default_rng(cfg.seed_channel)
-    batch = simulate_detection(
-        alice_basis=train.basis,
-        alice_bit=train.key_bit,
-        photon_count=train.photon_count,
-        bob_basis=bob_basis,
-        channel_eta=cfg.eta,
-        cfg=cfg.detector,
-        misalignment_theta=cfg.misalignment_rad,
-        rng=channel_rng,
+    """Deterministic quantum phase from the three role seeds.
+
+    One loop over the 2^20-slot chunks: each chunk's pulses, Bob's bases and
+    detection are drawn in turn, each from its own role's stream, and written
+    into the full-length view columns. Every stream draws chunk by chunk, so
+    the views are the same as drawing each stream over all slots at once.
+    """
+    n = cfg.n_pulses
+    alice_rng, bob_rng, channel_rng = (
+        np.random.default_rng(seed) for seed in (cfg.seed_alice, cfg.seed_bob, cfg.seed_channel)
     )
+    alice_view = AliceView(*(np.empty(n, dtype=np.uint8) for _ in range(3)))
+    bob_view = BobView(np.empty(n, np.uint8), np.empty(n, bool), np.empty(n, np.uint8))
+    eta = cfg.eta
+    n_matched = n_multi = discarded = 0
+    for lo, hi in chunk_slices(n):
+        train = generate_pulse_train(cfg.source, hi - lo, alice_rng)
+        alice_basis, alice_bit = train.basis, train.key_bit
+        bob_basis = bob_rng.integers(0, 2, size=hi - lo, dtype=np.uint8)
+        batch = simulate_detection(
+            alice_basis, alice_bit, train.photon_count, bob_basis,
+            eta, cfg.detector, cfg.misalignment_rad, channel_rng,
+        )
+        alice_view.kind[lo:hi] = train.kind
+        alice_view.basis[lo:hi] = alice_basis
+        alice_view.bit[lo:hi] = alice_bit
+        bob_view.basis[lo:hi] = bob_basis
+        bob_view.clicked[lo:hi] = batch.clicked
+        bob_view.bit[lo:hi] = batch.bit
+        n_matched += int(np.count_nonzero(alice_basis == bob_basis))
+        n_multi += int(np.count_nonzero(batch.multi_click))
+        discarded += batch.discarded_doubles
     return QuantumPhaseResult(
-        alice_view=AliceView(kind=train.kind, basis=train.basis, bit=train.key_bit),
-        bob_view=BobView(basis=bob_basis, clicked=batch.clicked, bit=batch.bit),
-        basis_match_fraction=float(np.mean(train.basis == bob_basis)),
-        n_clicks=int(batch.clicked.sum()),
-        n_multi_clicks=int(batch.multi_click.sum()),
-        discarded_doubles=batch.discarded_doubles,
+        alice_view=alice_view,
+        bob_view=bob_view,
+        basis_match_fraction=n_matched / n,
+        n_clicks=int(np.count_nonzero(bob_view.clicked)),
+        n_multi_clicks=n_multi,
+        discarded_doubles=discarded,
     )
 
 

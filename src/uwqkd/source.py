@@ -121,7 +121,7 @@ def generate_pulse_train(
     canonical_mix = cfg.class_probabilities == (0.5, 0.25, 0.25)
     kind = np.empty(count, dtype=np.uint8)
     pol = np.empty(count, dtype=np.uint8)
-    photons = np.empty(count, dtype=np.int32)
+    photons = np.zeros(count, dtype=np.int32)
     means = cfg.class_means
     for lo, hi in chunk_slices(count):
         m = hi - lo
@@ -135,14 +135,10 @@ def generate_pulse_train(
                 np.array([2, 1, 0], dtype=np.uint8), size=m, p=cfg.class_probabilities
             )
             pol[lo:hi] = rng.integers(0, 4, size=m, dtype=np.uint8)
-        chunk_photons = np.zeros(m, dtype=np.int64)
         for variant in (StateClass.VACUUM, StateClass.DECOY, StateClass.SIGNAL):
             mean = means[variant]
             if mean == 0.0:
                 continue
-            mask = kind[lo:hi] == variant
-            n_in_class = int(mask.sum())
-            if n_in_class:
-                chunk_photons[mask] = rng.poisson(mean, size=n_in_class)
-        photons[lo:hi] = chunk_photons
+            slots = lo + np.flatnonzero(kind[lo:hi] == variant)
+            photons[slots] = rng.poisson(mean, size=len(slots))
     return PulseTrain(cfg=cfg, kind=kind, polarization=pol, photon_count=photons)

@@ -15,7 +15,7 @@ if str(ROOT) not in sys.path:
     sys.path.insert(0, str(ROOT))
 
 from perfbench.sessions import EndpointCapture, run_session  # noqa: E402
-from perfbench.spans import _TRACED  # noqa: E402
+from perfbench.spans import _TRACED, Tracer, session_totals  # noqa: E402
 from perfbench.workloads import WORKLOADS  # noqa: E402
 
 
@@ -38,3 +38,18 @@ def test_tank_session_with_low_qber_hint_completes():
     assert record.ok, record.failure
     for endpoint in capture.endpoints.values():
         assert "reconciliation_retried" in endpoint.flags
+
+
+def test_tracer_sees_every_chunk_of_the_quantum_phase():
+    """The quantum phase calls the source and detection once per chunk, at
+    the harness names the tracer wraps; a loop holding the library's own
+    functions would leave these counts at 0."""
+    tracer, capture = Tracer(), EndpointCapture()
+    tracer.session = 0
+    with capture.installed(), tracer.installed():
+        record = run_session(WORKLOADS["tank"], 1365414681, capture)
+    assert record.ok, record.failure
+    totals = session_totals(tracer.spans)[0]
+    assert totals["source.pulses"] == record.n_pulses
+    assert totals["detection.slots"] == record.n_pulses
+    assert totals["detection.clicks"] == record.clicks

@@ -7,12 +7,13 @@ from uwqkd.detection import (
     DetectionBatch,
     DetectorConfig,
     DoubleClickPolicy,
+    _wrong_detector_prob,
     dark_prob_for_background_yield,
     expected_gain,
     expected_qber,
     simulate_detection,
 )
-from uwqkd.source import SourceConfig, generate_pulse_train
+from uwqkd.source import SourceConfig, chunk_slices, generate_pulse_train
 
 
 def _batch(n, seed, *, eta, p_dark=0.0, theta=0.0, policy=DoubleClickPolicy.RANDOM_BIT,
@@ -188,3 +189,82 @@ def test_simulate_detection_validation():
     with pytest.raises(ValueError):
         simulate_detection(z[:2], z, z.astype(np.int64), z, 0.5, DetectorConfig(), 0.0,
                            np.random.default_rng(0))
+
+
+def _dense_detection(alice_basis, alice_bit, photon_count, bob_basis, eta, cfg, theta, rng):
+    """Oracle: every draw over every slot, in the documented order."""
+    n = len(photon_count)
+    clicked = np.empty(n, dtype=bool)
+    bit = np.zeros(n, dtype=np.uint8)
+    multi = np.zeros(n, dtype=bool)
+    discarded = 0
+    p_dark = cfg.dark_count_prob_per_gate
+    for lo, hi in chunk_slices(n):
+        survivors = rng.binomial(photon_count[lo:hi].astype(np.int64), eta)
+        matched = alice_basis[lo:hi] == bob_basis[lo:hi]
+        n_one = rng.binomial(survivors, _wrong_detector_prob(matched, alice_bit[lo:hi], theta))
+        fire0 = (survivors - n_one > 0) | (rng.random(hi - lo) < p_dark)
+        fire1 = (n_one > 0) | (rng.random(hi - lo) < p_dark)
+        coin = rng.integers(0, 2, size=hi - lo, dtype=np.uint8)
+        both = fire0 & fire1
+        chunk_clicked = fire0 | fire1
+        chunk_bit = np.where(fire0 ^ fire1, fire1.astype(np.uint8), coin)
+        if cfg.double_click_policy is DoubleClickPolicy.RANDOM_BIT:
+            chunk_multi = both
+        else:
+            discarded += int(both.sum())
+            chunk_clicked = chunk_clicked & ~both
+            chunk_multi = np.zeros_like(both)
+        clicked[lo:hi] = chunk_clicked
+        bit[lo:hi] = np.where(chunk_clicked, chunk_bit, 0)
+        multi[lo:hi] = chunk_multi
+    return DetectionBatch(np.asarray(bob_basis, dtype=np.uint8), clicked, bit, multi, discarded)
+
+
+ORACLE_SLOTS = (1 << 20) + 4096  # crosses a chunk boundary
+
+
+@pytest.fixture(scope="module")
+def bright_slots():
+    """mu = 5 so photon counts above 1 are common; vacuum slots stay empty."""
+    train = generate_pulse_train(SourceConfig(mu=5.0, rng_seed=61), ORACLE_SLOTS)
+    bob_basis = np.random.default_rng(62).integers(0, 2, size=ORACLE_SLOTS, dtype=np.uint8)
+    return train.basis, train.key_bit, train.photon_count, bob_basis
+
+
+def _assert_same_batch(a, b):
+    assert np.array_equal(a.clicked, b.clicked)
+    assert np.array_equal(a.bit, b.bit)
+    assert np.array_equal(a.multi_click, b.multi_click)
+    assert a.discarded_doubles == b.discarded_doubles
+
+
+@pytest.mark.parametrize("policy", list(DoubleClickPolicy))
+@pytest.mark.parametrize("theta", [0.0, 0.12])
+@pytest.mark.parametrize("p_dark", [0.0, 1e-3])
+@pytest.mark.parametrize("eta", [0.0, 7.4e-3, 0.9, 1.0])
+def test_sparse_detection_matches_dense_oracle(bright_slots, eta, p_dark, theta, policy):
+    """Zero-trial binomial draws consume no randomness, so drawing only at
+    lit slots leaves every outcome and the stream as the dense draw does."""
+    cfg = DetectorConfig(dark_count_prob_per_gate=p_dark, double_click_policy=policy)
+    sparse_rng, dense_rng = np.random.default_rng(63), np.random.default_rng(63)
+    sparse = simulate_detection(*bright_slots, eta, cfg, theta, sparse_rng)
+    _assert_same_batch(sparse, _dense_detection(*bright_slots, eta, cfg, theta, dense_rng))
+    assert sparse_rng.random() == dense_rng.random()
+
+
+@pytest.mark.parametrize("policy", list(DoubleClickPolicy))
+def test_detection_per_chunk_calls_match_one_call(bright_slots, policy):
+    """The quantum phase calls detection once per chunk on one stream."""
+    cfg = DetectorConfig(dark_count_prob_per_gate=1e-3, double_click_policy=policy)
+    whole = simulate_detection(*bright_slots, 0.9, cfg, 0.12, np.random.default_rng(64))
+    rng = np.random.default_rng(64)
+    parts = [
+        simulate_detection(*(c[lo:hi] for c in bright_slots), 0.9, cfg, 0.12, rng)
+        for lo, hi in ((0, 1 << 20), (1 << 20, ORACLE_SLOTS))
+    ]
+    joined = DetectionBatch(
+        *(np.concatenate([getattr(p, f) for p in parts]) for f in ("basis", "clicked", "bit", "multi_click")),
+        discarded_doubles=sum(p.discarded_doubles for p in parts),
+    )
+    _assert_same_batch(whole, joined)

@@ -8,6 +8,7 @@ import json
 import socket
 import threading
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +39,8 @@ from uwqkd import (
 from uwqkd.cli import EXIT_ABORT, EXIT_OK, EXIT_VALIDATION, main
 from uwqkd.harness import connect, serve
 from uwqkd.transport import read_frame_bytes
+
+CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
 # Short low-loss link: enough clicks from 1.2e5 pulses to finish every phase.
 BASE = {
@@ -246,6 +249,45 @@ def test_quantum_phase_seed_changes_outcome(base_cfg):
     b = simulate_quantum_phase(other)
     assert not np.array_equal(a.alice_view.kind, b.alice_view.kind)
     assert a.n_clicks != b.n_clicks
+
+
+def _tank_variant(**changes) -> ExperimentConfig:
+    data = json.loads((CONFIGS / "tank_run.json").read_text())
+    for key, value in changes.items():
+        section, _, name = key.rpartition("__")
+        (data[section] if section else data)[name] = value
+    return config_from_dict(data)
+
+
+@pytest.mark.parametrize(
+    "changes, digest, clicks, multi, discarded, match",
+    [
+        ({}, "f656ca71d5b2591ce616d04fa5eed23c0765d944717bdc57e4a81bd96f543d51",
+         12673, 11, 0, "0.500011"),
+        ({"detector__double_click_policy": "discard", "detector__dark_count_prob_per_gate": 2e-3,
+          "n_pulses": 1_500_000},
+         "13f5d739df661d77fadbf8a06b76d95726ad71b503f3c77bb1e12b1394774ee3",
+         10565, 0, 22, "0.5004253333333334"),
+        ({"source__class_probabilities": [0.6, 0.3, 0.1], "n_pulses": (1 << 20) + 4096},
+         "eacc34ce3957d668fcfe969d18c2a85ecf907715723e63fbf32370eba7feb04c",
+         4023, 3, 0, "0.5007827699416343"),
+    ],
+    ids=["tank", "discard-dark", "direct-mix-past-chunk"],
+)
+def test_quantum_phase_pinned(changes, digest, clicks, multi, discarded, match):
+    """Every view column and counter of the tank link and two variants:
+    the default mix, a dark discard link, and the direct-sampling mix over
+    more than one chunk. Equal seeds must keep giving these bytes."""
+    res = simulate_quantum_phase(_tank_variant(**changes))
+    h = hashlib.sha256()
+    for column in (
+        res.alice_view.kind, res.alice_view.basis, res.alice_view.bit,
+        res.bob_view.basis, res.bob_view.clicked, res.bob_view.bit,
+    ):
+        h.update(column.tobytes())
+    assert h.hexdigest() == digest
+    assert (res.n_clicks, res.n_multi_clicks, res.discarded_doubles) == (clicks, multi, discarded)
+    assert repr(res.basis_match_fraction) == match
 
 
 # ---------------------------------------------------------------------------
