@@ -114,7 +114,6 @@ class KeyRateReport:
     q: float = 0.5
     error_correction_efficiency: float = 1.16
     repetition_rate_hz: float = 20e6
-    n_pulses: int | None = None
     clamped_to_zero: bool = False
 
 
@@ -125,7 +124,6 @@ def secure_key_rate(
     q: float = 0.5,
     error_correction_efficiency: float = 1.16,
     repetition_rate_hz: float = 20e6,
-    n_pulses: int | None = None,
 ) -> KeyRateReport:
     """Per-slot secure rate and its per-second equivalent, clamped at zero."""
     if bounds is None:
@@ -147,7 +145,6 @@ def secure_key_rate(
         q=q,
         error_correction_efficiency=error_correction_efficiency,
         repetition_rate_hz=repetition_rate_hz,
-        n_pulses=n_pulses,
         clamped_to_zero=raw < 0.0,
     )
 

@@ -33,15 +33,12 @@ class DoubleClickPolicy(Enum):
 
 @dataclass(frozen=True)
 class DetectorConfig:
-    detector_efficiency: float = 0.2
     dark_count_prob_per_gate: float = 0.0
     gate_width_ns: float = 1.0
     gates_per_frame: int = 4
     double_click_policy: DoubleClickPolicy = DoubleClickPolicy.RANDOM_BIT
 
     def __post_init__(self) -> None:
-        if not 0.0 < self.detector_efficiency <= 1.0:
-            raise ValueError("detector efficiency must be in (0, 1]")
         if not 0.0 <= self.dark_count_prob_per_gate < 1.0:
             raise ValueError("dark count probability must be in [0, 1)")
         if self.gate_width_ns <= 0.0:

@@ -20,7 +20,7 @@ import json
 import math
 import socket
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 
 import numpy as np
@@ -175,7 +175,6 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             detector_efficiency=float(_require(receiver_d, "detector_efficiency", "receiver.")),
         )
         detector = DetectorConfig(
-            detector_efficiency=receiver.detector_efficiency,
             dark_count_prob_per_gate=float(
                 _require(detector_d, "dark_count_prob_per_gate", "detector.")
             ),
@@ -315,22 +314,7 @@ class RunReport:
     duration_s: float
 
     def to_dict(self) -> dict:
-        return {
-            "status": self.status,
-            "abort": self.abort,
-            "n_pulses": self.n_pulses,
-            "config_digest": self.config_digest,
-            "config": self.config,
-            "quantum": self.quantum,
-            "statistics": self.statistics,
-            "bounds": self.bounds,
-            "rate": self.rate,
-            "reconciliation": self.reconciliation,
-            "key": self.key,
-            "flags": self.flags,
-            "error_counters": self.error_counters,
-            "duration_s": self.duration_s,
-        }
+        return asdict(self)
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunReport":

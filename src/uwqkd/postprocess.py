@@ -19,12 +19,8 @@ from __future__ import annotations
 import math
 import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
-
-if TYPE_CHECKING:  # pragma: no cover
-    from .analysis import KeyRateReport
 
 
 class ReconciliationFailed(RuntimeError):
@@ -382,27 +378,20 @@ def toeplitz_hash(key_bits: np.ndarray, seed: PASeed) -> np.ndarray:
 class KeyLengthDecision:
     length: int
     capped: bool
-    no_key: bool
 
 
 def final_key_length(
-    n_sifted_signal: int,
-    report: "KeyRateReport",
-    *,
-    leaked_bits: int = 0,
-    disclosed_bits: int = 0,
+    n_pulses: int, r_per_pulse: float, n_key_bits: int, leaked_bits: int
 ) -> KeyLengthDecision:
-    """Secure output length: floor(n_pulses * R), capped by the bits on hand.
+    """Secure output length: floor(n_pulses * r_per_pulse), capped by the bits on hand.
 
-    The cap is the corrected-key length (sifted signal bits minus the publicly
-    disclosed sample) minus every bit leaked during reconciliation; the capped
-    flag records when the rate formula asked for more than that.
+    n_key_bits is the corrected key's length (sifted signal bits minus the
+    publicly disclosed sample); the cap is that minus every bit leaked during
+    reconciliation, and the capped flag records when the rate formula asked
+    for more than the cap.
     """
-    if report.n_pulses is None:
-        raise ValueError("report must carry n_pulses to size the final key")
-    if n_sifted_signal < 0 or leaked_bits < 0 or disclosed_bits < 0:
-        raise ValueError("bit counts must be >= 0")
-    raw = math.floor(report.n_pulses * report.r_per_pulse)
-    cap = max(n_sifted_signal - disclosed_bits - leaked_bits, 0)
-    length = max(min(raw, cap), 0)
-    return KeyLengthDecision(length=length, capped=raw > cap, no_key=length == 0)
+    if n_pulses < 0 or n_key_bits < 0 or leaked_bits < 0:
+        raise ValueError("pulse and bit counts must be >= 0")
+    raw = math.floor(n_pulses * r_per_pulse)
+    cap = max(n_key_bits - leaked_bits, 0)
+    return KeyLengthDecision(length=max(min(raw, cap), 0), capped=raw > cap)

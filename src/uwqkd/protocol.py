@@ -388,7 +388,6 @@ class _Session:
         }
         self.abort_reason: AbortReason | None = None
         self.abort_message = ""
-        self.last_progress_s = 0.0
         self.flags: list[str] = []
         # filled in as the protocol runs
         self.n_clicked = 0
@@ -484,7 +483,7 @@ class _Session:
         raise TypeError(f"unknown event {event!r}")
 
     def _on_timer(self, now_s: float) -> list[Frame]:
-        if now_s - self.last_progress_s > self.options.timeout_s:
+        if now_s > self.options.timeout_s:
             self.error_counters["timeout"] += 1
             return self._abort(AbortReason.TIMEOUT, "no progress before timeout")
         return []
@@ -495,9 +494,6 @@ class _Session:
             AbortReason.PHASE_VIOLATION,
             f"{frame.frame_type.name} not valid in phase {self.phase.value}",
         )
-
-    def mark_progress(self, now_s: float) -> None:
-        self.last_progress_s = now_s
 
     # -- shared estimation logic --------------------------------------------
 
@@ -547,7 +543,19 @@ class _Session:
         self.qber_hint = float(min(0.25, (self.sample_errors + 1) / (len(self.sample_positions) + 2)))
         return True
 
-    def _finalize_statistics(self) -> None:
+    def _skip_reconciliation(self) -> bool:
+        """Finish at once, with no key, when the corrected key is too short
+        for Cascade; True if so."""
+        if len(self.remaining_key) >= self.options.min_key_bits:
+            return False
+        self._finish()
+        return True
+
+    def _finish(self) -> None:
+        """Estimate, size the final key and move to AMPLIFICATION.
+
+        Reached once Cascade has verified, or with residual_check still None
+        when reconciliation was skipped; a skipped session keeps no key."""
         n_signal_matched = len(self.matched_signal_bits)
         flags = []
         if n_signal_matched > 0:
@@ -580,22 +588,18 @@ class _Session:
             q=self.options.q,
             error_correction_efficiency=self.options.error_correction_efficiency,
             repetition_rate_hz=self.options.repetition_rate_hz,
-            n_pulses=self.n_slots,
         )
         if self.rate_report.clamped_to_zero:
             self.flags.append("rate_clamped_to_zero")
-        skip_reconciliation = len(self.remaining_key) < self.options.min_key_bits and self.residual_check is None
         self.decision = final_key_length(
-            n_signal_matched,
-            self.rate_report,
-            leaked_bits=self.leaked_bits,
-            disclosed_bits=len(self.sample_positions),
+            self.n_slots, self.rate_report.r_per_pulse, len(self.remaining_key), self.leaked_bits
         )
-        if skip_reconciliation and self.decision.length > 0:
-            self.decision = KeyLengthDecision(length=0, capped=self.decision.capped, no_key=True)
+        if self.residual_check is None and self.decision.length > 0:
+            self.decision = KeyLengthDecision(length=0, capped=self.decision.capped)
             self.flags.append("insufficient_key_bits")
         if self.decision.capped:
             self.flags.append("final_length_capped")
+        self.phase = Phase.AMPLIFICATION
 
     def _pa_flags(self) -> int:
         """The PA_SEED flags byte of this side's key-length decision."""
@@ -660,12 +664,6 @@ class AliceSession(_Session):
         self._hello_sent = True
         return [self._emit(FrameType.SYNC_HELLO, 0, self.config_digest, self.n_slots)]
 
-    def _on_timer(self, now_s: float) -> list[Frame]:
-        # the first timer tick opens the session
-        if self.phase is Phase.IDLE and not self._hello_sent:
-            return self.start()
-        return super()._on_timer(now_s)
-
     def _on_quantum_done(self) -> list[Frame]:
         self.phase = Phase.SIFTING
         return []
@@ -712,18 +710,13 @@ class AliceSession(_Session):
         if not self._tally_sample(*disclosure):
             return self._abort(AbortReason.LENGTH_MISMATCH, "sample disclosure sizes differ from sift result")
         reply = self._sample_disclosure(2)
-        if len(self.remaining_key) < self.options.min_key_bits:
-            return [reply] + self._finish_no_reconciliation()
+        if self._skip_reconciliation():
+            return [reply] + self._send_pa_seed()
         self._responder = CascadeResponder(
             self.remaining_key, self.qber_hint, self.cascade_seed, self.options.n_cascade_passes
         )
         self.phase = Phase.RECONCILIATION
         return [reply]
-
-    def _finish_no_reconciliation(self) -> list[Frame]:
-        self._finalize_statistics()
-        self.phase = Phase.AMPLIFICATION
-        return self._send_pa_seed()
 
     def _handle_recon(self, subkind: int, *values) -> list[Frame]:
         msg = (RECON_KINDS[subkind], *values)
@@ -741,8 +734,7 @@ class AliceSession(_Session):
                 self.residual_check = False
                 return frames + self._abort(AbortReason.VERIFY_FAILED, "reconciliation digest mismatch")
             self.residual_check = True
-            self._finalize_statistics()
-            self.phase = Phase.AMPLIFICATION
+            self._finish()
             frames += self._send_pa_seed()
         return frames
 
@@ -836,8 +828,7 @@ class BobSession(_Session):
         if subkind == 2:
             if not self._tally_sample(*values):
                 return self._abort(AbortReason.LENGTH_MISMATCH, "sample echo sizes differ")
-            if len(self.remaining_key) < self.options.min_key_bits:
-                self.phase = Phase.AMPLIFICATION
+            if self._skip_reconciliation():
                 return []
             self._corrector = CascadeCorrector(
                 self.remaining_key, self.qber_hint, self.cascade_seed, self.options.n_cascade_passes
@@ -859,16 +850,12 @@ class BobSession(_Session):
         if not self.residual_check:
             return self._abort(AbortReason.VERIFY_FAILED, "reconciliation digest mismatch")
         self.remaining_key = self._corrector.key
-        self._finalize_statistics()
-        self.phase = Phase.AMPLIFICATION
+        self._finish()
         return []
 
     def _handle_pa_seed(self, m: int, n: int, flags: int, seed_bits: np.ndarray) -> list[Frame]:
         if n != len(self.remaining_key):
             return self._abort(AbortReason.LENGTH_MISMATCH, "amplification input length differs")
-        if self.statistics is None:
-            # no-reconciliation path: compute everything now that sizes are final
-            self._finalize_statistics()
         if m != self.decision.length:
             return self._abort(
                 AbortReason.LENGTH_MISMATCH,

@@ -70,7 +70,6 @@ class PulseTrain:
     photon_count are stored; key_bit and basis derive from polarization.
     """
 
-    cfg: SourceConfig
     kind: np.ndarray          # uint8, StateClass values
     polarization: np.ndarray  # uint8, Polarization values
     photon_count: np.ndarray  # int32
@@ -141,4 +140,4 @@ def generate_pulse_train(
                 continue
             slots = lo + np.flatnonzero(kind[lo:hi] == variant)
             photons[slots] = rng.poisson(mean, size=len(slots))
-    return PulseTrain(cfg=cfg, kind=kind, polarization=pol, photon_count=photons)
+    return PulseTrain(kind=kind, polarization=pol, photon_count=photons)

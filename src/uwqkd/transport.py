@@ -30,6 +30,7 @@ from .protocol import (
 )
 
 _TERMINAL = (Phase.DONE, Phase.ABORTED)
+MAX_DELIVERIES = 1_000_000  # a pump that delivers more frames than this has looped
 
 
 @dataclass(frozen=True)
@@ -78,7 +79,6 @@ class InProcessPump:
         *,
         drop_probability: float = 0.0,
         drop_seed: int = 0,
-        max_deliveries: int = 1_000_000,
     ):
         if not 0.0 <= drop_probability < 1.0:
             raise ValueError("drop probability must be in [0, 1)")
@@ -86,7 +86,6 @@ class InProcessPump:
         self.bob = bob
         self.drop_probability = drop_probability
         self._drop_rng = np.random.default_rng(drop_seed)
-        self.max_deliveries = max_deliveries
         self.transcript: list[TranscriptEntry] = []
         self._pending: deque[tuple[str, bytes]] = deque()
 
@@ -103,14 +102,14 @@ class InProcessPump:
                 self._pending.append((sender.role, data))
 
     def run(self) -> list[TranscriptEntry]:
-        self._send(self.alice, self.alice.step(LocalTimer(0.0)))
+        self._send(self.alice, self.alice.start())
         injected = False
         timed_out = False
         deliveries = 0
         while True:
             if self._pending:
                 deliveries += 1
-                if deliveries > self.max_deliveries:
+                if deliveries > MAX_DELIVERIES:
                     raise RuntimeError("frame delivery budget exhausted")
                 sender_role, data = self._pending.popleft()
                 receiver = self.bob if sender_role == "alice" else self.alice
@@ -169,9 +168,9 @@ def read_frame_bytes(sock: socket.socket, deadline: float) -> bytes | None:
     return header + rest
 
 
-def run_socket_session(session, sock: socket.socket, *, timeout_s: float | None = None) -> list[TranscriptEntry]:
+def run_socket_session(session, sock: socket.socket) -> list[TranscriptEntry]:
     """Drive one session over a connected TCP socket until it terminates."""
-    timeout_s = timeout_s if timeout_s is not None else session.options.timeout_s
+    timeout_s = session.options.timeout_s
     deadline = time.monotonic() + timeout_s
     other = "bob" if session.role == "alice" else "alice"
     transcript: list[TranscriptEntry] = []

@@ -41,9 +41,10 @@ def test_tank_session_with_low_qber_hint_completes():
 
 
 def test_tracer_sees_every_chunk_of_the_quantum_phase():
-    """The quantum phase calls the source and detection once per chunk, at
-    the harness names the tracer wraps; a loop holding the library's own
-    functions would leave these counts at 0."""
+    """The quantum phase calls the source and detection once per chunk, and
+    each endpoint sizes its key through estimate_bounds, secure_key_rate and
+    toeplitz_hash, all at the module names the tracer wraps; code holding the
+    library's own functions would leave these counts short."""
     tracer, capture = Tracer(), EndpointCapture()
     tracer.session = 0
     with capture.installed(), tracer.installed():
@@ -53,3 +54,5 @@ def test_tracer_sees_every_chunk_of_the_quantum_phase():
     assert totals["source.pulses"] == record.n_pulses
     assert totals["detection.slots"] == record.n_pulses
     assert totals["detection.clicks"] == record.clicks
+    assert sum(span.name == "analysis" and span.session == 0 for span in tracer.spans) == 4
+    assert totals["postprocess.toeplitz_out_bits"] == 2 * record.final_key_bits

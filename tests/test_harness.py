@@ -80,8 +80,8 @@ def test_config_from_dict_wires_every_section(base_cfg):
     assert cfg.channel.attenuation_coefficient == 0.05
     assert cfg.channel.length_m == 10.0
     assert cfg.receiver.optics_loss_db == 0.5
-    # detector efficiency comes from the receiver section, not a separate knob
-    assert cfg.detector.detector_efficiency == 0.9
+    # detector efficiency lives in the receiver section only
+    assert cfg.receiver.detector_efficiency == 0.9
     assert cfg.detector.dark_count_prob_per_gate == 1e-5
     assert cfg.misalignment_deg == 8.0
     # defaults fill in whatever the dict left out
@@ -288,6 +288,31 @@ def test_quantum_phase_pinned(changes, digest, clicks, multi, discarded, match):
     assert h.hexdigest() == digest
     assert (res.n_clicks, res.n_multi_clicks, res.discarded_doubles) == (clicks, multi, discarded)
     assert repr(res.basis_match_fraction) == match
+
+
+@pytest.mark.parametrize(
+    "changes, digest",
+    [
+        (None, "7f8e2edec426eab7ff24dcf66ce949cbab83a374a44a9e1fa65b4c08c80e3048"),
+        ({}, "1f5eeb4852750a348ad8fefd01d30c4efb8367435026f03e99edc8c10f5679af"),
+        ({"n_pulses": 1000}, "e8463c812e4eccb75706576044a9a72345271d3766b8a79e369b40d5b55edd1a"),
+        ({"n_pulses": 1000, "misalignment_deg": 30.0},
+         "e825d04c26b4719df27595f25fad82687dedde28d84596c01c4b8a8c660a3fa1"),
+        ({"n_pulses": 1200}, "19d4e1d9740e5d4d8080819ec80d71818634c559989472f4a647b6639083577f"),
+        ({"n_pulses": 2000}, "962e702a852983d0a179d36fadeea33ebbcd1a563993c907dfdab5cd9bbe38b4"),
+    ],
+    ids=["tank", "reconciled", "cascade-skipped", "cascade-skipped-no-rate", "capped-to-zero", "capped"],
+)
+def test_report_pinned(changes, digest):
+    """The whole report, timing aside, along every key-sizing path: the tank
+    link, and the short link reconciled, with Cascade skipped for too few
+    bits (once with a rate clamped to zero, which keeps no key without the
+    insufficient_key_bits flag), reconciled but capped to no key, and capped
+    to a short key."""
+    cfg = _tank_variant() if changes is None else config_from_dict({**base_dict(), **changes})
+    report = run_experiment(cfg).to_dict()
+    del report["duration_s"]
+    assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
 
 
 # ---------------------------------------------------------------------------

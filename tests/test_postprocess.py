@@ -211,45 +211,41 @@ def test_pa_seed_validation():
         PASeed(bits=np.full(139, 2, dtype=np.uint8), input_length=100, output_length=40)
 
 
-def _report(r_per_pulse=None, n_pulses=10**7):
+def _rate():
     stats = DecoyStatistics(q_mu=1.48e-2, e_mu=0.0121, q_nu=1.89e-3, e_nu=0.0181, y0=0.0)
     bounds = SinglePhotonBounds(y1_lower=4.84e-3 / (0.8 * math.exp(-0.8)),
                                 q1=4.84e-3, e1_upper=0.0118)
-    return secure_key_rate(stats, bounds, n_pulses=n_pulses)
+    return secure_key_rate(stats, bounds).r_per_pulse
 
 
 def test_final_key_length_from_rate():
-    decision = final_key_length(10**6, _report())
+    decision = final_key_length(10**7, _rate(), 10**6, 0)
     assert decision.length == 13856  # floor(1e7 * 1.38569655e-3)
     assert not decision.capped
-    assert not decision.no_key
 
 
 def test_final_key_length_cap():
-    decision = final_key_length(100, _report(), leaked_bits=50, disclosed_bits=20)
+    # 100 sifted bits less a 20-bit disclosed sample leave an 80-bit key
+    decision = final_key_length(10**7, _rate(), 80, 50)
     assert decision.length == 30
     assert decision.capped
-    assert not decision.no_key
-    starved = final_key_length(40, _report(), leaked_bits=50, disclosed_bits=20)
+    starved = final_key_length(10**7, _rate(), 20, 50)
     assert starved.length == 0
-    assert starved.no_key
+    assert starved.capped
 
 
 def test_final_key_length_zero_rate():
     stats = DecoyStatistics(q_mu=1e-2, e_mu=0.11, q_nu=1.3e-3, e_nu=0.11, y0=0.0)
-    dead = secure_key_rate(stats, SinglePhotonBounds(0.0, 0.0, 0.5), n_pulses=10**7)
-    decision = final_key_length(10**6, dead)
+    dead = secure_key_rate(stats, SinglePhotonBounds(0.0, 0.0, 0.5))
+    decision = final_key_length(10**7, dead.r_per_pulse, 10**6, 0)
     assert decision.length == 0
-    assert decision.no_key
+    assert not decision.capped
 
 
 def test_final_key_length_validation():
     with pytest.raises(ValueError):
-        final_key_length(-1, _report())
+        final_key_length(10**7, _rate(), -1, 0)
     with pytest.raises(ValueError):
-        final_key_length(10, _report(), leaked_bits=-2)
-    no_pulses = secure_key_rate(
-        DecoyStatistics(q_mu=1.48e-2, e_mu=0.0121, q_nu=1.89e-3, e_nu=0.0181, y0=0.0)
-    )
+        final_key_length(10**7, _rate(), 10, -2)
     with pytest.raises(ValueError):
-        final_key_length(10, no_pulses)
+        final_key_length(-1, _rate(), 10, 0)

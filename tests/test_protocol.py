@@ -199,7 +199,7 @@ def pump(alice, bob, *, drop=None, mangle=None):
     queues = {"alice": [], "bob": []}  # frames waiting FOR that role
     counters = {"alice": 0, "bob": 0}
     quantum_injected = False
-    for f in alice.step(LocalTimer(0.0)):
+    for f in alice.start():
         if (("alice", counters["alice"]) not in (drop or set())):
             queues["bob"].append(encode_frame(f))
         counters["alice"] += 1
@@ -315,7 +315,7 @@ def test_session_sequence_gap_aborts():
 
 def test_corrupted_frame_is_counted_and_dropped():
     alice, bob = make_sessions()
-    hello = encode_frame(alice.step(LocalTimer(0.0))[0])
+    hello = encode_frame(alice.start()[0])
     bad = bytearray(hello)
     bad[9] ^= 0x01
     out = bob.step(IncomingFrame(bytes(bad)))
