@@ -42,7 +42,7 @@ print("\npost-processing")
 print(f"  sampled QBER      {rec['qber_sample']:.4f} over {rec['n_sampled']} bits")
 print(f"  corrections       {rec['corrections']}")
 print(f"  leaked bits       {rec['leaked_bits']} "
-      f"({rec['parity_bits']} parity + 64 verification)")
+      f"({rec['parity_bits']} parity + {rec['leaked_bits'] - rec['parity_bits']} digest)")
 print(f"  residual check    {rec['residual_check']}")
 
 key = report.key

@@ -8,9 +8,12 @@ The CRC-32 (standard reflected 0x04C11DB7, as in zlib) covers every byte
 before it. Sequence numbers count from 0 independently per direction; a gap
 means the transport lost a frame and the session aborts.
 
-Message flow after the SYNC_HELLO handshake (config digests must match):
+Message flow (the quantum phase is over before either endpoint exists):
 
-    Bob   BASIS_REVEAL      clicked slot indices + measurement bases
+    Alice SYNC_HELLO        config digest and slot count
+    Bob   SYNC_HELLO        his reply; the digests must match
+    Bob   BASIS_REVEAL      clicked slot indices + measurement bases, in the
+                            same step as his reply
     Alice SIFT_ACK          which of those slots had matching bases
     Alice INTENSITY_REVEAL  class of every clicked slot + per-class totals
     Alice QBER_SAMPLE(0)    sample/cascade seeds and the sample fraction
@@ -252,7 +255,6 @@ def decode_payload(frame_type: FrameType, payload: bytes) -> tuple:
 
 class Phase(Enum):
     IDLE = "idle"
-    QUANTUM = "quantum"
     SIFTING = "sifting"
     ESTIMATION = "estimation"
     RECONCILIATION = "reconciliation"
@@ -278,13 +280,8 @@ class IncomingFrame:
 
 
 @dataclass(frozen=True)
-class LocalTimer:
-    now_s: float
-
-
-@dataclass(frozen=True)
-class QuantumBatchDone:
-    pass
+class Timeout:
+    """The driver gave up waiting for the peer; the session aborts."""
 
 
 @dataclass(frozen=True)
@@ -437,13 +434,9 @@ class _Session:
         """Advance the machine; returns frames to transmit."""
         if self.phase in (Phase.DONE, Phase.ABORTED):
             return []
-        if isinstance(event, LocalTimer):
-            return self._on_timer(event.now_s)
-        if isinstance(event, QuantumBatchDone):
-            if self.phase is not Phase.QUANTUM:
-                self.error_counters["phase_violation"] += 1
-                return self._abort(AbortReason.PHASE_VIOLATION, "quantum batch outside quantum phase")
-            return self._on_quantum_done()
+        if isinstance(event, Timeout):
+            self.error_counters["timeout"] += 1
+            return self._abort(AbortReason.TIMEOUT, "no progress before timeout")
         if isinstance(event, IncomingFrame):
             try:
                 frame = decode_frame(event.data)
@@ -481,12 +474,6 @@ class _Session:
                 # a payload that is not its layout, or with indices out of range
                 return self._abort(AbortReason.INTERNAL, f"malformed payload: {exc}")
         raise TypeError(f"unknown event {event!r}")
-
-    def _on_timer(self, now_s: float) -> list[Frame]:
-        if now_s > self.options.timeout_s:
-            self.error_counters["timeout"] += 1
-            return self._abort(AbortReason.TIMEOUT, "no progress before timeout")
-        return []
 
     def _violation(self, frame: Frame) -> list[Frame]:
         self.error_counters["phase_violation"] += 1
@@ -664,14 +651,10 @@ class AliceSession(_Session):
         self._hello_sent = True
         return [self._emit(FrameType.SYNC_HELLO, 0, self.config_digest, self.n_slots)]
 
-    def _on_quantum_done(self) -> list[Frame]:
-        self.phase = Phase.SIFTING
-        return []
-
     def _handle_hello_ack(self, role: int, digest: bytes, n_slots: int) -> list[Frame]:
         if role != 1 or digest != self.config_digest or n_slots != self.n_slots:
             return self._abort(AbortReason.CONFIG_MISMATCH, "peer configuration digest differs")
-        self.phase = Phase.QUANTUM
+        self.phase = Phase.SIFTING
         return []
 
     def _handle_basis_reveal(self, slots: np.ndarray, bases: np.ndarray) -> list[Frame]:
@@ -771,19 +754,18 @@ class BobSession(_Session):
         self._clicked_slots = np.flatnonzero(view.clicked).astype(np.int64)
         self._matched_positions = np.zeros(0, dtype=np.int64)  # into clicked list
 
-    def _on_quantum_done(self) -> list[Frame]:
-        self.phase = Phase.SIFTING
-        slots = self._clicked_slots
-        self.n_clicked = len(slots)
-        return [self._emit(FrameType.BASIS_REVEAL, slots, self.view.basis[slots])]
-
     def _handle_hello(self, role: int, digest: bytes, n_slots: int) -> list[Frame]:
         if role != 0:
             return self._abort(AbortReason.PHASE_VIOLATION, "unexpected hello role")
         if digest != self.config_digest or n_slots != self.n_slots:
             return self._abort(AbortReason.CONFIG_MISMATCH, "peer configuration digest differs")
-        self.phase = Phase.QUANTUM
-        return [self._emit(FrameType.SYNC_HELLO, 1, self.config_digest, self.n_slots)]
+        self.phase = Phase.SIFTING
+        slots = self._clicked_slots
+        self.n_clicked = len(slots)
+        return [
+            self._emit(FrameType.SYNC_HELLO, 1, self.config_digest, self.n_slots),
+            self._emit(FrameType.BASIS_REVEAL, slots, self.view.basis[slots]),
+        ]
 
     def _handle_sift_ack(self, matched_slots: np.ndarray) -> list[Frame]:
         positions = np.searchsorted(self._clicked_slots, matched_slots)

@@ -3,11 +3,13 @@
 Two interchangeable carriers: an in-process queue pump (deterministic, used
 by the single-process harness and tests) and a length-delimited TCP stream.
 Both deliver whole encoded frames to `Session.step(IncomingFrame(...))` and
-record a transcript of every frame that crosses, in order.
+record a transcript of every frame that crosses, in order; for the same
+seeds the two transcripts are byte-equal.
 
-The in-process pump can drop frames with a seeded probability to exercise the
-abort paths; the TCP carrier never reorders or drops (TCP guarantees), so
-loss there shows up as a timeout.
+A session only ever sees frames and, when its driver gives up waiting, one
+`Timeout`. The in-process pump can drop frames with a seeded probability to
+exercise the abort paths; the TCP carrier never reorders or drops (TCP
+guarantees), so loss there shows up as a timeout.
 """
 
 from __future__ import annotations
@@ -20,14 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import (
-    Frame,
-    IncomingFrame,
-    LocalTimer,
-    Phase,
-    QuantumBatchDone,
-    encode_frame,
-)
+from .protocol import Frame, IncomingFrame, Phase, Timeout, encode_frame
 
 _TERMINAL = (Phase.DONE, Phase.ABORTED)
 MAX_DELIVERIES = 1_000_000  # a pump that delivers more frames than this has looped
@@ -66,10 +61,8 @@ class InProcessPump:
     """Run both sessions to completion over an in-memory FIFO.
 
     Delivery order is deterministic: frames are delivered strictly in the
-    order they were emitted, one at a time. The quantum batch is injected
-    once, transmitter first, as soon as both machines reach the quantum
-    phase. A stall (nothing in flight, neither machine terminal) fires one
-    timeout timer on both machines.
+    order they were emitted, one at a time. A stall (nothing in flight, a
+    machine not terminal) times out both machines, transmitter first.
     """
 
     def __init__(
@@ -103,38 +96,19 @@ class InProcessPump:
 
     def run(self) -> list[TranscriptEntry]:
         self._send(self.alice, self.alice.start())
-        injected = False
-        timed_out = False
         deliveries = 0
-        while True:
-            if self._pending:
-                deliveries += 1
-                if deliveries > MAX_DELIVERIES:
-                    raise RuntimeError("frame delivery budget exhausted")
-                sender_role, data = self._pending.popleft()
-                receiver = self.bob if sender_role == "alice" else self.alice
-                if receiver.phase in _TERMINAL:
-                    continue
+        while self._pending or not (self.alice.phase in _TERMINAL and self.bob.phase in _TERMINAL):
+            if not self._pending:  # a stall; a timed-out machine is terminal
+                self._send(self.alice, self.alice.step(Timeout()))
+                self._send(self.bob, self.bob.step(Timeout()))
+                continue
+            deliveries += 1
+            if deliveries > MAX_DELIVERIES:
+                raise RuntimeError("frame delivery budget exhausted")
+            sender_role, data = self._pending.popleft()
+            receiver = self.bob if sender_role == "alice" else self.alice
+            if receiver.phase not in _TERMINAL:
                 self._send(receiver, receiver.step(IncomingFrame(data)))
-                continue
-            if (
-                not injected
-                and self.alice.phase is Phase.QUANTUM
-                and self.bob.phase is Phase.QUANTUM
-            ):
-                injected = True
-                self._send(self.alice, self.alice.step(QuantumBatchDone()))
-                self._send(self.bob, self.bob.step(QuantumBatchDone()))
-                continue
-            if self.alice.phase in _TERMINAL and self.bob.phase in _TERMINAL:
-                break
-            if not timed_out:
-                timed_out = True
-                late = LocalTimer(max(self.alice.options.timeout_s, self.bob.options.timeout_s) + 1.0)
-                self._send(self.alice, self.alice.step(late))
-                self._send(self.bob, self.bob.step(late))
-                continue
-            break  # both timers fired and a machine still is not terminal
         return self.transcript
 
 
@@ -169,40 +143,37 @@ def read_frame_bytes(sock: socket.socket, deadline: float) -> bytes | None:
 
 
 def run_socket_session(session, sock: socket.socket) -> list[TranscriptEntry]:
-    """Drive one session over a connected TCP socket until it terminates."""
-    timeout_s = session.options.timeout_s
-    deadline = time.monotonic() + timeout_s
+    """Drive one session over a connected TCP socket until it terminates.
+
+    The deadline, a closed or reset connection and a failed send all end a
+    session that is still running the same way: one `Timeout`, whose ABORT
+    notice goes out if the peer is still there to take it."""
+    deadline = time.monotonic() + session.options.timeout_s
     other = "bob" if session.role == "alice" else "alice"
     transcript: list[TranscriptEntry] = []
-    injected = False
 
-    def ship(frames: list[Frame]) -> None:
+    def ship(frames: list[Frame]) -> bool:
+        """Send the frames in order; False once the peer is gone."""
         for frame in frames:
             data = encode_frame(frame)
             transcript.append(TranscriptEntry(f"{session.role}->{other}", data))
-            sock.sendall(data)
-
-    def maybe_inject() -> None:
-        nonlocal injected
-        if not injected and session.phase is Phase.QUANTUM:
-            injected = True
-            ship(session.step(QuantumBatchDone()))
+            try:
+                sock.sendall(data)
+            except OSError:
+                return False
+        return True
 
     sock.settimeout(0.2)
-    start = time.monotonic()
-    if session.role == "alice":
-        ship(session.start())
-    maybe_inject()
-    while session.phase not in _TERMINAL:
+    connected = ship(session.start()) if session.role == "alice" else True
+    while connected and session.phase not in _TERMINAL:
         try:
             data = read_frame_bytes(sock, deadline)
-        except (TimeoutError, ConnectionError, OSError):
-            ship(session.step(LocalTimer(start + 2 * timeout_s)))
-            break
+        except OSError:  # the deadline (TimeoutError), a reset, a close mid-frame
+            data = None
         if data is None:
-            ship(session.step(LocalTimer(start + 2 * timeout_s)))
             break
         transcript.append(TranscriptEntry(f"{other}->{session.role}", data))
-        ship(session.step(IncomingFrame(data)))
-        maybe_inject()
+        connected = ship(session.step(IncomingFrame(data)))
+    if session.phase not in _TERMINAL:
+        ship(session.step(Timeout()))
     return transcript

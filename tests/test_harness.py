@@ -14,9 +14,12 @@ import numpy as np
 import pytest
 
 from uwqkd import (
+    AliceSession,
+    BobSession,
     ConfigError,
     ExperimentConfig,
     InProcessPump,
+    Phase,
     RunReport,
     StateClass,
     TranscriptEntry,
@@ -38,7 +41,8 @@ from uwqkd import (
 )
 from uwqkd.cli import EXIT_ABORT, EXIT_OK, EXIT_VALIDATION, main
 from uwqkd.harness import connect, serve
-from uwqkd.transport import read_frame_bytes
+from uwqkd.protocol import AbortReason
+from uwqkd.transport import read_frame_bytes, run_socket_session
 
 CONFIGS = Path(__file__).resolve().parents[1] / "configs"
 
@@ -474,16 +478,16 @@ def _strip_runtime(report: RunReport) -> dict:
     return d
 
 
-def test_socket_session_matches_in_process(base_cfg, base_report):
+def test_socket_session_matches_in_process(base_cfg, base_report, tmp_path):
     port = _free_port()
     results = {}
 
     def server():
-        results["bob"] = serve(base_cfg, "127.0.0.1", port)
+        results["bob"] = serve(base_cfg, "127.0.0.1", port, transcript_path=tmp_path / "bob.jsonl")
 
     thread = threading.Thread(target=server, daemon=True)
     thread.start()
-    results["alice"] = connect(base_cfg, "127.0.0.1", port)
+    results["alice"] = connect(base_cfg, "127.0.0.1", port, transcript_path=tmp_path / "alice.jsonl")
     thread.join(timeout=60)
     assert not thread.is_alive()
     alice, bob = results["alice"], results["bob"]
@@ -492,6 +496,27 @@ def test_socket_session_matches_in_process(base_cfg, base_report):
     assert _strip_runtime(alice) == _strip_runtime(bob)
     assert _strip_runtime(alice) == _strip_runtime(base_report)
     assert alice.key["sha256"] == bob.key["sha256"]
+    # and each endpoint logged the queue transport's frames, in the same order
+    run_experiment(base_cfg, transcript_path=tmp_path / "pump.jsonl")
+    in_process = load_transcript(tmp_path / "pump.jsonl")
+    assert load_transcript(tmp_path / "alice.jsonl") == in_process
+    assert load_transcript(tmp_path / "bob.jsonl") == in_process
+
+
+def test_socket_session_with_vanished_peer_times_out(base_cfg):
+    # Alice's hello and Bob's ABORT notice both go to a closed socket
+    quantum = simulate_quantum_phase(base_cfg)
+    digest = base_cfg.digest()
+    for session in (
+        AliceSession(quantum.alice_view, base_cfg.protocol, digest, np.random.default_rng(0)),
+        BobSession(quantum.bob_view, base_cfg.protocol, digest),
+    ):
+        ours, theirs = socket.socketpair()
+        theirs.close()
+        with ours:
+            run_socket_session(session, ours)
+        assert session.phase is Phase.ABORTED, session.role
+        assert session.abort_reason is AbortReason.TIMEOUT, session.role
 
 
 def test_connect_without_listener_fails():

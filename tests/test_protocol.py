@@ -19,10 +19,9 @@ from uwqkd.protocol import (
     FrameTruncatedError,
     FrameType,
     IncomingFrame,
-    LocalTimer,
     Phase,
     ProtocolOptions,
-    QuantumBatchDone,
+    Timeout,
     UnknownFrameTypeError,
     decode_frame,
     decode_payload,
@@ -198,13 +197,13 @@ def pump(alice, bob, *, drop=None, mangle=None):
     """
     queues = {"alice": [], "bob": []}  # frames waiting FOR that role
     counters = {"alice": 0, "bob": 0}
-    quantum_injected = False
     for f in alice.start():
         if (("alice", counters["alice"]) not in (drop or set())):
             queues["bob"].append(encode_frame(f))
         counters["alice"] += 1
     for _ in range(100_000):
-        progressed = False
+        if not queues["alice"] and not queues["bob"]:
+            break
         for role, session, peer in (("bob", bob, "alice"), ("alice", alice, "bob")):
             if not queues[role]:
                 continue
@@ -217,19 +216,6 @@ def pump(alice, bob, *, drop=None, mangle=None):
                 if ((sender, counters[sender]) not in (drop or set())):
                     queues[peer].append(encode_frame(f))
                 counters[sender] += 1
-            progressed = True
-        if (not quantum_injected and alice.phase is Phase.QUANTUM
-                and bob.phase is Phase.QUANTUM):
-            for f in alice.step(QuantumBatchDone()):
-                queues["bob"].append(encode_frame(f))
-                counters["alice"] += 1
-            for f in bob.step(QuantumBatchDone()):
-                queues["alice"].append(encode_frame(f))
-                counters["bob"] += 1
-            quantum_injected = True
-            progressed = True
-        if not progressed and not queues["alice"] and not queues["bob"]:
-            break
     return alice, bob
 
 
@@ -322,10 +308,11 @@ def test_corrupted_frame_is_counted_and_dropped():
     assert out == []
     assert bob.error_counters["crc"] == 1
     assert bob.phase is Phase.IDLE  # state unchanged
-    # the pristine frame still goes through afterwards
+    # the pristine frame still goes through afterwards: his reply, then his bases
     out = bob.step(IncomingFrame(hello))
-    assert len(out) == 1
-    assert bob.phase is Phase.QUANTUM
+    assert [f.frame_type for f in out] == [FrameType.SYNC_HELLO, FrameType.BASIS_REVEAL]
+    assert [f.sequence for f in out] == [0, 1]
+    assert bob.phase is Phase.SIFTING
 
 
 def test_truncated_and_unknown_frames_counted():
@@ -350,19 +337,20 @@ def test_out_of_phase_frame_aborts():
 
 def test_timeout_aborts():
     _, bob = make_sessions()
-    assert bob.step(LocalTimer(1.0)) == []
-    out = bob.step(LocalTimer(100.0))
+    out = bob.step(Timeout())
     assert bob.phase is Phase.ABORTED
     assert bob.abort_reason is AbortReason.TIMEOUT
     assert bob.error_counters["timeout"] == 1
     assert out and out[0].frame_type is FrameType.ABORT
 
 
-def test_quantum_done_outside_quantum_phase():
-    alice, _ = make_sessions()
-    alice.step(QuantumBatchDone())
+def test_dropped_hello_reply_is_a_sequence_gap():
+    # Bob's bases (his frame 1) reach an Alice still waiting for his reply
+    alice, bob = pump(*make_sessions(), drop={("bob", 0)})
     assert alice.phase is Phase.ABORTED
-    assert alice.abort_reason is AbortReason.PHASE_VIOLATION
+    assert alice.abort_reason is AbortReason.SEQUENCE_GAP
+    assert bob.phase is Phase.ABORTED
+    assert bob.abort_reason is AbortReason.PEER_ABORT
 
 
 def test_short_key_skips_reconciliation():
@@ -516,7 +504,7 @@ def test_terminal_sessions_ignore_events():
     alice, bob = make_sessions()
     pump(alice, bob)
     assert alice.phase is Phase.DONE
-    assert alice.step(LocalTimer(10_000.0)) == []
+    assert alice.step(Timeout()) == []
     assert alice.step(IncomingFrame(b"junk")) == []
 
 
