@@ -19,7 +19,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import optimize
 
 from .channel import ReceiverLoss, loss_db, transmittance
 from .detection import expected_gain, expected_qber
@@ -321,6 +320,8 @@ def calibrate(
     refinement; if the best fit still misses an anchor by more than the
     threshold the result is returned with ok=False (never silently).
     """
+    from scipy import optimize  # imported here so that `import uwqkd` does not load scipy
+
     if len(anchors) < 2:
         raise ValueError("calibration needs at least two anchors")
 

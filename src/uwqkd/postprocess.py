@@ -11,7 +11,13 @@ round of as many fresh passes, block sizes again from the first pass's, and
 then a second digest; only a second mismatch fails the reconciliation.
 
 Privacy amplification is a Toeplitz-matrix hash over GF(2) with
-T[i][j] = seed[i - j + n - 1], applied via an integer convolution.
+T[i][j] = seed[i - j + n - 1]. Its m output bits are the window
+conv(seed, key)[n-1 : n-1+m] of an integer convolution, taken mod 2. The
+window is read off a float64 FFT product of power-of-two length
+L >= n + m - 1 (wrap-around reaches only indices <= n - 2, outside it), in
+O(L log L) rather than O(n·m). Each value is rounded to the nearest integer;
+if any lies 0.25 or more from it, the float result is not trusted and the
+window is recomputed exactly with an integer convolution.
 """
 
 from __future__ import annotations
@@ -360,7 +366,11 @@ def generate_pa_seed(input_length: int, output_length: int, rng: np.random.Gener
 def toeplitz_hash(key_bits: np.ndarray, seed: PASeed) -> np.ndarray:
     """GF(2) product T @ key for T[i][j] = seed[i - j + n - 1].
 
-    Computed as one integer convolution: out[i] = conv(seed, key)[i + n - 1] mod 2.
+    out[i] = conv(seed, key)[i + n - 1] mod 2, for the m outputs only: read
+    from a circular FFT convolution of length L >= n + m - 1 and rounded. If
+    any rounded value is 0.25 or more away from the float one, the window is
+    recomputed exactly by np.convolve(..., mode="valid"), which returns just
+    those m values.
     """
     key = np.asarray(key_bits, dtype=np.uint8)
     if key.ndim != 1 or len(key) != seed.input_length:
@@ -368,10 +378,13 @@ def toeplitz_hash(key_bits: np.ndarray, seed: PASeed) -> np.ndarray:
     n, m = seed.input_length, seed.output_length
     if m == 0:
         return np.zeros(0, dtype=np.uint8)
-    if n == 0:
-        return np.zeros(m, dtype=np.uint8)
-    conv = np.convolve(seed.bits.astype(np.int64), key.astype(np.int64))
-    return (conv[n - 1 : n - 1 + m] & 1).astype(np.uint8)
+    size = 1 << (n + m - 2).bit_length()  # smallest power of two >= n + m - 1
+    spectrum = np.fft.rfft(seed.bits, size) * np.fft.rfft(key, size)
+    window = np.fft.irfft(spectrum, size)[n - 1 : n - 1 + m]
+    exact = np.rint(window)
+    if np.max(np.abs(window - exact)) >= 0.25:
+        exact = np.convolve(seed.bits.astype(np.int64), key.astype(np.int64), mode="valid")
+    return (exact.astype(np.int64) & 1).astype(np.uint8)
 
 
 @dataclass(frozen=True)

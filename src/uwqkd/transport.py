@@ -145,10 +145,12 @@ def read_frame_bytes(sock: socket.socket, deadline: float) -> bytes | None:
 def run_socket_session(session, sock: socket.socket) -> list[TranscriptEntry]:
     """Drive one session over a connected TCP socket until it terminates.
 
-    The deadline, a closed or reset connection and a failed send all end a
-    session that is still running the same way: one `Timeout`, whose ABORT
-    notice goes out if the peer is still there to take it."""
-    deadline = time.monotonic() + session.options.timeout_s
+    The deadline is re-armed each time the session starts waiting for a
+    frame, so `timeout_s` bounds a stall, not the session, as in
+    `InProcessPump`. A missed deadline, a closed or reset connection and a
+    failed send all end a session that is still running the same way: one
+    `Timeout`, whose ABORT notice goes out if the peer is still there to take
+    it."""
     other = "bob" if session.role == "alice" else "alice"
     transcript: list[TranscriptEntry] = []
 
@@ -167,7 +169,7 @@ def run_socket_session(session, sock: socket.socket) -> list[TranscriptEntry]:
     connected = ship(session.start()) if session.role == "alice" else True
     while connected and session.phase not in _TERMINAL:
         try:
-            data = read_frame_bytes(sock, deadline)
+            data = read_frame_bytes(sock, time.monotonic() + session.options.timeout_s)
         except OSError:  # the deadline (TimeoutError), a reset, a close mid-frame
             data = None
         if data is None:

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -280,3 +284,16 @@ def test_anchor_validation():
         Anchor(30.0, "q_sigma", 0.1)
     with pytest.raises(ValueError):
         Anchor(-1.0, "q_mu", 0.1)
+
+
+def test_import_does_not_load_scipy():
+    # scipy serves calibrate() alone; sessions, demos and the CLI start without it
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    probe = "import sys, uwqkd; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    proc = subprocess.run(
+        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert proc.returncode == 0, proc.stderr[-2000:]
+    assert proc.stdout.strip() == "[]"

@@ -519,6 +519,52 @@ def test_socket_session_with_vanished_peer_times_out(base_cfg):
         assert session.abort_reason is AbortReason.TIMEOUT, session.role
 
 
+@pytest.mark.parametrize("role", ["alice", "bob"])
+def test_socket_session_times_out_on_a_stall_not_on_its_length(role):
+    # A peer replays a clean in-process transcript and pauses 0.1 s before
+    # every tenth of its frames: each gap is a quarter of timeout_s, the whole
+    # session more than twice timeout_s. Only a stall may time a session out.
+    data = base_dict()
+    data["protocol"] = {"timeout_s": 0.4}
+    cfg = config_from_dict(data)
+    quantum = simulate_quantum_phase(cfg)
+    digest = cfg.digest()
+
+    def make_session(which):
+        if which == "alice":
+            return AliceSession(quantum.alice_view, cfg.protocol, digest, np.random.default_rng(0))
+        return BobSession(quantum.bob_view, cfg.protocol, digest)
+
+    recorded = InProcessPump(make_session("alice"), make_session("bob")).run()
+    peer_frames = [e.data for e in recorded if not e.direction.startswith(role)]
+    assert 0.1 * len(peer_frames[::10]) > 2 * cfg.protocol.timeout_s
+    session = make_session(role)
+    ours, theirs = socket.socketpair()
+    seen = []
+
+    def replay_peer():
+        theirs.settimeout(0.2)
+        sent = 0
+        for entry in recorded:
+            if entry.direction.startswith(role):
+                seen.append(read_frame_bytes(theirs, time.monotonic() + 10.0))
+                continue
+            if sent % 10 == 0:
+                time.sleep(0.1)
+            theirs.sendall(entry.data)
+            sent += 1
+
+    peer = threading.Thread(target=replay_peer, daemon=True)
+    with ours, theirs:
+        peer.start()
+        transcript = run_socket_session(session, ours)
+        peer.join(timeout=30)
+    assert not peer.is_alive()
+    assert session.phase is Phase.DONE, session.abort_reason
+    assert transcript == recorded
+    assert seen == [e.data for e in recorded if e.direction.startswith(role)]
+
+
 def test_connect_without_listener_fails():
     data = base_dict()
     data["protocol"] = {"timeout_s": 0.3}

@@ -249,3 +249,58 @@ def test_final_key_length_validation():
         final_key_length(10**7, _rate(), 10, -2)
     with pytest.raises(ValueError):
         final_key_length(-1, _rate(), 10, 0)
+
+
+def _full_convolution_hash(key, seed):
+    """The direct O(n·m) reference: the whole integer convolution, windowed."""
+    n, m = seed.input_length, seed.output_length
+    conv = np.convolve(seed.bits.astype(np.int64), key.astype(np.int64))
+    return (conv[n - 1 : n - 1 + m] & 1).astype(np.uint8)
+
+
+def _pa_inputs(n, m, all_ones, rng):
+    if all_ones:  # every window value is n, the largest the FFT has to round
+        return np.ones(n, dtype=np.uint8), PASeed(np.ones(n + m - 1, dtype=np.uint8), n, m)
+    return rng.integers(0, 2, size=n, dtype=np.uint8), generate_pa_seed(n, m, rng)
+
+
+@pytest.mark.parametrize("all_ones", [False, True], ids=["random", "all-ones"])
+@pytest.mark.parametrize(
+    "n, m", [(1, 1), (2, 1), (7, 7), (64, 64), (1000, 999), (5921, 2901), (40_000, 22_000)]
+)
+def test_toeplitz_fft_matches_full_convolution(n, m, all_ones):
+    key, seed = _pa_inputs(n, m, all_ones, np.random.default_rng([n, m]))
+    out = toeplitz_hash(key, seed)
+    assert out.dtype == np.uint8
+    assert np.array_equal(out, _full_convolution_hash(key, seed))
+
+
+@pytest.mark.parametrize("all_ones", [False, True], ids=["random", "all-ones"])
+def test_toeplitz_fft_exact_rows_at_300k(all_ones):
+    n, m = 300_000, 150_000
+    rng = np.random.default_rng(300)
+    key, seed = _pa_inputs(n, m, all_ones, rng)
+    out = toeplitz_hash(key, seed)
+    seed_bits, key_bits = seed.bits.astype(np.int64), key.astype(np.int64)
+    for i in rng.choice(m, size=256, replace=False):
+        row = seed_bits[i : i + n][::-1]  # T[i][j] = seed[i - j + n - 1]
+        assert out[i] == int(row @ key_bits) & 1, i
+
+
+@pytest.mark.parametrize("offset", [0.3, 0.7])
+def test_toeplitz_falls_back_to_exact_convolution(monkeypatch, offset):
+    # an offset of 0.3 rounds back to the right integer, 0.7 to the wrong one;
+    # both are 0.3 from the nearest integer, so both must take the exact path
+    key, seed = _pa_inputs(3000, 1700, False, np.random.default_rng(17))
+    expected = _full_convolution_hash(key, seed)
+    irfft, convolve = np.fft.irfft, np.convolve
+    exact_calls = []
+
+    def spy_convolve(*args, **kwargs):
+        exact_calls.append(kwargs.get("mode"))
+        return convolve(*args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "irfft", lambda *a, **k: irfft(*a, **k) + offset)
+    monkeypatch.setattr(np, "convolve", spy_convolve)
+    assert np.array_equal(toeplitz_hash(key, seed), expected)
+    assert exact_calls == ["valid"]
