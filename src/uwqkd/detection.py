@@ -9,10 +9,22 @@ sin(theta)^2; when bases differ each photon picks a detector 50/50. Each
 detector also fires on its own (a dark count) once per gate with a fixed
 probability.
 
-At a lossy link few slots click, so detection draws its binomials only where
-photons are. The draw order is that of a dense draw over every slot, and a
-binomial draw with zero trials consumes no randomness, so equal seeds give the
-same stream and the same batch either way.
+Detection draws no photon numbers. A Poisson(mean) pulse thinned by eta and
+split so that each survivor reaches the bit-1 detector with probability p1
+leaves independent Poisson(eta*mean*(1 - p1)) and Poisson(eta*mean*p1) photon
+counts at the two detectors (Poisson splitting). Detector d therefore fires,
+from light or from a dark count, with probability
+
+    P_d = 1 - (1 - p_dark) * exp(-eta * mean * p_d)
+
+independently of the other detector, where p_d is the slot's probability of
+routing a photon to d. This is the same distribution as drawing each slot's
+photon number, its survivors, their routing and two dark counts.
+
+At a lossy link almost every slot stays dark, so the fired slots of each
+detector are drawn by geometric skip-ahead: candidate slots at the largest
+P_d any slot can have, each kept with probability P_d / p_max. The cost of
+the draws follows the clicks, not the slots.
 """
 
 from __future__ import annotations
@@ -86,32 +98,54 @@ def _wrong_detector_prob(matched: np.ndarray, alice_bit: np.ndarray, theta: floa
     return np.where(matched, p_one, 0.5)
 
 
+def _bernoulli_slots(p: float, m: int, rng: np.random.Generator) -> np.ndarray:
+    """Ascending positions in [0, m), each one in independently with
+    probability p, by geometric skip-ahead. Draws nothing when p is 0."""
+    if p <= 0.0:
+        return np.zeros(0, dtype=np.int64)
+    blocks = []
+    last = -1
+    while True:
+        expected = (m - 1 - last) * p
+        gaps = rng.geometric(p, size=int(expected + 4.0 * math.sqrt(expected) + 16))
+        # a gap of m or more ends the train whatever its length; capping it
+        # keeps the running sum in range
+        positions = last + np.cumsum(np.minimum(gaps, m))
+        if positions[-1] >= m:
+            blocks.append(positions[positions < m])
+            return np.concatenate(blocks)
+        blocks.append(positions)
+        last = int(positions[-1])
+
+
 def simulate_detection(
+    kind: np.ndarray,
     alice_basis: np.ndarray,
     alice_bit: np.ndarray,
-    photon_count: np.ndarray,
     bob_basis: np.ndarray,
+    class_means: np.ndarray,
     channel_eta: float,
     cfg: DetectorConfig,
     misalignment_theta: float,
     rng: np.random.Generator,
 ) -> DetectionBatch:
-    """Slot-by-slot detection, drawn only where it can change the outcome.
+    """Gated detection of a batch of slots, drawn only where detectors fire.
 
+    kind indexes class_means, the mean photon number per StateClass value.
     channel_eta is the end-to-end transmittance INCLUDING detector efficiency.
-    Draw order per chunk of 2^20 slots: survivors, bit-1 routing, dark counts
-    on detector 0 then 1, then double-click coins. Fixed so a given rng seed
-    reproduces the batch exactly.
 
-    The survivor draw runs only at slots that hold photons, and the routing
-    draw only at slots with survivors. A binomial draw with zero trials
-    returns 0 without consuming randomness, so skipping the other slots
-    leaves the stream, and every later draw, as a dense draw over all slots
-    would. Dark uniforms and coins are drawn for every slot.
+    Each detector fires at a slot with probability
+    P_d = 1 - (1 - p_dark) * exp(-eta * mean * p_d) (see the module
+    docstring), independently of the other. Draw order per chunk of 2^20
+    slots, for detector 0 and then detector 1: the geometric gaps between
+    candidate slots at p_max, the largest P_d of any slot, then one uniform
+    per candidate, kept if below P_d / p_max. Then, under RANDOM_BIT, one
+    coin per slot where both fired. Fixed so a given rng seed reproduces
+    the batch exactly; with p_max 0 nothing is drawn.
     """
     if not 0.0 <= channel_eta <= 1.0:
         raise ValueError("transmittance must be in [0, 1]")
-    n = len(photon_count)
+    n = len(kind)
     if not (len(alice_basis) == len(alice_bit) == len(bob_basis) == n):
         raise ValueError("input columns must have equal length")
     clicked = np.zeros(n, dtype=bool)
@@ -119,31 +153,33 @@ def simulate_detection(
     multi = np.zeros(n, dtype=bool)
     discarded = 0
     p_dark = cfg.dark_count_prob_per_gate
+    means = np.asarray(class_means, dtype=float)
+    sin2 = math.sin(misalignment_theta) ** 2
+    # the brightest class routed to the likelier detector of a matched basis
+    x_max = channel_eta * means.max() * max(sin2, 1.0 - sin2)
+    p_max = p_dark - (1.0 - p_dark) * math.expm1(-x_max)
     for lo, hi in chunk_slices(n):
-        count = photon_count[lo:hi]
-        lit = np.flatnonzero(count > 0)
-        survivors = rng.binomial(count[lit], channel_eta)
-        hit = lit[survivors > 0]
-        survivors = survivors[survivors > 0]
-        matched = alice_basis[lo:hi][hit] == bob_basis[lo:hi][hit]
-        p_one = _wrong_detector_prob(matched, alice_bit[lo:hi][hit], misalignment_theta)
-        n_one = rng.binomial(survivors, p_one)
-        fire0 = rng.random(hi - lo) < p_dark
-        fire1 = rng.random(hi - lo) < p_dark
-        coin = rng.integers(0, 2, size=hi - lo, dtype=np.uint8)
-        fire0[hit[n_one < survivors]] = True
-        fire1[hit[n_one > 0]] = True
-        fired = np.flatnonzero(fire0 | fire1)
-        one = fire1[fired]
-        both = fire0[fired] & one
-        fired_bit = np.where(both, coin[fired], one)
+        fired = []
+        for detector in (0, 1):
+            slots = lo + _bernoulli_slots(p_max, hi - lo, rng)
+            matched = alice_basis[slots] == bob_basis[slots]
+            p_route = _wrong_detector_prob(matched, alice_bit[slots], misalignment_theta)
+            if detector == 0:
+                p_route = 1.0 - p_route
+            p_fire = p_dark - (1.0 - p_dark) * np.expm1(-channel_eta * means[kind[slots]] * p_route)
+            fired.append(slots[rng.random(len(slots)) < p_fire / p_max])
+        fire0, fire1 = fired
+        both = np.intersect1d(fire0, fire1, assume_unique=True)
+        clicked[fire0] = True
+        clicked[fire1] = True
+        bit[fire1] = 1
         if cfg.double_click_policy is DoubleClickPolicy.DISCARD:
-            discarded += int(np.count_nonzero(both))
-            fired, fired_bit = fired[~both], fired_bit[~both]
+            discarded += len(both)
+            clicked[both] = False
+            bit[both] = 0
         else:
-            multi[lo:hi][fired[both]] = True
-        clicked[lo:hi][fired] = True
-        bit[lo:hi][fired] = fired_bit
+            multi[both] = True
+            bit[both] = rng.integers(0, 2, size=len(both), dtype=np.uint8)
     return DetectionBatch(
         basis=np.asarray(bob_basis, dtype=np.uint8),
         clicked=clicked,

@@ -252,10 +252,17 @@ class QuantumPhaseResult:
 def simulate_quantum_phase(cfg: ExperimentConfig) -> QuantumPhaseResult:
     """Deterministic quantum phase from the three role seeds.
 
-    One loop over the 2^20-slot chunks: each chunk's pulses, Bob's bases and
-    detection are drawn in turn, each from its own role's stream, and written
-    into the full-length view columns. Every stream draws chunk by chunk, so
-    the views are the same as drawing each stream over all slots at once.
+    One loop over the 2^20-slot chunks: each chunk's pulses (Alice's stream:
+    one 4-bit word per slot), Bob's bases (Bob's stream: one draw per slot)
+    and detection (the channel stream) are drawn in turn and written into the
+    full-length view columns. Every stream draws chunk by chunk, so the views
+    are the same as drawing each stream over all slots at once.
+
+    No photon number is drawn. By Poisson splitting each detector fires
+    independently with a probability set by the slot's class mean, its basis
+    match and Alice's bit, so the channel stream draws only the slots where a
+    detector fires (see `detection.simulate_detection`) and its cost follows
+    the clicks, not the slots.
     """
     n = cfg.n_pulses
     alice_rng, bob_rng, channel_rng = (
@@ -263,14 +270,14 @@ def simulate_quantum_phase(cfg: ExperimentConfig) -> QuantumPhaseResult:
     )
     alice_view = AliceView(*(np.empty(n, dtype=np.uint8) for _ in range(3)))
     bob_view = BobView(np.empty(n, np.uint8), np.empty(n, bool), np.empty(n, np.uint8))
-    eta = cfg.eta
+    eta, class_means = cfg.eta, cfg.source.class_means
     n_matched = n_multi = discarded = 0
     for lo, hi in chunk_slices(n):
         train = generate_pulse_train(cfg.source, hi - lo, alice_rng)
         alice_basis, alice_bit = train.basis, train.key_bit
         bob_basis = bob_rng.integers(0, 2, size=hi - lo, dtype=np.uint8)
         batch = simulate_detection(
-            alice_basis, alice_bit, train.photon_count, bob_basis,
+            train.kind, alice_basis, alice_bit, bob_basis, class_means,
             eta, cfg.detector, cfg.misalignment_rad, channel_rng,
         )
         alice_view.kind[lo:hi] = train.kind

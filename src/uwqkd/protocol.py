@@ -92,6 +92,10 @@ class UnknownFrameTypeError(FrameDecodeError):
     pass
 
 
+class PayloadTooLargeError(ValueError):
+    """A frame payload longer than the 3-byte length field can carry."""
+
+
 @dataclass(frozen=True)
 class Frame:
     frame_type: FrameType
@@ -102,7 +106,7 @@ class Frame:
         if not 0 <= self.sequence <= 0xFFFFFFFF:
             raise ValueError("sequence must fit in 32 bits")
         if len(self.payload) > MAX_PAYLOAD:
-            raise ValueError("payload exceeds 2^24 - 1 bytes")
+            raise PayloadTooLargeError("payload exceeds 2^24 - 1 bytes")
 
 
 def encode_frame(frame: Frame) -> bytes:
@@ -466,13 +470,20 @@ class _Session:
             handler = self._HANDLERS.get((frame.frame_type, self.phase))
             if handler is None:
                 return self._violation(frame)
+            sent = self.next_send_seq
             try:
                 return handler(self, *decode_payload(frame.frame_type, frame.payload))
             except ReconciliationFailed as exc:
-                return self._abort(AbortReason.INTERNAL, f"reconciliation broke down: {exc}")
+                problem = f"reconciliation broke down: {exc}"
             except (FrameDecodeError, IndexError) as exc:
                 # a payload that is not its layout, or with indices out of range
-                return self._abort(AbortReason.INTERNAL, f"malformed payload: {exc}")
+                problem = f"malformed payload: {exc}"
+            except PayloadTooLargeError as exc:
+                # a reply this session cannot put on the wire
+                problem = f"reply too large: {exc}"
+            # frames the handler built before it raised are never sent
+            self.next_send_seq = sent
+            return self._abort(AbortReason.INTERNAL, problem)
         raise TypeError(f"unknown event {event!r}")
 
     def _violation(self, frame: Frame) -> list[Frame]:

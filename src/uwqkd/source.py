@@ -8,7 +8,11 @@ intensity class and polarization are chosen by a uniform 4-bit random word:
 
 b0 is the most significant bit of the word, so signal:decoy:vacuum occur in
 an exact 8:4:4 = 2:1:1 ratio and the four states are equiprobable. Photon
-number per pulse is Poisson with the class mean.
+number per pulse is Poisson with the class mean (`SourceConfig.class_means`).
+No slot's photon number is drawn here: a Poisson pulse thinned by the channel
+and split between two detectors leaves independent Poisson counts at each
+detector, so `detection.simulate_detection` draws the clicks from the class
+means directly.
 """
 
 from __future__ import annotations
@@ -66,17 +70,16 @@ WORD_CLASS = np.array([StateClass.VACUUM] * 4 + [StateClass.DECOY] * 4 + [StateC
 class PulseTrain:
     """A generated batch of pulses, one column entry per slot.
 
-    The columns are the only per-slot API: kind, polarization and
-    photon_count are stored; key_bit and basis derive from polarization.
+    The columns are the only per-slot API: kind and polarization are
+    stored; key_bit and basis derive from polarization. A slot's mean photon
+    number is `SourceConfig.class_means[kind]`.
     """
 
     kind: np.ndarray          # uint8, StateClass values
     polarization: np.ndarray  # uint8, Polarization values
-    photon_count: np.ndarray  # int32
 
     def __post_init__(self) -> None:
-        n = len(self.kind)
-        if not (len(self.polarization) == len(self.photon_count) == n):
+        if len(self.polarization) != len(self.kind):
             raise ValueError("column lengths differ")
 
     def __len__(self) -> int:
@@ -109,9 +112,10 @@ def generate_pulse_train(
 ) -> PulseTrain:
     """Generate `count` slots of pulses.
 
-    Draw order is fixed (per chunk of 2^20 slots: words, then photon counts
-    for each class in StateClass order) so equal seeds give bit-identical
-    trains regardless of batch size.
+    Draw order is fixed, per chunk of 2^20 slots: one 4-bit word per slot on
+    the canonical mix; otherwise one class draw per slot, then one
+    polarization draw per slot. Equal seeds give bit-identical trains
+    regardless of batch size.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
@@ -120,13 +124,11 @@ def generate_pulse_train(
     canonical_mix = cfg.class_probabilities == (0.5, 0.25, 0.25)
     kind = np.empty(count, dtype=np.uint8)
     pol = np.empty(count, dtype=np.uint8)
-    photons = np.zeros(count, dtype=np.int32)
-    means = cfg.class_means
     for lo, hi in chunk_slices(count):
         m = hi - lo
         if canonical_mix:
             words = rng.integers(0, 16, size=m, dtype=np.uint8)
-            kind[lo:hi] = WORD_CLASS[words]
+            kind[lo:hi] = np.take(WORD_CLASS, words)
             pol[lo:hi] = words & 0x3
         else:
             # signal, decoy, vacuum -> StateClass 2, 1, 0
@@ -134,10 +136,4 @@ def generate_pulse_train(
                 np.array([2, 1, 0], dtype=np.uint8), size=m, p=cfg.class_probabilities
             )
             pol[lo:hi] = rng.integers(0, 4, size=m, dtype=np.uint8)
-        for variant in (StateClass.VACUUM, StateClass.DECOY, StateClass.SIGNAL):
-            mean = means[variant]
-            if mean == 0.0:
-                continue
-            slots = lo + np.flatnonzero(kind[lo:hi] == variant)
-            photons[slots] = rng.poisson(mean, size=len(slots))
-    return PulseTrain(kind=kind, polarization=pol, photon_count=photons)
+    return PulseTrain(kind=kind, polarization=pol)

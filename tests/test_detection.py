@@ -13,7 +13,7 @@ from uwqkd.detection import (
     expected_qber,
     simulate_detection,
 )
-from uwqkd.source import SourceConfig, chunk_slices, generate_pulse_train
+from uwqkd.source import SourceConfig, StateClass, generate_pulse_train
 
 
 def _batch(n, seed, *, eta, p_dark=0.0, theta=0.0, policy=DoubleClickPolicy.RANDOM_BIT,
@@ -25,7 +25,7 @@ def _batch(n, seed, *, eta, p_dark=0.0, theta=0.0, policy=DoubleClickPolicy.RAND
     det = DetectorConfig(dark_count_prob_per_gate=p_dark, double_click_policy=policy)
     rng = np.random.default_rng(seed + 2)
     batch = simulate_detection(
-        train.basis, train.key_bit, train.photon_count, bob_basis,
+        train.kind, train.basis, train.key_bit, bob_basis, cfg.class_means,
         channel_eta=eta, cfg=det, misalignment_theta=theta, rng=rng,
     )
     return train, bob_basis, batch
@@ -172,62 +172,76 @@ def test_batch_columns_consistent():
 
 
 def test_perfect_channel_reproduces_key_bits():
-    train, bob_basis, batch = _batch(4096, seed=2, eta=1.0)
-    lit = (train.basis == bob_basis) & (train.photon_count > 0)
+    # mu = 40: a signal pulse is empty with probability e^-40, so at eta = 1
+    # every matched signal slot is lit and reads Alice's bit
+    train, bob_basis, batch = _batch(4096, seed=2, eta=1.0, mu=40.0)
+    lit = (train.basis == bob_basis) & (train.kind == StateClass.SIGNAL)
     assert lit.any()
     assert batch.clicked[lit].all()
     assert np.array_equal(batch.bit[lit], train.key_bit[lit])
+    # no darks and no misalignment: a vacuum slot never clicks, and a
+    # matched slot never fires the wrong detector
+    matched = (train.basis == bob_basis) & batch.clicked
+    assert not batch.clicked[train.kind == StateClass.VACUUM].any()
+    assert not batch.multi_click[matched].any()
+    assert np.array_equal(batch.bit[matched], train.key_bit[matched])
 
 
 def test_simulate_detection_validation():
     z = np.zeros(4, dtype=np.uint8)
     with pytest.raises(ValueError):
-        simulate_detection(z, z, z.astype(np.int64), z, 1.5, DetectorConfig(), 0.0,
-                           np.random.default_rng(0))
+        simulate_detection(z, z, z, z, MEANS, 1.5, DetectorConfig(), 0.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        simulate_detection(z[:2], z, z.astype(np.int64), z, 0.5, DetectorConfig(), 0.0,
-                           np.random.default_rng(0))
+        simulate_detection(z[:2], z, z, z, MEANS, 0.5, DetectorConfig(), 0.0, np.random.default_rng(0))
 
 
-def _dense_detection(alice_basis, alice_bit, photon_count, bob_basis, eta, cfg, theta, rng):
-    """Oracle: every draw over every slot, in the documented order."""
-    n = len(photon_count)
-    clicked = np.empty(n, dtype=bool)
-    bit = np.zeros(n, dtype=np.uint8)
-    multi = np.zeros(n, dtype=bool)
+def test_dark_free_empty_channel_draws_nothing():
+    """With no light and no darks no slot can fire: nothing is drawn."""
+    n = 1 << 20
+    z = np.zeros(n, dtype=np.uint8)
+    kind = np.full(n, StateClass.SIGNAL, dtype=np.uint8)
+    rng = np.random.default_rng(65)
+    before = rng.bit_generator.state
+    batch = simulate_detection(kind, z, z, z, MEANS, 0.0, DetectorConfig(), 0.1, rng)
+    assert rng.bit_generator.state == before
+    assert not batch.clicked.any()
+
+
+def _dense_detection(kind, alice_basis, alice_bit, bob_basis, class_means, eta, cfg, theta, rng):
+    """Oracle: per slot, a Poisson photon number, binomial survivors, their
+    binomial routing to the bit-1 detector, two dark counts and a coin."""
+    n = len(kind)
+    photons = rng.poisson(np.asarray(class_means)[kind])
+    survivors = rng.binomial(photons, eta)
+    matched = alice_basis == bob_basis
+    n_one = rng.binomial(survivors, _wrong_detector_prob(matched, alice_bit, theta))
+    fire0 = (survivors - n_one > 0) | (rng.random(n) < cfg.dark_count_prob_per_gate)
+    fire1 = (n_one > 0) | (rng.random(n) < cfg.dark_count_prob_per_gate)
+    coin = rng.integers(0, 2, size=n, dtype=np.uint8)
+    both = fire0 & fire1
+    clicked = fire0 | fire1
+    bit = np.where(both, coin, fire1).astype(np.uint8)
+    multi = both.copy()
     discarded = 0
-    p_dark = cfg.dark_count_prob_per_gate
-    for lo, hi in chunk_slices(n):
-        survivors = rng.binomial(photon_count[lo:hi].astype(np.int64), eta)
-        matched = alice_basis[lo:hi] == bob_basis[lo:hi]
-        n_one = rng.binomial(survivors, _wrong_detector_prob(matched, alice_bit[lo:hi], theta))
-        fire0 = (survivors - n_one > 0) | (rng.random(hi - lo) < p_dark)
-        fire1 = (n_one > 0) | (rng.random(hi - lo) < p_dark)
-        coin = rng.integers(0, 2, size=hi - lo, dtype=np.uint8)
-        both = fire0 & fire1
-        chunk_clicked = fire0 | fire1
-        chunk_bit = np.where(fire0 ^ fire1, fire1.astype(np.uint8), coin)
-        if cfg.double_click_policy is DoubleClickPolicy.RANDOM_BIT:
-            chunk_multi = both
-        else:
-            discarded += int(both.sum())
-            chunk_clicked = chunk_clicked & ~both
-            chunk_multi = np.zeros_like(both)
-        clicked[lo:hi] = chunk_clicked
-        bit[lo:hi] = np.where(chunk_clicked, chunk_bit, 0)
-        multi[lo:hi] = chunk_multi
+    if cfg.double_click_policy is DoubleClickPolicy.DISCARD:
+        discarded = int(both.sum())
+        clicked &= ~both
+        multi[:] = False
+    bit[~clicked] = 0
     return DetectionBatch(np.asarray(bob_basis, dtype=np.uint8), clicked, bit, multi, discarded)
 
 
 ORACLE_SLOTS = (1 << 20) + 4096  # crosses a chunk boundary
+BRIGHT = SourceConfig(mu=5.0, rng_seed=61)
+MEANS = BRIGHT.class_means
 
 
 @pytest.fixture(scope="module")
 def bright_slots():
     """mu = 5 so photon counts above 1 are common; vacuum slots stay empty."""
-    train = generate_pulse_train(SourceConfig(mu=5.0, rng_seed=61), ORACLE_SLOTS)
+    train = generate_pulse_train(BRIGHT, ORACLE_SLOTS)
     bob_basis = np.random.default_rng(62).integers(0, 2, size=ORACLE_SLOTS, dtype=np.uint8)
-    return train.basis, train.key_bit, train.photon_count, bob_basis
+    return train.kind, train.basis, train.key_bit, bob_basis
 
 
 def _assert_same_batch(a, b):
@@ -237,28 +251,66 @@ def _assert_same_batch(a, b):
     assert a.discarded_doubles == b.discarded_doubles
 
 
+def _assert_poisson_splitting(batch, slots, eta, p_dark, theta, policy):
+    """det0-only, det1-only and double-click counts per (class, basis match,
+    Alice bit) group within 4 sigma of the closed form P0(1-P1), (1-P0)P1 and
+    P0*P1, where P_d = 1 - (1 - p_dark) exp(-eta * mean * p_d). One count is
+    added to each bound of a possible outcome: some groups expect far below
+    one double click, where a normal bound is too tight. Under DISCARD the
+    doubles are checked as one total."""
+    kind, alice_basis, alice_bit, bob_basis = slots
+    group = (kind.astype(np.int64) * 2 + (alice_basis == bob_basis)) * 2 + alice_bit
+    # outcome 0: det0 only, 1: det1 only, 2: double, 3: no click
+    outcome = np.where(batch.multi_click, 2, np.where(batch.clicked, batch.bit, 3))
+    counts = np.bincount(group * 4 + outcome, minlength=48).reshape(12, 4)
+    sin2 = math.sin(theta) ** 2
+    expected_doubles = variance_doubles = 0.0
+    for cls in StateClass:
+        for match in (0, 1):
+            for a_bit in (0, 1):
+                row = counts[(cls * 2 + match) * 2 + a_bit]
+                n = int(row.sum())
+                p_one = (1.0 - sin2 if a_bit else sin2) if match else 0.5
+                x = eta * MEANS[cls]
+                p0 = 1.0 - (1.0 - p_dark) * math.exp(-x * (1.0 - p_one))
+                p1 = 1.0 - (1.0 - p_dark) * math.exp(-x * p_one)
+                expected_doubles += n * p0 * p1
+                variance_doubles += n * p0 * p1 * (1 - p0 * p1)
+                probs = [p0 * (1 - p1), (1 - p0) * p1]
+                if policy is DoubleClickPolicy.RANDOM_BIT:
+                    probs.append(p0 * p1)
+                for count, p in zip(row, probs):
+                    bound = 4.0 * math.sqrt(n * p * (1.0 - p)) + (1.0 if p > 0.0 else 0.0)
+                    assert abs(count - n * p) <= bound, (cls.name, match, a_bit, count, n * p)
+    if policy is DoubleClickPolicy.DISCARD:
+        assert not batch.multi_click.any()
+        bound = 4.0 * math.sqrt(variance_doubles) + (1.0 if expected_doubles > 0.0 else 0.0)
+        assert abs(batch.discarded_doubles - expected_doubles) <= bound
+
+
 @pytest.mark.parametrize("policy", list(DoubleClickPolicy))
 @pytest.mark.parametrize("theta", [0.0, 0.12])
 @pytest.mark.parametrize("p_dark", [0.0, 1e-3])
 @pytest.mark.parametrize("eta", [0.0, 7.4e-3, 0.9, 1.0])
 def test_sparse_detection_matches_dense_oracle(bright_slots, eta, p_dark, theta, policy):
-    """Zero-trial binomial draws consume no randomness, so drawing only at
-    lit slots leaves every outcome and the stream as the dense draw does."""
+    """The sampler and a dense photon-by-photon oracle both give each
+    outcome at the rate Poisson splitting predicts, group by group."""
     cfg = DetectorConfig(dark_count_prob_per_gate=p_dark, double_click_policy=policy)
-    sparse_rng, dense_rng = np.random.default_rng(63), np.random.default_rng(63)
-    sparse = simulate_detection(*bright_slots, eta, cfg, theta, sparse_rng)
-    _assert_same_batch(sparse, _dense_detection(*bright_slots, eta, cfg, theta, dense_rng))
-    assert sparse_rng.random() == dense_rng.random()
+    sparse = simulate_detection(*bright_slots, MEANS, eta, cfg, theta,
+                                np.random.default_rng(63))
+    dense = _dense_detection(*bright_slots, MEANS, eta, cfg, theta, np.random.default_rng(66))
+    for batch in (sparse, dense):
+        _assert_poisson_splitting(batch, bright_slots, eta, p_dark, theta, policy)
 
 
 @pytest.mark.parametrize("policy", list(DoubleClickPolicy))
 def test_detection_per_chunk_calls_match_one_call(bright_slots, policy):
     """The quantum phase calls detection once per chunk on one stream."""
     cfg = DetectorConfig(dark_count_prob_per_gate=1e-3, double_click_policy=policy)
-    whole = simulate_detection(*bright_slots, 0.9, cfg, 0.12, np.random.default_rng(64))
+    whole = simulate_detection(*bright_slots, MEANS, 0.9, cfg, 0.12, np.random.default_rng(64))
     rng = np.random.default_rng(64)
     parts = [
-        simulate_detection(*(c[lo:hi] for c in bright_slots), 0.9, cfg, 0.12, rng)
+        simulate_detection(*(c[lo:hi] for c in bright_slots), MEANS, 0.9, cfg, 0.12, rng)
         for lo, hi in ((0, 1 << 20), (1 << 20, ORACLE_SLOTS))
     ]
     joined = DetectionBatch(

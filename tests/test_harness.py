@@ -41,6 +41,7 @@ from uwqkd import (
 )
 from uwqkd.cli import EXIT_ABORT, EXIT_OK, EXIT_VALIDATION, main
 from uwqkd.harness import connect, serve
+from uwqkd import protocol
 from uwqkd.protocol import AbortReason
 from uwqkd.transport import read_frame_bytes, run_socket_session
 
@@ -266,19 +267,19 @@ def _tank_variant(**changes) -> ExperimentConfig:
 @pytest.mark.parametrize(
     "changes, digest, clicks, multi, discarded, match",
     [
-        ({}, "f656ca71d5b2591ce616d04fa5eed23c0765d944717bdc57e4a81bd96f543d51",
-         12673, 11, 0, "0.500011"),
+        ({}, "cb50b67782e68b863c31635149b4ff26ab3d8bd51c7c0e53f4d381c1abe7f901",
+         12600, 9, 0, "0.49994275"),
         ({"detector__double_click_policy": "discard", "detector__dark_count_prob_per_gate": 2e-3,
           "n_pulses": 1_500_000},
-         "13f5d739df661d77fadbf8a06b76d95726ad71b503f3c77bb1e12b1394774ee3",
-         10565, 0, 22, "0.5004253333333334"),
+         "6be64fd5bd0907742313438befafbd9aaf1506d2ccc727140bbe6f3dcdce23b7",
+         10708, 0, 22, "0.5005926666666667"),
         ({"source__class_probabilities": [0.6, 0.3, 0.1], "n_pulses": (1 << 20) + 4096},
-         "eacc34ce3957d668fcfe969d18c2a85ecf907715723e63fbf32370eba7feb04c",
-         4023, 3, 0, "0.5007827699416343"),
+         "5903b586c20800d94c136f6bcd36a0e7e0381c3471d67ef43c548e19e9fc5aa4",
+         4012, 4, 0, "0.5007846698686771"),
     ],
     ids=["tank", "discard-dark", "direct-mix-past-chunk"],
 )
-def test_quantum_phase_pinned(changes, digest, clicks, multi, discarded, match):
+def test_quantum_phase_pinned(changes, digest, clicks, multi, discarded, match, request):
     """Every view column and counter of the tank link and two variants:
     the default mix, a dark discard link, and the direct-sampling mix over
     more than one chunk. Equal seeds must keep giving these bytes."""
@@ -292,22 +293,24 @@ def test_quantum_phase_pinned(changes, digest, clicks, multi, discarded, match):
     assert h.hexdigest() == digest
     assert (res.n_clicks, res.n_multi_clicks, res.discarded_doubles) == (clicks, multi, discarded)
     assert repr(res.basis_match_fraction) == match
+    if request.node.callspec.id == "discard-dark":  # still takes the discard path
+        assert res.discarded_doubles > 0 and res.n_multi_clicks == 0
 
 
 @pytest.mark.parametrize(
     "changes, digest",
     [
-        (None, "7f8e2edec426eab7ff24dcf66ce949cbab83a374a44a9e1fa65b4c08c80e3048"),
-        ({}, "1f5eeb4852750a348ad8fefd01d30c4efb8367435026f03e99edc8c10f5679af"),
-        ({"n_pulses": 1000}, "e8463c812e4eccb75706576044a9a72345271d3766b8a79e369b40d5b55edd1a"),
-        ({"n_pulses": 1000, "misalignment_deg": 30.0},
-         "e825d04c26b4719df27595f25fad82687dedde28d84596c01c4b8a8c660a3fa1"),
-        ({"n_pulses": 1200}, "19d4e1d9740e5d4d8080819ec80d71818634c559989472f4a647b6639083577f"),
-        ({"n_pulses": 2000}, "962e702a852983d0a179d36fadeea33ebbcd1a563993c907dfdab5cd9bbe38b4"),
+        (None, "7413204280244e96e0bc6f1c126cac0f08fdd6c07f044a5e7448de4f5d2043fd"),
+        ({}, "38d87371d74237abcfcb71c72350397ab82e6fccef9dc234a43930ed5d5039e7"),
+        ({"n_pulses": 900}, "7f3012f202124eb1b8496cba4c65ef7658261d97df865909773ed87260c8dbed"),
+        ({"n_pulses": 900, "misalignment_deg": 30.0},
+         "aca0dec01e2d7488d8860523fbeddd41133705bd23d37b280cee672dc66bd1eb"),
+        ({"n_pulses": 1200}, "44224aef6d473205ceae9a87ad5f6a571cf982334ca2ad15557af615ec6deb2e"),
+        ({"n_pulses": 1900}, "991295f95531b1b7b7647baeaad83cfed489e6826fe7f42b3dfe013d64557979"),
     ],
     ids=["tank", "reconciled", "cascade-skipped", "cascade-skipped-no-rate", "capped-to-zero", "capped"],
 )
-def test_report_pinned(changes, digest):
+def test_report_pinned(changes, digest, request):
     """The whole report, timing aside, along every key-sizing path: the tank
     link, and the short link reconciled, with Cascade skipped for too few
     bits (once with a rate clamped to zero, which keeps no key without the
@@ -317,6 +320,19 @@ def test_report_pinned(changes, digest):
     report = run_experiment(cfg).to_dict()
     del report["duration_s"]
     assert hashlib.sha256(json.dumps(report, sort_keys=True).encode()).hexdigest() == digest
+    # each case still takes the path its id names
+    key, flags = report["key"], report["flags"]
+    skipped = report["reconciliation"]["residual_check"] is None
+    path = {
+        "tank": not skipped and key["length"] > 0,
+        "reconciled": not skipped and key["length"] > 0 and not key["capped"],
+        "cascade-skipped": skipped and key["no_key"] and "insufficient_key_bits" in flags,
+        "cascade-skipped-no-rate": skipped and key["no_key"] and "rate_clamped_to_zero" in flags
+        and "insufficient_key_bits" not in flags,
+        "capped-to-zero": not skipped and key["capped"] and key["no_key"] and key["length"] == 0,
+        "capped": not skipped and key["capped"] and key["length"] > 0,
+    }
+    assert path[request.node.callspec.id]
 
 
 # ---------------------------------------------------------------------------
@@ -386,7 +402,7 @@ def test_transcript_written_and_replayable(tmp_path, base_cfg, base_report):
         decode_frame(e.data)
     # the wire bytes of the whole session, in transcript order
     assert hashlib.sha256(b"".join(e.data for e in entries)).hexdigest() == (
-        "4bbca7c5ef44222012345191e1d742d97269ef09ff703f8b5e7182c05febf614"
+        "ef2f8f52f81f172fc5248fd66eb1743ee54d2138ae5ff014f704a69782b31e60"
     )
     # save/load is lossless
     copy_path = tmp_path / "copy.jsonl"
@@ -424,6 +440,23 @@ def test_class_never_emitted_aborts_cleanly():
     assert report.abort["reason"] == "INTERNAL"
     assert "VACUUM" in report.abort["message"]
     assert report.key["length"] == 0 and report.key["no_key"]
+
+
+def test_oversized_reply_aborts_instead_of_raising(monkeypatch, base_cfg):
+    # With a 4096-byte payload limit, Bob's clicked-slot list cannot be sent:
+    # Bob aborts with INTERNAL, and Alice learns it from his ABORT frame.
+    monkeypatch.setattr(protocol, "MAX_PAYLOAD", 4096)
+    quantum = simulate_quantum_phase(base_cfg)
+    digest = base_cfg.digest()
+    alice = AliceSession(quantum.alice_view, base_cfg.protocol, digest, np.random.default_rng(0))
+    bob = BobSession(quantum.bob_view, base_cfg.protocol, digest)
+    InProcessPump(alice, bob).run()
+    assert bob.phase is Phase.ABORTED
+    assert bob.abort_reason is AbortReason.INTERNAL
+    assert "too large" in bob.abort_message
+    assert alice.phase is Phase.ABORTED
+    assert alice.abort_reason is AbortReason.PEER_ABORT
+    assert not alice.final_key.size and not bob.final_key.size
 
 
 def test_drop_probability_recorded_in_transcript(tmp_path):
@@ -522,8 +555,9 @@ def test_socket_session_with_vanished_peer_times_out(base_cfg):
 @pytest.mark.parametrize("role", ["alice", "bob"])
 def test_socket_session_times_out_on_a_stall_not_on_its_length(role):
     # A peer replays a clean in-process transcript and pauses 0.1 s before
-    # every tenth of its frames: each gap is a quarter of timeout_s, the whole
-    # session more than twice timeout_s. Only a stall may time a session out.
+    # every `every`-th of its frames, at least ten times: each gap is a quarter
+    # of timeout_s, the whole session more than twice timeout_s. Only a stall
+    # may time a session out.
     data = base_dict()
     data["protocol"] = {"timeout_s": 0.4}
     cfg = config_from_dict(data)
@@ -537,7 +571,8 @@ def test_socket_session_times_out_on_a_stall_not_on_its_length(role):
 
     recorded = InProcessPump(make_session("alice"), make_session("bob")).run()
     peer_frames = [e.data for e in recorded if not e.direction.startswith(role)]
-    assert 0.1 * len(peer_frames[::10]) > 2 * cfg.protocol.timeout_s
+    every = max(1, len(peer_frames) // 10)  # at least ten pauses
+    assert 0.1 * len(peer_frames[::every]) > 2 * cfg.protocol.timeout_s
     session = make_session(role)
     ours, theirs = socket.socketpair()
     seen = []
@@ -549,7 +584,7 @@ def test_socket_session_times_out_on_a_stall_not_on_its_length(role):
             if entry.direction.startswith(role):
                 seen.append(read_frame_bytes(theirs, time.monotonic() + 10.0))
                 continue
-            if sent % 10 == 0:
+            if sent % every == 0:
                 time.sleep(0.1)
             theirs.sendall(entry.data)
             sent += 1
