@@ -39,9 +39,9 @@ from uwqkd import (
     tomography_report,
     validate_density_matrix,
 )
+from uwqkd import protocol
 from uwqkd.cli import EXIT_ABORT, EXIT_OK, EXIT_VALIDATION, main
 from uwqkd.harness import connect, serve
-from uwqkd import protocol
 from uwqkd.protocol import AbortReason
 from uwqkd.transport import read_frame_bytes, run_socket_session
 

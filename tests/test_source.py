@@ -94,7 +94,7 @@ def test_train_photon_statistics():
     )
     assert not batch.clicked[vac].any()
     # P(n >= 1 | mu = 0.8) = 1 - exp(-0.8)
-    assert batch.clicked[sig].mean() == pytest.approx(1.0 - math.exp(-0.8), abs=0.004)
+    assert batch.clicked[sig].mean() == pytest.approx(1.0 - math.exp(-0.8), abs=0.002)
     # both detectors fire with probability (1 - exp(-mu/2))^2
     unmatched_sig = sig & (train.basis != bob_basis)
     assert batch.multi_click[unmatched_sig].mean() == pytest.approx(
