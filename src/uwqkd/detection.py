@@ -22,9 +22,10 @@ routing a photon to d. This is the same distribution as drawing each slot's
 photon number, its survivors, their routing and two dark counts.
 
 At a lossy link almost every slot stays dark, so the fired slots of each
-detector are drawn by geometric skip-ahead: candidate slots at the largest
-P_d any slot can have, each kept with probability P_d / p_max. The cost of
-the draws follows the clicks, not the slots.
+detector are drawn sparsely: candidate slots, each in with p_max, the largest
+P_d any slot can have (a Binomial(slots, p_max) count of slots chosen
+uniformly), then each candidate kept with probability P_d / p_max. The cost
+of the draws follows the clicks, not the slots.
 """
 
 from __future__ import annotations
@@ -100,22 +101,12 @@ def _wrong_detector_prob(matched: np.ndarray, alice_bit: np.ndarray, theta: floa
 
 def _bernoulli_slots(p: float, m: int, rng: np.random.Generator) -> np.ndarray:
     """Ascending positions in [0, m), each one in independently with
-    probability p, by geometric skip-ahead. Draws nothing when p is 0."""
+    probability p: a Binomial(m, p) count of distinct slots chosen uniformly.
+    Draws nothing when p is 0."""
     if p <= 0.0:
         return np.zeros(0, dtype=np.int64)
-    blocks = []
-    last = -1
-    while True:
-        expected = (m - 1 - last) * p
-        gaps = rng.geometric(p, size=int(expected + 4.0 * math.sqrt(expected) + 16))
-        # a gap of m or more ends the train whatever its length; capping it
-        # keeps the running sum in range
-        positions = last + np.cumsum(np.minimum(gaps, m))
-        if positions[-1] >= m:
-            blocks.append(positions[positions < m])
-            return np.concatenate(blocks)
-        blocks.append(positions)
-        last = int(positions[-1])
+    k = rng.binomial(m, p)
+    return np.sort(rng.choice(m, size=k, replace=False, shuffle=False))
 
 
 def simulate_detection(
@@ -134,14 +125,12 @@ def simulate_detection(
     kind indexes class_means, the mean photon number per StateClass value.
     channel_eta is the end-to-end transmittance INCLUDING detector efficiency.
 
-    Each detector fires at a slot with probability
-    P_d = 1 - (1 - p_dark) * exp(-eta * mean * p_d) (see the module
-    docstring), independently of the other. Draw order per chunk of 2^20
-    slots, for detector 0 and then detector 1: the geometric gaps between
-    candidate slots at p_max, the largest P_d of any slot, then one uniform
-    per candidate, kept if below P_d / p_max. Then, under RANDOM_BIT, one
-    coin per slot where both fired. Fixed so a given rng seed reproduces
-    the batch exactly; with p_max 0 nothing is drawn.
+    The click model is in the module docstring. Draw order per chunk of
+    2^20 slots, for detector 0 and then detector 1: the binomial count of
+    candidate slots at p_max, the candidate slots, then one uniform per
+    candidate, kept if below P_d / p_max. Then, under RANDOM_BIT, one coin
+    per slot where both fired. Fixed so a given rng seed reproduces the
+    batch exactly; with p_max 0 nothing is drawn.
     """
     if not 0.0 <= channel_eta <= 1.0:
         raise ValueError("transmittance must be in [0, 1]")

@@ -258,11 +258,8 @@ def simulate_quantum_phase(cfg: ExperimentConfig) -> QuantumPhaseResult:
     full-length view columns. Every stream draws chunk by chunk, so the views
     are the same as drawing each stream over all slots at once.
 
-    No photon number is drawn. By Poisson splitting each detector fires
-    independently with a probability set by the slot's class mean, its basis
-    match and Alice's bit, so the channel stream draws only the slots where a
-    detector fires (see `detection.simulate_detection`) and its cost follows
-    the clicks, not the slots.
+    Clicks are drawn by `detection.simulate_detection`; see its module
+    docstring.
     """
     n = cfg.n_pulses
     alice_rng, bob_rng, channel_rng = (

@@ -8,11 +8,9 @@ intensity class and polarization are chosen by a uniform 4-bit random word:
 
 b0 is the most significant bit of the word, so signal:decoy:vacuum occur in
 an exact 8:4:4 = 2:1:1 ratio and the four states are equiprobable. Photon
-number per pulse is Poisson with the class mean (`SourceConfig.class_means`).
-No slot's photon number is drawn here: a Poisson pulse thinned by the channel
-and split between two detectors leaves independent Poisson counts at each
-detector, so `detection.simulate_detection` draws the clicks from the class
-means directly.
+number per pulse is Poisson with the class mean (`SourceConfig.class_means`);
+clicks are drawn from the class means by `detection.simulate_detection`, see
+its module docstring.
 """
 
 from __future__ import annotations
@@ -128,7 +126,7 @@ def generate_pulse_train(
         m = hi - lo
         if canonical_mix:
             words = rng.integers(0, 16, size=m, dtype=np.uint8)
-            kind[lo:hi] = np.take(WORD_CLASS, words)
+            kind[lo:hi] = WORD_CLASS[words]
             pol[lo:hi] = words & 0x3
         else:
             # signal, decoy, vacuum -> StateClass 2, 1, 0

@@ -29,12 +29,12 @@ def test_traced_patch_sites_resolve():
 
 
 def test_tank_session_with_low_qber_hint_completes():
-    """Tank session 839840170 samples 0 errors in 597 bits (hint 0.17%, true
-    rate about 1.8%); four passes of too-large blocks leave errors, and
+    """Tank session 1452123309 samples 6 errors in 607 bits (hint 1.15%, true
+    rate about 1.7%); four passes of too-large blocks leave errors, and
     Cascade's second round has to repair them for both endpoints to finish."""
     capture = EndpointCapture()
     with capture.installed():
-        record = run_session(WORKLOADS["tank"], 839840170, capture)
+        record = run_session(WORKLOADS["tank"], 1452123309, capture)
     assert record.ok, record.failure
     for endpoint in capture.endpoints.values():
         assert "reconciliation_retried" in endpoint.flags

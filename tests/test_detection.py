@@ -318,3 +318,20 @@ def test_detection_per_chunk_calls_match_one_call(bright_slots, policy):
         discarded_doubles=sum(p.discarded_doubles for p in parts),
     )
     _assert_same_batch(whole, joined)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_short_batches_click_at_the_dark_rate(n):
+    """At eta 0 every slot of a short batch, its last one too, clicks at the
+    empty-slot yield 1 - (1 - p_dark)^2."""
+    p_dark, calls = 1e-3, 10_000
+    cfg = DetectorConfig(dark_count_prob_per_gate=p_dark)
+    z = np.zeros(n, dtype=np.uint8)
+    kind = np.full(n, StateClass.SIGNAL, dtype=np.uint8)
+    rng = np.random.default_rng(67)
+    clicks = np.zeros(n, dtype=np.int64)
+    for _ in range(calls):
+        clicks += simulate_detection(kind, z, z, z, MEANS, 0.0, cfg, 0.0, rng).clicked
+    y0 = cfg.background_yield
+    bound = 4.0 * math.sqrt(calls * y0 * (1.0 - y0)) + 1.0
+    assert np.all(np.abs(clicks - calls * y0) <= bound), clicks

@@ -267,15 +267,15 @@ def _tank_variant(**changes) -> ExperimentConfig:
 @pytest.mark.parametrize(
     "changes, digest, clicks, multi, discarded, match",
     [
-        ({}, "cb50b67782e68b863c31635149b4ff26ab3d8bd51c7c0e53f4d381c1abe7f901",
-         12600, 9, 0, "0.49994275"),
+        ({}, "14ff8c6061104f9434825ad45354d7d53983cfeab9734cb414882d9b385ef5e2",
+         12692, 13, 0, "0.49994275"),
         ({"detector__double_click_policy": "discard", "detector__dark_count_prob_per_gate": 2e-3,
           "n_pulses": 1_500_000},
-         "6be64fd5bd0907742313438befafbd9aaf1506d2ccc727140bbe6f3dcdce23b7",
-         10708, 0, 22, "0.5005926666666667"),
+         "012cd6447ba6a65cb2f2f482a54c4ebe8e62955623eda5a1c39c3d6fe7728884",
+         10582, 0, 15, "0.5005926666666667"),
         ({"source__class_probabilities": [0.6, 0.3, 0.1], "n_pulses": (1 << 20) + 4096},
-         "5903b586c20800d94c136f6bcd36a0e7e0381c3471d67ef43c548e19e9fc5aa4",
-         4012, 4, 0, "0.5007846698686771"),
+         "c55a028af08e6719ea99f070ae68ac3d79990049fa3df434c41d0e7bb2ec496d",
+         4010, 5, 0, "0.5007846698686771"),
     ],
     ids=["tank", "discard-dark", "direct-mix-past-chunk"],
 )
@@ -300,13 +300,13 @@ def test_quantum_phase_pinned(changes, digest, clicks, multi, discarded, match, 
 @pytest.mark.parametrize(
     "changes, digest",
     [
-        (None, "7413204280244e96e0bc6f1c126cac0f08fdd6c07f044a5e7448de4f5d2043fd"),
-        ({}, "38d87371d74237abcfcb71c72350397ab82e6fccef9dc234a43930ed5d5039e7"),
-        ({"n_pulses": 900}, "7f3012f202124eb1b8496cba4c65ef7658261d97df865909773ed87260c8dbed"),
-        ({"n_pulses": 900, "misalignment_deg": 30.0},
-         "aca0dec01e2d7488d8860523fbeddd41133705bd23d37b280cee672dc66bd1eb"),
-        ({"n_pulses": 1200}, "44224aef6d473205ceae9a87ad5f6a571cf982334ca2ad15557af615ec6deb2e"),
-        ({"n_pulses": 1900}, "991295f95531b1b7b7647baeaad83cfed489e6826fe7f42b3dfe013d64557979"),
+        (None, "363c1471e042c4eca523bc4ddd8b1e7635fc57d6b4a2c536c76410ae805e5bb6"),
+        ({}, "57380c87a9af2411fdbbcc2ab6d3eb57a8978c7c0898e3a6ebefd071904f64c5"),
+        ({"n_pulses": 900}, "d25f4963e0ed5addc3bea2ba00127cb2c967f16c0e3b015ab66501a021e7af79"),
+        ({"n_pulses": 850, "misalignment_deg": 30.0},
+         "7e35a873cc0c3fe6ff57a2e233da9030c12036824ec44a1d0de2efb964e68a34"),
+        ({"n_pulses": 1200}, "d33eb6d4579762a4343ccc4365495a2c61c60e302b75664f1e41bbf887340166"),
+        ({"n_pulses": 1900}, "7f2c4c652cdbded722195353fc39ddddfbd298944be9e8045105b2e8507ea915"),
     ],
     ids=["tank", "reconciled", "cascade-skipped", "cascade-skipped-no-rate", "capped-to-zero", "capped"],
 )
@@ -402,7 +402,7 @@ def test_transcript_written_and_replayable(tmp_path, base_cfg, base_report):
         decode_frame(e.data)
     # the wire bytes of the whole session, in transcript order
     assert hashlib.sha256(b"".join(e.data for e in entries)).hexdigest() == (
-        "ef2f8f52f81f172fc5248fd66eb1743ee54d2138ae5ff014f704a69782b31e60"
+        "3724dbbb43876b2dacd103f9b33f20606df5641e3cf16f748e5cdfa993e7c737"
     )
     # save/load is lossless
     copy_path = tmp_path / "copy.jsonl"
