@@ -30,7 +30,7 @@ def test_traced_patch_sites_resolve():
 
 def test_tank_session_with_low_qber_hint_completes():
     """Tank session 1452123309 samples 6 errors in 607 bits (hint 1.15%, true
-    rate about 1.7%); four passes of too-large blocks leave errors, and
+    rate about 1.8%); four passes of too-large blocks leave errors, and
     Cascade's second round has to repair them for both endpoints to finish."""
     capture = EndpointCapture()
     with capture.installed():
