@@ -49,7 +49,7 @@ print(f"\nP(n >= 1 | signal) = {p_emit:.4f}  model {1 - np.exp(-cfg.mu):.4f}")
 
 # Polarizations are uniform and the key bit is just the basis-internal index.
 print("\npolarization mix:", np.bincount(train.polarization, minlength=4) / n)
-assert np.array_equal(train.key_bit, train.polarization % 2)
+assert np.array_equal(train.bit, train.polarization % 2)
 print("key bit = polarization index within basis: ok")
 
 # Same seed, same train. Different seed, a different train.

@@ -75,7 +75,6 @@ from .postprocess import (
 )
 from .protocol import (
     AliceSession,
-    AliceView,
     BobSession,
     BobView,
     Frame,
@@ -90,7 +89,7 @@ from .protocol import (
     encode_frame,
 )
 from .source import (
-    PulseTrain,
+    AliceView,
     SourceConfig,
     StateClass,
     WORD_CLASS,

@@ -26,6 +26,10 @@ detector are drawn sparsely: candidate slots, each in with p_max, the largest
 P_d any slot can have (a Binomial(slots, p_max) count of slots chosen
 uniformly), then each candidate kept with probability P_d / p_max. The cost
 of the draws follows the clicks, not the slots.
+
+The transmitter's side of each slot arrives as a `source.AliceView`. One
+call draws one batch; the quantum phase makes one call per
+`source.chunk_slices` chunk.
 """
 
 from __future__ import annotations
@@ -36,7 +40,7 @@ from enum import Enum
 
 import numpy as np
 
-from .source import chunk_slices
+from .source import AliceView
 
 
 class DoubleClickPolicy(Enum):
@@ -82,7 +86,6 @@ class DetectionBatch:
     discarded_doubles counts them.
     """
 
-    basis: np.ndarray    # uint8, Basis values
     clicked: np.ndarray  # bool
     bit: np.ndarray      # uint8
     multi_click: np.ndarray  # bool
@@ -110,9 +113,7 @@ def _bernoulli_slots(p: float, m: int, rng: np.random.Generator) -> np.ndarray:
 
 
 def simulate_detection(
-    kind: np.ndarray,
-    alice_basis: np.ndarray,
-    alice_bit: np.ndarray,
+    alice: AliceView,
     bob_basis: np.ndarray,
     class_means: np.ndarray,
     channel_eta: float,
@@ -122,20 +123,21 @@ def simulate_detection(
 ) -> DetectionBatch:
     """Gated detection of a batch of slots, drawn only where detectors fire.
 
-    kind indexes class_means, the mean photon number per StateClass value.
-    channel_eta is the end-to-end transmittance INCLUDING detector efficiency.
+    alice.kind indexes class_means, the mean photon number per StateClass
+    value; alice's columns are read only at candidate slots. channel_eta is
+    the end-to-end transmittance INCLUDING detector efficiency.
 
-    The click model is in the module docstring. Draw order per chunk of
-    2^20 slots, for detector 0 and then detector 1: the binomial count of
-    candidate slots at p_max, the candidate slots, then one uniform per
-    candidate, kept if below P_d / p_max. Then, under RANDOM_BIT, one coin
-    per slot where both fired. Fixed so a given rng seed reproduces the
-    batch exactly; with p_max 0 nothing is drawn.
+    The click model is in the module docstring. Draw order, for detector 0
+    and then detector 1: the binomial count of candidate slots at p_max, the
+    candidate slots, then one uniform per candidate, kept if below
+    P_d / p_max. Then, under RANDOM_BIT, one coin per slot where both fired.
+    Fixed so a given rng seed reproduces the batch exactly; with p_max 0
+    nothing is drawn.
     """
     if not 0.0 <= channel_eta <= 1.0:
         raise ValueError("transmittance must be in [0, 1]")
-    n = len(kind)
-    if not (len(alice_basis) == len(alice_bit) == len(bob_basis) == n):
+    n = len(alice)
+    if len(bob_basis) != n:
         raise ValueError("input columns must have equal length")
     clicked = np.zeros(n, dtype=bool)
     bit = np.zeros(n, dtype=np.uint8)
@@ -147,35 +149,28 @@ def simulate_detection(
     # the brightest class routed to the likelier detector of a matched basis
     x_max = channel_eta * means.max() * max(sin2, 1.0 - sin2)
     p_max = p_dark - (1.0 - p_dark) * math.expm1(-x_max)
-    for lo, hi in chunk_slices(n):
-        fired = []
-        for detector in (0, 1):
-            slots = lo + _bernoulli_slots(p_max, hi - lo, rng)
-            matched = alice_basis[slots] == bob_basis[slots]
-            p_route = _wrong_detector_prob(matched, alice_bit[slots], misalignment_theta)
-            if detector == 0:
-                p_route = 1.0 - p_route
-            p_fire = p_dark - (1.0 - p_dark) * np.expm1(-channel_eta * means[kind[slots]] * p_route)
-            fired.append(slots[rng.random(len(slots)) < p_fire / p_max])
-        fire0, fire1 = fired
-        both = np.intersect1d(fire0, fire1, assume_unique=True)
-        clicked[fire0] = True
-        clicked[fire1] = True
-        bit[fire1] = 1
-        if cfg.double_click_policy is DoubleClickPolicy.DISCARD:
-            discarded += len(both)
-            clicked[both] = False
-            bit[both] = 0
-        else:
-            multi[both] = True
-            bit[both] = rng.integers(0, 2, size=len(both), dtype=np.uint8)
-    return DetectionBatch(
-        basis=np.asarray(bob_basis, dtype=np.uint8),
-        clicked=clicked,
-        bit=bit,
-        multi_click=multi,
-        discarded_doubles=discarded,
-    )
+    fired = []
+    for detector in (0, 1):
+        slots = _bernoulli_slots(p_max, n, rng)
+        lit = alice.at(slots)
+        p_route = _wrong_detector_prob(lit.basis == bob_basis[slots], lit.bit, misalignment_theta)
+        if detector == 0:
+            p_route = 1.0 - p_route
+        p_fire = p_dark - (1.0 - p_dark) * np.expm1(-channel_eta * means[lit.kind] * p_route)
+        fired.append(slots[rng.random(len(slots)) < p_fire / p_max])
+    fire0, fire1 = fired
+    both = np.intersect1d(fire0, fire1, assume_unique=True)
+    clicked[fire0] = True
+    clicked[fire1] = True
+    bit[fire1] = 1
+    if cfg.double_click_policy is DoubleClickPolicy.DISCARD:
+        discarded = len(both)
+        clicked[both] = False
+        bit[both] = 0
+    else:
+        multi[both] = True
+        bit[both] = rng.integers(0, 2, size=len(both), dtype=np.uint8)
+    return DetectionBatch(clicked=clicked, bit=bit, multi_click=multi, discarded_doubles=discarded)
 
 
 def expected_gain(y0: float, eta: float, mean: float) -> float:

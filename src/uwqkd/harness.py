@@ -20,7 +20,7 @@ import json
 import math
 import socket
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
@@ -49,13 +49,12 @@ from .polarization import (
 )
 from .protocol import (
     AliceSession,
-    AliceView,
     BobSession,
     BobView,
     Phase,
     ProtocolOptions,
 )
-from .source import SourceConfig, chunk_slices, generate_pulse_train
+from .source import AliceView, SourceConfig, chunk_slices, generate_pulse_train
 from .transport import InProcessPump, run_socket_session, save_transcript
 
 
@@ -84,6 +83,11 @@ class ExperimentConfig:
             raise ConfigError("n_pulses must be in [1, 2^32 - 1]")
         if not 0.0 <= self.drop_probability < 1.0:
             raise ConfigError("drop probability must be in [0, 1)")
+        p, s = self.protocol, self.source
+        if (p.mu, p.nu, p.repetition_rate_hz) != (s.mu, s.nu, s.repetition_rate_hz):
+            # the digest lists only the source's values, so a mismatch would
+            # estimate with the wrong intensities on both agreeing endpoints
+            raise ConfigError("protocol mu, nu and repetition rate must equal the source's")
 
     @property
     def misalignment_rad(self) -> float:
@@ -155,7 +159,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         source = SourceConfig(
             mu=float(_require(source_d, "mu", "source.")),
             nu=float(_require(source_d, "nu", "source.")),
-            class_probabilities=tuple(source_d.get("class_probabilities", (0.5, 0.25, 0.25))),
+            class_probabilities=source_d.get("class_probabilities", (0.5, 0.25, 0.25)),
             repetition_rate_hz=float(_require(source_d, "repetition_rate_hz", "source.")),
             rng_seed=int(_require(seeds, "alice", "seeds.")),
         )
@@ -224,15 +228,20 @@ def load_config(path) -> ExperimentConfig:
 
 
 def override_seeds(cfg: ExperimentConfig, master_seed: int) -> ExperimentConfig:
-    """Derive the three role seeds from one master seed (master, +1, +2)."""
-    data = dict(cfg.raw) if cfg.raw else cfg.to_dict()
-    data = json.loads(json.dumps(data))  # deep copy
-    data["seeds"] = {
-        "alice": master_seed,
-        "bob": master_seed + 1,
-        "channel": master_seed + 2,
-    }
-    return config_from_dict(data)
+    """Derive the three role seeds from one master seed (master, +1, +2).
+
+    Every other field, a Jerlov preset included, is kept; so are the other
+    sections of `raw`.
+    """
+    seeds = {"alice": master_seed, "bob": master_seed + 1, "channel": master_seed + 2}
+    return replace(
+        cfg,
+        seed_alice=seeds["alice"],
+        seed_bob=seeds["bob"],
+        seed_channel=seeds["channel"],
+        source=replace(cfg.source, rng_seed=master_seed),
+        raw={**cfg.raw, "seeds": seeds} if cfg.raw else {},
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -252,11 +261,13 @@ class QuantumPhaseResult:
 def simulate_quantum_phase(cfg: ExperimentConfig) -> QuantumPhaseResult:
     """Deterministic quantum phase from the three role seeds.
 
-    One loop over the 2^20-slot chunks: each chunk's pulses (Alice's stream:
-    one 4-bit word per slot), Bob's bases (Bob's stream: one draw per slot)
-    and detection (the channel stream) are drawn in turn and written into the
-    full-length view columns. Every stream draws chunk by chunk, so the views
-    are the same as drawing each stream over all slots at once.
+    The only loop over the 2^20-slot `chunk_slices` chunks: each chunk's
+    pulses (Alice's stream: one 4-bit word per slot), Bob's bases (Bob's
+    stream: one draw per slot) and detection (the channel stream) are drawn
+    in turn, one call each, and written into the full-length view columns:
+    Alice's kind and polarization, Bob's basis, click and bit. Every stream
+    draws chunk by chunk, so a run of n slots is a prefix of any longer run
+    with the same seeds.
 
     Clicks are drawn by `detection.simulate_detection`; see its module
     docstring.
@@ -265,25 +276,22 @@ def simulate_quantum_phase(cfg: ExperimentConfig) -> QuantumPhaseResult:
     alice_rng, bob_rng, channel_rng = (
         np.random.default_rng(seed) for seed in (cfg.seed_alice, cfg.seed_bob, cfg.seed_channel)
     )
-    alice_view = AliceView(*(np.empty(n, dtype=np.uint8) for _ in range(3)))
+    alice_view = AliceView(np.empty(n, np.uint8), np.empty(n, np.uint8))
     bob_view = BobView(np.empty(n, np.uint8), np.empty(n, bool), np.empty(n, np.uint8))
     eta, class_means = cfg.eta, cfg.source.class_means
     n_matched = n_multi = discarded = 0
     for lo, hi in chunk_slices(n):
-        train = generate_pulse_train(cfg.source, hi - lo, alice_rng)
-        alice_basis, alice_bit = train.basis, train.key_bit
+        pulses = generate_pulse_train(cfg.source, hi - lo, alice_rng)
         bob_basis = bob_rng.integers(0, 2, size=hi - lo, dtype=np.uint8)
         batch = simulate_detection(
-            train.kind, alice_basis, alice_bit, bob_basis, class_means,
-            eta, cfg.detector, cfg.misalignment_rad, channel_rng,
+            pulses, bob_basis, class_means, eta, cfg.detector, cfg.misalignment_rad, channel_rng
         )
-        alice_view.kind[lo:hi] = train.kind
-        alice_view.basis[lo:hi] = alice_basis
-        alice_view.bit[lo:hi] = alice_bit
+        alice_view.kind[lo:hi] = pulses.kind
+        alice_view.polarization[lo:hi] = pulses.polarization
         bob_view.basis[lo:hi] = bob_basis
         bob_view.clicked[lo:hi] = batch.clicked
         bob_view.bit[lo:hi] = batch.bit
-        n_matched += int(np.count_nonzero(alice_basis == bob_basis))
+        n_matched += int(np.count_nonzero(pulses.basis == bob_basis))
         n_multi += int(np.count_nonzero(batch.multi_click))
         discarded += batch.discarded_doubles
     return QuantumPhaseResult(

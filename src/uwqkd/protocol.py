@@ -58,7 +58,7 @@ from .postprocess import (
     generate_pa_seed,
     toeplitz_hash,
 )
-from .source import StateClass
+from .source import AliceView, StateClass
 
 MAX_PAYLOAD = (1 << 24) - 1
 _HEADER = struct.Struct(">BI")  # tag, sequence; then 3 length bytes
@@ -310,22 +310,6 @@ class ProtocolOptions:
             raise ValueError(f"min_key_bits must be >= {MIN_KEY_BITS}, Cascade's shortest key")
         if self.timeout_s <= 0.0:
             raise ValueError("timeout must be > 0")
-
-
-@dataclass(frozen=True)
-class AliceView:
-    """Transmitter ground truth per slot."""
-
-    kind: np.ndarray   # uint8 StateClass
-    basis: np.ndarray  # uint8 Basis
-    bit: np.ndarray    # uint8
-
-    def __post_init__(self) -> None:
-        if not (len(self.kind) == len(self.basis) == len(self.bit)):
-            raise ValueError("column lengths differ")
-
-    def __len__(self) -> int:
-        return len(self.kind)
 
 
 @dataclass(frozen=True)
@@ -673,11 +657,11 @@ class AliceSession(_Session):
             return self._abort(AbortReason.INTERNAL, "clicked slot list not strictly ascending in range")
         self.n_clicked = len(slots)
         self._clicked_slots = slots
-        clicked_kind = self.view.kind[slots]
-        matched_mask = self.view.basis[slots] == bases
+        clicked = self.view.at(slots)
+        matched_mask = clicked.basis == bases
         self._matched_slots = slots[matched_mask]
         self.n_matched = len(self._matched_slots)
-        self._tally_classes(clicked_kind, clicked_kind[matched_mask], self.view.bit[self._matched_slots])
+        self._tally_classes(clicked.kind, clicked.kind[matched_mask], clicked.bit[matched_mask])
         totals = np.bincount(self.view.kind, minlength=3)
         self.emitted_per_class = {v: int(totals[v]) for v in StateClass}
         empty = self._empty_class()
@@ -687,7 +671,7 @@ class AliceSession(_Session):
         reveal = self._emit(
             FrameType.INTENSITY_REVEAL,
             *(self.emitted_per_class[v] for v in (StateClass.SIGNAL, StateClass.DECOY, StateClass.VACUUM)),
-            clicked_kind,
+            clicked.kind,
         )
         self._sample_seed = int(self.coin_rng.integers(0, 2**63))
         self.cascade_seed = int(self.coin_rng.integers(0, 2**63))

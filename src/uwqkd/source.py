@@ -11,6 +11,11 @@ an exact 8:4:4 = 2:1:1 ratio and the four states are equiprobable. Photon
 number per pulse is Poisson with the class mean (`SourceConfig.class_means`);
 clicks are drawn from the class means by `detection.simulate_detection`, see
 its module docstring.
+
+`AliceView` is the one per-slot column type of the transmitter: the source
+writes it, detection reads it at the slots where a detector may fire, and
+the transmitter's session sifts on it. The quantum phase draws it one
+`chunk_slices` chunk at a time.
 """
 
 from __future__ import annotations
@@ -49,7 +54,10 @@ class SourceConfig:
             raise ValueError("decoy mean must be > 0 (vacuum is its own class)")
         if self.repetition_rate_hz <= 0.0:
             raise ValueError("repetition rate must be > 0")
-        p = self.class_probabilities
+        # stored as a tuple so that a list of the canonical mix compares equal
+        # to it and draws 4-bit words, as the digest (which lists it) implies
+        p = tuple(float(x) for x in self.class_probabilities)
+        object.__setattr__(self, "class_probabilities", p)
         # a class never emitted leaves its gain without a denominator
         if len(p) != 3 or any(x <= 0.0 for x in p) or abs(sum(p) - 1.0) > 1e-12:
             raise ValueError("class probabilities must be 3 positive values summing to 1")
@@ -65,12 +73,12 @@ WORD_CLASS = np.array([StateClass.VACUUM] * 4 + [StateClass.DECOY] * 4 + [StateC
 
 
 @dataclass(frozen=True)
-class PulseTrain:
-    """A generated batch of pulses, one column entry per slot.
+class AliceView:
+    """Transmitter ground truth, one column entry per slot.
 
-    The columns are the only per-slot API: kind and polarization are
-    stored; key_bit and basis derive from polarization. A slot's mean photon
-    number is `SourceConfig.class_means[kind]`.
+    kind and polarization are what the source draws and the only stored
+    columns; basis and bit derive from the polarization index. A slot's mean
+    photon number is `SourceConfig.class_means[kind]`.
     """
 
     kind: np.ndarray          # uint8, StateClass values
@@ -83,13 +91,17 @@ class PulseTrain:
     def __len__(self) -> int:
         return len(self.kind)
 
-    @property
-    def key_bit(self) -> np.ndarray:
-        return (self.polarization & 1).astype(np.uint8)
+    def at(self, slots: np.ndarray) -> AliceView:
+        """The view of the given slots only."""
+        return AliceView(self.kind[slots], self.polarization[slots])
 
     @property
     def basis(self) -> np.ndarray:
-        return (self.polarization >> 1).astype(np.uint8)
+        return (self.polarization >> 1).astype(np.uint8, copy=False)
+
+    @property
+    def bit(self) -> np.ndarray:
+        return (self.polarization & 1).astype(np.uint8, copy=False)
 
 
 _CHUNK = 1 << 20
@@ -107,31 +119,21 @@ def chunk_slices(n: int):
 
 def generate_pulse_train(
     cfg: SourceConfig, count: int, rng: np.random.Generator | None = None
-) -> PulseTrain:
-    """Generate `count` slots of pulses.
+) -> AliceView:
+    """Generate `count` slots of pulses in one batch.
 
-    Draw order is fixed, per chunk of 2^20 slots: one 4-bit word per slot on
-    the canonical mix; otherwise one class draw per slot, then one
-    polarization draw per slot. Equal seeds give bit-identical trains
-    regardless of batch size.
+    Draw order is fixed: one 4-bit word per slot on the canonical mix;
+    otherwise one class draw per slot, then one polarization draw per slot.
+    The quantum phase calls this once per `chunk_slices` chunk, so its
+    stream is the same for any run length.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
-    canonical_mix = cfg.class_probabilities == (0.5, 0.25, 0.25)
-    kind = np.empty(count, dtype=np.uint8)
-    pol = np.empty(count, dtype=np.uint8)
-    for lo, hi in chunk_slices(count):
-        m = hi - lo
-        if canonical_mix:
-            words = rng.integers(0, 16, size=m, dtype=np.uint8)
-            kind[lo:hi] = WORD_CLASS[words]
-            pol[lo:hi] = words & 0x3
-        else:
-            # signal, decoy, vacuum -> StateClass 2, 1, 0
-            kind[lo:hi] = rng.choice(
-                np.array([2, 1, 0], dtype=np.uint8), size=m, p=cfg.class_probabilities
-            )
-            pol[lo:hi] = rng.integers(0, 4, size=m, dtype=np.uint8)
-    return PulseTrain(kind=kind, polarization=pol)
+    if cfg.class_probabilities == (0.5, 0.25, 0.25):
+        words = rng.integers(0, 16, size=count, dtype=np.uint8)
+        return AliceView(kind=WORD_CLASS[words], polarization=words & 0x3)
+    # signal, decoy, vacuum -> StateClass 2, 1, 0
+    kind = rng.choice(np.array([2, 1, 0], dtype=np.uint8), size=count, p=cfg.class_probabilities)
+    return AliceView(kind=kind, polarization=rng.integers(0, 4, size=count, dtype=np.uint8))

@@ -13,7 +13,7 @@ from uwqkd.detection import (
     expected_qber,
     simulate_detection,
 )
-from uwqkd.source import SourceConfig, StateClass, generate_pulse_train
+from uwqkd.source import AliceView, SourceConfig, StateClass, generate_pulse_train
 
 
 def _batch(n, seed, *, eta, p_dark=0.0, theta=0.0, policy=DoubleClickPolicy.RANDOM_BIT,
@@ -25,8 +25,7 @@ def _batch(n, seed, *, eta, p_dark=0.0, theta=0.0, policy=DoubleClickPolicy.RAND
     det = DetectorConfig(dark_count_prob_per_gate=p_dark, double_click_policy=policy)
     rng = np.random.default_rng(seed + 2)
     batch = simulate_detection(
-        train.kind, train.basis, train.key_bit, bob_basis, cfg.class_means,
-        channel_eta=eta, cfg=det, misalignment_theta=theta, rng=rng,
+        train, bob_basis, cfg.class_means, channel_eta=eta, cfg=det, misalignment_theta=theta, rng=rng,
     )
     return train, bob_basis, batch
 
@@ -101,7 +100,7 @@ def test_mc_qber_matches_analytic():
     train, bob_basis, batch = _batch(n, seed=23, eta=eta, p_dark=p_dark, theta=theta)
     y0 = DetectorConfig(dark_count_prob_per_gate=p_dark).background_yield
     matched = (train.basis == bob_basis) & batch.clicked & (train.kind == 2)
-    errors = batch.bit[matched] != train.key_bit[matched]
+    errors = batch.bit[matched] != train.bit[matched]
     e_expected = expected_qber(y0, eta, 0.8, 0.02)
     emp = errors.mean()
     sigma = math.sqrt(e_expected * (1 - e_expected) / matched.sum())
@@ -112,7 +111,7 @@ def test_mismatched_bases_are_random():
     n = 500_000
     train, bob_basis, batch = _batch(n, seed=31, eta=0.05)
     mism = (train.basis != bob_basis) & batch.clicked
-    frac_ones = (batch.bit[mism] == train.key_bit[mism]).mean()
+    frac_ones = (batch.bit[mism] == train.bit[mism]).mean()
     sigma = math.sqrt(0.25 / mism.sum())
     assert abs(frac_ones - 0.5) < 4 * sigma
 
@@ -163,9 +162,8 @@ def test_detection_determinism():
 
 def test_batch_columns_consistent():
     for policy in DoubleClickPolicy:
-        _, bob_basis, batch = _batch(20_000, seed=41, eta=0.9, mu=5.0, p_dark=1e-3, policy=policy)
+        _, _, batch = _batch(20_000, seed=41, eta=0.9, mu=5.0, p_dark=1e-3, policy=policy)
         assert len(batch) == 20_000
-        assert np.array_equal(batch.basis, bob_basis)
         assert set(np.unique(batch.bit)) <= {0, 1}
         assert not batch.bit[~batch.clicked].any()  # no click reads as bit 0
         assert not (batch.multi_click & ~batch.clicked).any()  # a no-click is never a double
@@ -178,21 +176,22 @@ def test_perfect_channel_reproduces_key_bits():
     lit = (train.basis == bob_basis) & (train.kind == StateClass.SIGNAL)
     assert lit.any()
     assert batch.clicked[lit].all()
-    assert np.array_equal(batch.bit[lit], train.key_bit[lit])
+    assert np.array_equal(batch.bit[lit], train.bit[lit])
     # no darks and no misalignment: a vacuum slot never clicks, and a
     # matched slot never fires the wrong detector
     matched = (train.basis == bob_basis) & batch.clicked
     assert not batch.clicked[train.kind == StateClass.VACUUM].any()
     assert not batch.multi_click[matched].any()
-    assert np.array_equal(batch.bit[matched], train.key_bit[matched])
+    assert np.array_equal(batch.bit[matched], train.bit[matched])
 
 
 def test_simulate_detection_validation():
     z = np.zeros(4, dtype=np.uint8)
+    alice = AliceView(z, z)
     with pytest.raises(ValueError):
-        simulate_detection(z, z, z, z, MEANS, 1.5, DetectorConfig(), 0.0, np.random.default_rng(0))
+        simulate_detection(alice, z, MEANS, 1.5, DetectorConfig(), 0.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
-        simulate_detection(z[:2], z, z, z, MEANS, 0.5, DetectorConfig(), 0.0, np.random.default_rng(0))
+        simulate_detection(alice, z[:2], MEANS, 0.5, DetectorConfig(), 0.0, np.random.default_rng(0))
 
 
 def test_dark_free_empty_channel_draws_nothing():
@@ -202,19 +201,19 @@ def test_dark_free_empty_channel_draws_nothing():
     kind = np.full(n, StateClass.SIGNAL, dtype=np.uint8)
     rng = np.random.default_rng(65)
     before = rng.bit_generator.state
-    batch = simulate_detection(kind, z, z, z, MEANS, 0.0, DetectorConfig(), 0.1, rng)
+    batch = simulate_detection(AliceView(kind, z), z, MEANS, 0.0, DetectorConfig(), 0.1, rng)
     assert rng.bit_generator.state == before
     assert not batch.clicked.any()
 
 
-def _dense_detection(kind, alice_basis, alice_bit, bob_basis, class_means, eta, cfg, theta, rng):
+def _dense_detection(alice, bob_basis, class_means, eta, cfg, theta, rng):
     """Oracle: per slot, a Poisson photon number, binomial survivors, their
     binomial routing to the bit-1 detector, two dark counts and a coin."""
-    n = len(kind)
-    photons = rng.poisson(np.asarray(class_means)[kind])
+    n = len(alice)
+    photons = rng.poisson(np.asarray(class_means)[alice.kind])
     survivors = rng.binomial(photons, eta)
-    matched = alice_basis == bob_basis
-    n_one = rng.binomial(survivors, _wrong_detector_prob(matched, alice_bit, theta))
+    matched = alice.basis == bob_basis
+    n_one = rng.binomial(survivors, _wrong_detector_prob(matched, alice.bit, theta))
     fire0 = (survivors - n_one > 0) | (rng.random(n) < cfg.dark_count_prob_per_gate)
     fire1 = (n_one > 0) | (rng.random(n) < cfg.dark_count_prob_per_gate)
     coin = rng.integers(0, 2, size=n, dtype=np.uint8)
@@ -228,10 +227,10 @@ def _dense_detection(kind, alice_basis, alice_bit, bob_basis, class_means, eta, 
         clicked &= ~both
         multi[:] = False
     bit[~clicked] = 0
-    return DetectionBatch(np.asarray(bob_basis, dtype=np.uint8), clicked, bit, multi, discarded)
+    return DetectionBatch(clicked, bit, multi, discarded)
 
 
-ORACLE_SLOTS = (1 << 20) + 4096  # crosses a chunk boundary
+ORACLE_SLOTS = (1 << 20) + 4096
 BRIGHT = SourceConfig(mu=5.0, rng_seed=61)
 MEANS = BRIGHT.class_means
 
@@ -241,14 +240,7 @@ def bright_slots():
     """mu = 5 so photon counts above 1 are common; vacuum slots stay empty."""
     train = generate_pulse_train(BRIGHT, ORACLE_SLOTS)
     bob_basis = np.random.default_rng(62).integers(0, 2, size=ORACLE_SLOTS, dtype=np.uint8)
-    return train.kind, train.basis, train.key_bit, bob_basis
-
-
-def _assert_same_batch(a, b):
-    assert np.array_equal(a.clicked, b.clicked)
-    assert np.array_equal(a.bit, b.bit)
-    assert np.array_equal(a.multi_click, b.multi_click)
-    assert a.discarded_doubles == b.discarded_doubles
+    return train, bob_basis
 
 
 def _assert_poisson_splitting(batch, slots, eta, p_dark, theta, policy):
@@ -258,8 +250,8 @@ def _assert_poisson_splitting(batch, slots, eta, p_dark, theta, policy):
     added to each bound of a possible outcome: some groups expect far below
     one double click, where a normal bound is too tight. Under DISCARD the
     doubles are checked as one total."""
-    kind, alice_basis, alice_bit, bob_basis = slots
-    group = (kind.astype(np.int64) * 2 + (alice_basis == bob_basis)) * 2 + alice_bit
+    alice, bob_basis = slots
+    group = (alice.kind.astype(np.int64) * 2 + (alice.basis == bob_basis)) * 2 + alice.bit
     # outcome 0: det0 only, 1: det1 only, 2: double, 3: no click
     outcome = np.where(batch.multi_click, 2, np.where(batch.clicked, batch.bit, 3))
     counts = np.bincount(group * 4 + outcome, minlength=48).reshape(12, 4)
@@ -303,23 +295,6 @@ def test_sparse_detection_matches_dense_oracle(bright_slots, eta, p_dark, theta,
         _assert_poisson_splitting(batch, bright_slots, eta, p_dark, theta, policy)
 
 
-@pytest.mark.parametrize("policy", list(DoubleClickPolicy))
-def test_detection_per_chunk_calls_match_one_call(bright_slots, policy):
-    """The quantum phase calls detection once per chunk on one stream."""
-    cfg = DetectorConfig(dark_count_prob_per_gate=1e-3, double_click_policy=policy)
-    whole = simulate_detection(*bright_slots, MEANS, 0.9, cfg, 0.12, np.random.default_rng(64))
-    rng = np.random.default_rng(64)
-    parts = [
-        simulate_detection(*(c[lo:hi] for c in bright_slots), MEANS, 0.9, cfg, 0.12, rng)
-        for lo, hi in ((0, 1 << 20), (1 << 20, ORACLE_SLOTS))
-    ]
-    joined = DetectionBatch(
-        *(np.concatenate([getattr(p, f) for p in parts]) for f in ("basis", "clicked", "bit", "multi_click")),
-        discarded_doubles=sum(p.discarded_doubles for p in parts),
-    )
-    _assert_same_batch(whole, joined)
-
-
 @pytest.mark.parametrize("n", [1, 3])
 def test_short_batches_click_at_the_dark_rate(n):
     """At eta 0 every slot of a short batch, its last one too, clicks at the
@@ -331,7 +306,7 @@ def test_short_batches_click_at_the_dark_rate(n):
     rng = np.random.default_rng(67)
     clicks = np.zeros(n, dtype=np.int64)
     for _ in range(calls):
-        clicks += simulate_detection(kind, z, z, z, MEANS, 0.0, cfg, 0.0, rng).clicked
+        clicks += simulate_detection(AliceView(kind, z), z, MEANS, 0.0, cfg, 0.0, rng).clicked
     y0 = cfg.background_yield
     bound = 4.0 * math.sqrt(calls * y0 * (1.0 - y0)) + 1.0
     assert np.all(np.abs(clicks - calls * y0) <= bound), clicks

@@ -2,6 +2,7 @@
 
 import copy
 import csv
+import dataclasses
 import hashlib
 import io
 import json
@@ -23,6 +24,7 @@ from uwqkd import (
     RunReport,
     StateClass,
     TranscriptEntry,
+    WaterChannel,
     config_from_dict,
     decode_frame,
     expected_gain,
@@ -191,14 +193,32 @@ def test_load_config_invalid_json(tmp_path):
         load_config(path)
 
 
-def test_override_seeds(base_cfg):
-    cfg = override_seeds(base_cfg, 700)
+@pytest.mark.parametrize("origin", ["loaded", "built-in-python"])
+def test_override_seeds(base_cfg, origin):
+    if origin == "loaded":
+        cfg0 = base_cfg
+    else:  # no raw JSON to rebuild from, and a Jerlov preset to keep
+        cfg0 = dataclasses.replace(base_cfg, channel=WaterChannel.jerlov("I", 50.0), raw={})
+    cfg = override_seeds(cfg0, 700)
     assert (cfg.seed_alice, cfg.seed_bob, cfg.seed_channel) == (700, 701, 702)
+    assert cfg.source.rng_seed == 700
     # only the seeds move
-    before = base_cfg.to_dict()
+    before = cfg0.to_dict()
     after = cfg.to_dict()
     before.pop("seeds"), after.pop("seeds")
     assert before == after
+    assert cfg.channel == cfg0.channel
+    if cfg0.raw:
+        assert cfg.raw == {**cfg0.raw, "seeds": {"alice": 700, "bob": 701, "channel": 702}}
+
+
+@pytest.mark.parametrize("field", ["mu", "nu", "repetition_rate_hz"])
+def test_protocol_must_match_source(base_cfg, field):
+    """The digest covers only the source's intensities and clock, so options
+    that differ from them are refused rather than estimated with."""
+    value = getattr(base_cfg.protocol, field) * 0.5
+    with pytest.raises(ConfigError, match="source"):
+        dataclasses.replace(base_cfg, protocol=dataclasses.replace(base_cfg.protocol, **{field: value}))
 
 
 def test_digest_stable_and_sensitive(base_cfg):
@@ -262,6 +282,19 @@ def _tank_variant(**changes) -> ExperimentConfig:
         section, _, name = key.rpartition("__")
         (data[section] if section else data)[name] = value
     return config_from_dict(data)
+
+
+@pytest.mark.parametrize("mix", [[0.5, 0.25, 0.25], [0.6, 0.3, 0.1]])
+def test_quantum_phase_extends_a_shorter_run(mix):
+    """Every stream draws chunk by chunk, so a run one chunk long is the
+    first chunk of a longer run from the same seeds, on either source mix."""
+    short, long = (
+        simulate_quantum_phase(_tank_variant(source__class_probabilities=mix, n_pulses=n))
+        for n in (1 << 20, (1 << 20) + 4096)
+    )
+    for view in ("alice_view", "bob_view"):
+        for column, values in vars(getattr(short, view)).items():
+            assert np.array_equal(getattr(getattr(long, view), column)[: 1 << 20], values), column
 
 
 @pytest.mark.parametrize(

@@ -10,7 +10,6 @@ from uwqkd.protocol import (
     RECON_KINDS,
     AbortReason,
     AliceSession,
-    AliceView,
     BobSession,
     BobView,
     Frame,
@@ -28,6 +27,7 @@ from uwqkd.protocol import (
     encode_frame,
     encode_payload,
 )
+from uwqkd.source import AliceView
 
 DIGEST = hashlib.md5(b"session-under-test").digest()
 
@@ -176,7 +176,7 @@ def make_views(n, seed, error_rate=0.02, click_rate=0.5):
     flip = (rng.random(n) < error_rate).astype(np.uint8)
     matched = alice_basis == bob_basis
     bob_bit = np.where(matched, alice_bit ^ flip, rng.integers(0, 2, size=n)).astype(np.uint8)
-    alice = AliceView(kind=kind, basis=alice_basis, bit=alice_bit)
+    alice = AliceView(kind=kind, polarization=(alice_basis << 1) | alice_bit)
     bob = BobView(basis=bob_basis, clicked=clicked, bit=bob_bit)
     return alice, bob
 

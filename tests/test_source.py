@@ -5,7 +5,7 @@ import pytest
 
 from uwqkd.detection import DetectorConfig, simulate_detection
 from uwqkd.polarization import Basis, Polarization
-from uwqkd.source import WORD_CLASS, SourceConfig, StateClass, chunk_slices, generate_pulse_train
+from uwqkd.source import WORD_CLASS, AliceView, SourceConfig, StateClass, chunk_slices, generate_pulse_train
 
 # Full 4-bit slot table. b0 (MSB) and b1 select the class, b2 b3 the state.
 WORD_TABLE = {
@@ -69,7 +69,8 @@ def test_train_class_and_state_frequencies():
         assert c / n == pytest.approx(0.25, abs=0.004)
     # bases and key bits derive from the polarization index
     assert np.array_equal(train.basis, train.polarization >> 1)
-    assert np.array_equal(train.key_bit, train.polarization & 1)
+    assert np.array_equal(train.bit, train.polarization & 1)
+    assert train.basis.dtype == train.bit.dtype == np.uint8
 
 
 def test_train_photon_statistics():
@@ -89,8 +90,7 @@ def test_train_photon_statistics():
     assert np.all(means[dec] == 0.1)
     bob_basis = np.random.default_rng(6).integers(0, 2, size=n, dtype=np.uint8)
     batch = simulate_detection(
-        train.kind, train.basis, train.key_bit, bob_basis, cfg.class_means,
-        1.0, DetectorConfig(), 0.0, np.random.default_rng(7),
+        train, bob_basis, cfg.class_means, 1.0, DetectorConfig(), 0.0, np.random.default_rng(7)
     )
     assert not batch.clicked[vac].any()
     # P(n >= 1 | mu = 0.8) = 1 - exp(-0.8)
@@ -108,15 +108,6 @@ def test_train_determinism_same_seed():
     b = generate_pulse_train(cfg, 50_000)
     assert np.array_equal(a.kind, b.kind)
     assert np.array_equal(a.polarization, b.polarization)
-
-
-def test_train_chunking_invisible():
-    """A train longer than one draw chunk is a prefix-extension of itself."""
-    cfg = SourceConfig(rng_seed=9)
-    big = generate_pulse_train(cfg, (1 << 20) + 4096)
-    small = generate_pulse_train(cfg, 1 << 20)
-    assert np.array_equal(big.kind[: 1 << 20], small.kind)
-    assert np.array_equal(big.polarization[: 1 << 20], small.polarization)
 
 
 @pytest.mark.parametrize("n", [0, 1, 1 << 20, (1 << 20) + 1, 3 << 20])
@@ -144,21 +135,32 @@ def test_train_different_seeds_differ():
 
 
 @pytest.mark.parametrize("mix", [(0.5, 0.25, 0.25), (0.6, 0.2, 0.2)])
-def test_train_draws_per_slot_chunk_by_chunk(mix):
+def test_train_draws_per_slot_in_one_batch(mix):
     """One word per slot (or one class and one polarization draw on the
-    direct mix), chunk by chunk, and nothing else: the stream ends where
-    these draws alone leave it."""
+    direct mix), in one batch, and nothing else: the stream ends where these
+    draws alone leave it."""
     cfg = SourceConfig(class_probabilities=mix)
     n = (2 << 20) + 5
     rng, reference = np.random.default_rng(8), np.random.default_rng(8)
     generate_pulse_train(cfg, n, rng)
-    for lo, hi in chunk_slices(n):
-        if mix == (0.5, 0.25, 0.25):
-            reference.integers(0, 16, size=hi - lo, dtype=np.uint8)
-        else:
-            reference.choice(np.array([2, 1, 0], dtype=np.uint8), size=hi - lo, p=mix)
-            reference.integers(0, 4, size=hi - lo, dtype=np.uint8)
+    if mix == (0.5, 0.25, 0.25):
+        reference.integers(0, 16, size=n, dtype=np.uint8)
+    else:
+        reference.choice(np.array([2, 1, 0], dtype=np.uint8), size=n, p=mix)
+        reference.integers(0, 4, size=n, dtype=np.uint8)
     assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def test_list_mix_draws_as_the_tuple():
+    """A mix given as a list is the same config as the tuple: equal
+    digests (the config lists it either way) must mean equal trains."""
+    as_list = SourceConfig(class_probabilities=[0.5, 0.25, 0.25], rng_seed=4)
+    as_tuple = SourceConfig(class_probabilities=(0.5, 0.25, 0.25), rng_seed=4)
+    assert as_list == as_tuple
+    assert as_list.class_probabilities == (0.5, 0.25, 0.25)
+    a, b = generate_pulse_train(as_list, 4096), generate_pulse_train(as_tuple, 4096)
+    assert np.array_equal(a.kind, b.kind)
+    assert np.array_equal(a.polarization, b.polarization)
 
 
 def test_train_follows_word_table():
@@ -185,3 +187,8 @@ def test_generate_count_validation():
     with pytest.raises(ValueError):
         generate_pulse_train(SourceConfig(), -1)
     assert len(generate_pulse_train(SourceConfig(), 0)) == 0
+
+
+def test_alice_view_columns_must_match():
+    with pytest.raises(ValueError):
+        AliceView(kind=np.zeros(3, dtype=np.uint8), polarization=np.zeros(2, dtype=np.uint8))
