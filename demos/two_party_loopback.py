@@ -1,12 +1,15 @@
 """Run the two protocol endpoints as separate peers over a TCP socket.
 
-Both sides are seeded identically, so each can simulate its own half of the
-quantum phase; only the classical frames cross the wire. The receiver
-listens, the transmitter connects, and at the end both hold the same key
-and publish the same report. In a real deployment the two processes would
-run on different machines with `uwqkd serve` and `uwqkd connect`.
+Both sides share one config, and each simulates only its own side: the
+receiver listens and then runs the quantum phase for its bases and clicks,
+while the transmitter draws only its own pulse stream and connects. Only the
+classical frames cross the wire. At the end both hold the same key and
+publish the same report, except for the receiver-side quantum fields the
+transmitter cannot know. In a real deployment the two processes would run
+on different machines with `uwqkd serve` and `uwqkd connect`.
 """
 
+import socket
 import threading
 
 from uwqkd import config_from_dict
@@ -23,7 +26,10 @@ config = {
 }
 cfg = config_from_dict(config)
 
-HOST, PORT = "127.0.0.1", 48230
+HOST = "127.0.0.1"
+with socket.socket() as probe:  # a free loopback port, so a busy one cannot fail the demo
+    probe.bind((HOST, 0))
+    PORT = probe.getsockname()[1]
 reports = {}
 
 
@@ -50,10 +56,16 @@ assert alice.statistics == bob.statistics
 print("\nboth endpoints agree on the decoy statistics:")
 print(f"  Q_mu = {alice.statistics['Q_mu']:.4e}, E_mu = {alice.statistics['E_mu']:.4f}")
 
-# The reports match field for field apart from wall-clock duration and the
-# per-side error counters.
+# The reports match field for field apart from wall-clock duration, the
+# per-side error counters and the receiver-side quantum fields, which the
+# transmitter never simulates: it reports only the click count Bob revealed.
 a, b = alice.to_dict(), bob.to_dict()
 for volatile in ("duration_s", "error_counters"):
     a.pop(volatile), b.pop(volatile)
+receiver_only = ("basis_match_fraction", "n_multi_clicks", "discarded_doubles")
+assert all(a["quantum"][name] is None for name in receiver_only)
+assert a["quantum"]["n_clicks"] == b["quantum"]["n_clicks"]
+b["quantum"].update(dict.fromkeys(receiver_only))
 assert a == b
-print("\nreports identical apart from timing: ok")
+print(f"\nclicks: {a['quantum']['n_clicks']} on both sides")
+print("reports identical apart from timing and receiver-only quantum fields: ok")

@@ -8,9 +8,10 @@ in their key names and have no implicit defaults; protocol conventions
 
 `run_experiment` plays the whole protocol between two session machines over
 an in-memory transport. `serve` and `connect` play the identical protocol
-over TCP: both endpoints recompute the quantum phase from the shared seeds
-(guarded by a config digest in the handshake) and each keeps only its own
-role's view, so the classical traffic is the real coordination channel.
+over TCP, each endpoint simulating only its own side from the shared config
+(guarded by a config digest in the handshake): the receiver listens, then
+runs the quantum phase for its view, while the transmitter draws only its own
+stream. The classical traffic is the only coordination channel.
 """
 
 from __future__ import annotations
@@ -258,36 +259,49 @@ class QuantumPhaseResult:
     discarded_doubles: int
 
 
+def simulate_transmitter(cfg: ExperimentConfig) -> AliceView:
+    """The transmitter's own stream: Alice's view drawn from `seed_alice` only.
+
+    One `generate_pulse_train` call (one 4-bit word per slot) per 2^20-slot
+    `chunk_slices` chunk, written into the full-length kind and polarization
+    columns. Drawing chunk by chunk makes a run of n slots a prefix of any
+    longer run with the same seed.
+    """
+    n = cfg.n_pulses
+    rng = np.random.default_rng(cfg.seed_alice)
+    view = AliceView(np.empty(n, np.uint8), np.empty(n, np.uint8))
+    for lo, hi in chunk_slices(n):
+        pulses = generate_pulse_train(cfg.source, hi - lo, rng)
+        view.kind[lo:hi] = pulses.kind
+        view.polarization[lo:hi] = pulses.polarization
+    return view
+
+
 def simulate_quantum_phase(cfg: ExperimentConfig) -> QuantumPhaseResult:
     """Deterministic quantum phase from the three role seeds.
 
-    The only loop over the 2^20-slot `chunk_slices` chunks: each chunk's
-    pulses (Alice's stream: one 4-bit word per slot), Bob's bases (Bob's
-    stream: one draw per slot) and detection (the channel stream) are drawn
-    in turn, one call each, and written into the full-length view columns:
-    Alice's kind and polarization, Bob's basis, click and bit. Every stream
-    draws chunk by chunk, so a run of n slots is a prefix of any longer run
-    with the same seeds.
+    Alice's view is `simulate_transmitter`'s. Then, chunk by chunk in the
+    same `chunk_slices` order, Bob's bases (Bob's stream: one draw per slot)
+    and detection (the channel stream) are drawn, one call each, and written
+    into Bob's full-length basis, click and bit columns. The three streams
+    are independent generators, so every stream, and any prefix of a run,
+    is the same as when all three were drawn chunk by chunk in turn.
 
     Clicks are drawn by `detection.simulate_detection`; see its module
     docstring.
     """
     n = cfg.n_pulses
-    alice_rng, bob_rng, channel_rng = (
-        np.random.default_rng(seed) for seed in (cfg.seed_alice, cfg.seed_bob, cfg.seed_channel)
-    )
-    alice_view = AliceView(np.empty(n, np.uint8), np.empty(n, np.uint8))
+    alice_view = simulate_transmitter(cfg)
+    bob_rng, channel_rng = (np.random.default_rng(seed) for seed in (cfg.seed_bob, cfg.seed_channel))
     bob_view = BobView(np.empty(n, np.uint8), np.empty(n, bool), np.empty(n, np.uint8))
     eta, class_means = cfg.eta, cfg.source.class_means
     n_matched = n_multi = discarded = 0
     for lo, hi in chunk_slices(n):
-        pulses = generate_pulse_train(cfg.source, hi - lo, alice_rng)
+        pulses = alice_view.at(slice(lo, hi))
         bob_basis = bob_rng.integers(0, 2, size=hi - lo, dtype=np.uint8)
         batch = simulate_detection(
             pulses, bob_basis, class_means, eta, cfg.detector, cfg.misalignment_rad, channel_rng
         )
-        alice_view.kind[lo:hi] = pulses.kind
-        alice_view.polarization[lo:hi] = pulses.polarization
         bob_view.basis[lo:hi] = bob_basis
         bob_view.clicked[lo:hi] = batch.clicked
         bob_view.bit[lo:hi] = batch.bit
@@ -364,7 +378,7 @@ def _bounds_dict(bounds: SinglePhotonBounds | None) -> dict | None:
 
 def _build_report(
     cfg: ExperimentConfig,
-    quantum: QuantumPhaseResult,
+    quantum: QuantumPhaseResult | None,
     session,
     peer_error_counters: dict | None,
     duration_s: float,
@@ -402,11 +416,12 @@ def _build_report(
         n_pulses=cfg.n_pulses,
         config_digest=cfg.digest().hex(),
         config=cfg.to_dict(),
+        # the transmitter (quantum None) knows only the clicks Bob reported
         quantum={
-            "basis_match_fraction": quantum.basis_match_fraction,
-            "n_clicks": quantum.n_clicks,
-            "n_multi_clicks": quantum.n_multi_clicks,
-            "discarded_doubles": quantum.discarded_doubles,
+            "basis_match_fraction": quantum.basis_match_fraction if quantum else None,
+            "n_clicks": quantum.n_clicks if quantum else res.n_clicked,
+            "n_multi_clicks": quantum.n_multi_clicks if quantum else None,
+            "discarded_doubles": quantum.discarded_doubles if quantum else None,
             "total_loss_db": cfg.total_loss_db,
             "eta": cfg.eta,
         },
@@ -475,14 +490,19 @@ def run_experiment(cfg: ExperimentConfig, *, transcript_path=None) -> RunReport:
 
 
 def serve(cfg: ExperimentConfig, host: str, port: int, *, transcript_path=None) -> RunReport:
-    """Receiver endpoint: accept one connection and run the session."""
+    """Receiver endpoint: listen, run the quantum phase, then accept one
+    connection and run the session.
+
+    Listening first lets the transmitter connect at once; its connection
+    waits in the backlog until the phase is done.
+    """
     t0 = time.perf_counter()
-    quantum = simulate_quantum_phase(cfg)
-    bob = BobSession(quantum.bob_view, cfg.protocol, cfg.digest())
     with socket.socket(socket.AF_INET, socket.SOCK_STREAM) as server:
         server.setsockopt(socket.SOL_SOCKET, socket.SO_REUSEADDR, 1)
         server.bind((host, port))
         server.listen(1)
+        quantum = simulate_quantum_phase(cfg)
+        bob = BobSession(quantum.bob_view, cfg.protocol, cfg.digest())
         server.settimeout(cfg.protocol.timeout_s)
         conn, _ = server.accept()
         with conn:
@@ -493,10 +513,15 @@ def serve(cfg: ExperimentConfig, host: str, port: int, *, transcript_path=None) 
 
 
 def connect(cfg: ExperimentConfig, host: str, port: int, *, transcript_path=None) -> RunReport:
-    """Transmitter endpoint: connect to a waiting receiver and run the session."""
+    """Transmitter endpoint: draw its own stream, connect to a listening
+    receiver and run the session.
+
+    The report's quantum section holds only what the transmitter knows: the
+    receiver's click count (from its BASIS_REVEAL), and None for the basis
+    match fraction, multi-clicks and discarded doubles.
+    """
     t0 = time.perf_counter()
-    quantum = simulate_quantum_phase(cfg)
-    alice = AliceSession(quantum.alice_view, cfg.protocol, cfg.digest(), _coin_rng(cfg))
+    alice = AliceSession(simulate_transmitter(cfg), cfg.protocol, cfg.digest(), _coin_rng(cfg))
     deadline = time.monotonic() + cfg.protocol.timeout_s
     last_err = None
     while time.monotonic() < deadline:
@@ -512,7 +537,7 @@ def connect(cfg: ExperimentConfig, host: str, port: int, *, transcript_path=None
         transcript = run_socket_session(alice, sock)
     if transcript_path is not None:
         save_transcript(transcript, transcript_path)
-    return _build_report(cfg, quantum, alice, None, time.perf_counter() - t0)
+    return _build_report(cfg, None, alice, None, time.perf_counter() - t0)
 
 
 # ---------------------------------------------------------------------------

@@ -68,8 +68,14 @@ class SourceConfig:
         return np.array([0.0, self.nu, self.mu])
 
 
-# word -> class, exploiting b0 = MSB: words 0..3 vacuum, 4..7 decoy, 8..15 signal
-WORD_CLASS = np.array([StateClass.VACUUM] * 4 + [StateClass.DECOY] * 4 + [StateClass.SIGNAL] * 8, dtype=np.uint8)
+def _word_class(words: np.ndarray) -> np.ndarray:
+    """Class of each uint8 word, exploiting b0 = MSB: the top two bits, with
+    11 folded into signal (words 0..3 vacuum, 4..7 decoy, 8..15 signal)."""
+    kind = words >> 2
+    return np.minimum(kind, np.uint8(StateClass.SIGNAL), out=kind)
+
+
+WORD_CLASS = _word_class(np.arange(16, dtype=np.uint8))
 
 
 @dataclass(frozen=True)
@@ -92,7 +98,8 @@ class AliceView:
         return len(self.kind)
 
     def at(self, slots: np.ndarray) -> AliceView:
-        """The view of the given slots only."""
+        """The view of the given slots only: a slice shares the columns, an
+        index array copies them."""
         return AliceView(self.kind[slots], self.polarization[slots])
 
     @property
@@ -133,7 +140,7 @@ def generate_pulse_train(
         rng = np.random.default_rng(cfg.rng_seed)
     if cfg.class_probabilities == (0.5, 0.25, 0.25):
         words = rng.integers(0, 16, size=count, dtype=np.uint8)
-        return AliceView(kind=WORD_CLASS[words], polarization=words & 0x3)
+        return AliceView(kind=_word_class(words), polarization=words & 0x3)
     # signal, decoy, vacuum -> StateClass 2, 1, 0
     kind = rng.choice(np.array([2, 1, 0], dtype=np.uint8), size=count, p=cfg.class_probabilities)
     return AliceView(kind=kind, polarization=rng.integers(0, 4, size=count, dtype=np.uint8))

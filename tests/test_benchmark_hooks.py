@@ -44,15 +44,18 @@ def test_tracer_sees_every_chunk_of_the_quantum_phase():
     """The quantum phase calls the source and detection once per chunk, and
     each endpoint sizes its key through estimate_bounds, secure_key_rate and
     toeplitz_hash, all at the module names the tracer wraps; code holding the
-    library's own functions would leave these counts short."""
+    library's own functions would leave these counts short. Over TCP both
+    endpoints draw Alice's stream, and only the receiver detects."""
     tracer, capture = Tracer(), EndpointCapture()
-    tracer.session = 0
     with capture.installed(), tracer.installed():
-        record = run_session(WORKLOADS["tank"], 1365414681, capture)
-    assert record.ok, record.failure
-    totals = session_totals(tracer.spans)[0]
-    assert totals["source.pulses"] == record.n_pulses
-    assert totals["detection.slots"] == record.n_pulses
-    assert totals["detection.clicks"] == record.clicks
-    assert sum(span.name == "analysis" and span.session == 0 for span in tracer.spans) == 4
-    assert totals["postprocess.toeplitz_out_bits"] == 2 * record.final_key_bits
+        for session, (workload, draws) in enumerate([("tank", 1), ("tank-tcp", 2)]):
+            tracer.session = session
+            record = run_session(WORKLOADS[workload], 1365414681, capture)
+            assert record.ok, record.failure
+            totals = session_totals(tracer.spans)[session]
+            assert totals["source.pulses"] == draws * record.n_pulses
+            assert totals["detection.slots"] == record.n_pulses
+            assert totals["detection.clicks"] == record.clicks
+            analysis_spans = sum(s.name == "analysis" and s.session == session for s in tracer.spans)
+            assert analysis_spans == 4
+            assert totals["postprocess.toeplitz_out_bits"] == 2 * record.final_key_bits

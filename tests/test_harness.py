@@ -41,9 +41,9 @@ from uwqkd import (
     tomography_report,
     validate_density_matrix,
 )
-from uwqkd import protocol
+from uwqkd import harness, protocol
 from uwqkd.cli import EXIT_ABORT, EXIT_OK, EXIT_VALIDATION, main
-from uwqkd.harness import connect, serve
+from uwqkd.harness import connect, serve, simulate_transmitter
 from uwqkd.protocol import AbortReason
 from uwqkd.transport import read_frame_bytes, run_socket_session
 
@@ -558,9 +558,15 @@ def test_socket_session_matches_in_process(base_cfg, base_report, tmp_path):
     assert not thread.is_alive()
     alice, bob = results["alice"], results["bob"]
     assert alice.status == bob.status == "done"
-    # both endpoints derive the same report, and it matches the queue transport
-    assert _strip_runtime(alice) == _strip_runtime(bob)
-    assert _strip_runtime(alice) == _strip_runtime(base_report)
+    # the receiver's report matches the queue transport's; the transmitter's
+    # differs only in the receiver-side quantum fields it cannot know
+    assert _strip_runtime(bob) == _strip_runtime(base_report)
+    receiver_only = ("basis_match_fraction", "n_multi_clicks", "discarded_doubles")
+    assert all(alice.quantum[name] is None for name in receiver_only)
+    assert alice.quantum["n_clicks"] == bob.quantum["n_clicks"]
+    expected = _strip_runtime(bob)
+    expected["quantum"].update(dict.fromkeys(receiver_only))
+    assert _strip_runtime(alice) == expected
     assert alice.key["sha256"] == bob.key["sha256"]
     # and each endpoint logged the queue transport's frames, in the same order
     run_experiment(base_cfg, transcript_path=tmp_path / "pump.jsonl")
@@ -631,6 +637,56 @@ def test_socket_session_times_out_on_a_stall_not_on_its_length(role):
     assert session.phase is Phase.DONE, session.abort_reason
     assert transcript == recorded
     assert seen == [e.data for e in recorded if e.direction.startswith(role)]
+
+
+def test_serve_accepts_a_connection_made_during_its_quantum_phase(monkeypatch, base_cfg):
+    # a plain connect from inside the receiver's quantum phase is refused
+    # unless serve already listens; the session then runs over that socket
+    port = _free_port()
+    phase = harness.simulate_quantum_phase
+    transmitter = {}
+
+    def phase_with_early_peer(cfg):
+        sock = socket.create_connection(("127.0.0.1", port), timeout=cfg.protocol.timeout_s)
+        alice = AliceSession(
+            simulate_transmitter(cfg), cfg.protocol, cfg.digest(), np.random.default_rng(0)
+        )
+
+        def run():
+            with sock:
+                run_socket_session(alice, sock)
+
+        transmitter["session"] = alice
+        transmitter["thread"] = threading.Thread(target=run, daemon=True)
+        transmitter["thread"].start()
+        return phase(cfg)
+
+    monkeypatch.setattr(harness, "simulate_quantum_phase", phase_with_early_peer)
+    report = serve(base_cfg, "127.0.0.1", port)
+    transmitter["thread"].join(timeout=60)
+    assert not transmitter["thread"].is_alive()
+    assert report.status == "done"
+    assert transmitter["session"].phase is Phase.DONE
+
+
+def test_transmitter_never_simulates_the_receiver(monkeypatch, base_cfg):
+    callers = {"simulate_quantum_phase": set(), "simulate_detection": set()}
+    for name, seen in callers.items():
+        original = getattr(harness, name)
+
+        def recorded(*args, _original=original, _seen=seen, **kwargs):
+            _seen.add(threading.current_thread())
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(harness, name, recorded)
+    port = _free_port()
+    receiver = threading.Thread(target=serve, args=(base_cfg, "127.0.0.1", port), daemon=True)
+    receiver.start()
+    report = connect(base_cfg, "127.0.0.1", port)
+    receiver.join(timeout=60)
+    assert not receiver.is_alive()
+    assert report.status == "done"
+    assert callers == {"simulate_quantum_phase": {receiver}, "simulate_detection": {receiver}}
 
 
 def test_connect_without_listener_fails():
