@@ -260,13 +260,9 @@ class QuantumPhaseResult:
 
 
 def simulate_transmitter(cfg: ExperimentConfig) -> AliceView:
-    """The transmitter's own stream: Alice's view drawn from `seed_alice` only.
-
-    One `generate_pulse_train` call (one 4-bit word per slot) per 2^20-slot
-    `chunk_slices` chunk, written into the full-length kind and polarization
-    columns. Drawing chunk by chunk makes a run of n slots a prefix of any
-    longer run with the same seed.
-    """
+    """The transmitter's own stream: Alice's view drawn from `seed_alice` only,
+    one `generate_pulse_train` call (one 4-bit word per slot) per 2^20-slot
+    `chunk_slices` chunk."""
     n = cfg.n_pulses
     rng = np.random.default_rng(cfg.seed_alice)
     view = AliceView(np.empty(n, np.uint8), np.empty(n, np.uint8))
@@ -280,12 +276,12 @@ def simulate_transmitter(cfg: ExperimentConfig) -> AliceView:
 def simulate_quantum_phase(cfg: ExperimentConfig) -> QuantumPhaseResult:
     """Deterministic quantum phase from the three role seeds.
 
-    Alice's view is `simulate_transmitter`'s. Then, chunk by chunk in the
-    same `chunk_slices` order, Bob's bases (Bob's stream: one draw per slot)
-    and detection (the channel stream) are drawn, one call each, and written
-    into Bob's full-length basis, click and bit columns. The three streams
-    are independent generators, so every stream, and any prefix of a run,
-    is the same as when all three were drawn chunk by chunk in turn.
+    Alice's view is `simulate_transmitter`'s. Then, per `chunk_slices`
+    chunk, Bob's bases (Bob's stream: one draw per slot) and detection (the
+    channel stream) are drawn, one call each, and written into Bob's
+    full-length basis, click and bit columns. Each stream draws chunk by
+    chunk from its own generator, so a run of n slots is a prefix of any
+    longer run with the same seeds.
 
     Clicks are drawn by `detection.simulate_detection`; see its module
     docstring.
