@@ -261,8 +261,8 @@ class QuantumPhaseResult:
 
 def simulate_transmitter(cfg: ExperimentConfig) -> AliceView:
     """The transmitter's own stream: Alice's view drawn from `seed_alice` only,
-    one `generate_pulse_train` call (one 4-bit word per slot) per 2^20-slot
-    `chunk_slices` chunk."""
+    one `generate_pulse_train` call (one uniform byte per slot, whose top
+    nibble is the 4-bit word) per 2^20-slot `chunk_slices` chunk."""
     n = cfg.n_pulses
     rng = np.random.default_rng(cfg.seed_alice)
     view = AliceView(np.empty(n, np.uint8), np.empty(n, np.uint8))
@@ -277,8 +277,10 @@ def simulate_quantum_phase(cfg: ExperimentConfig) -> QuantumPhaseResult:
     """Deterministic quantum phase from the three role seeds.
 
     Alice's view is `simulate_transmitter`'s. Then, per `chunk_slices`
-    chunk, Bob's bases (Bob's stream: one draw per slot) and detection (the
-    channel stream) are drawn, one call each, and written into Bob's
+    chunk, Bob's bases (Bob's stream: the top bit of one uniform byte per
+    slot, the same stream as `integers(0, 2, uint8)`, see the `source`
+    module docstring) and detection (the channel stream) are drawn, one call
+    each, and written into Bob's
     full-length basis, click and bit columns. Each stream draws chunk by
     chunk from its own generator, so a run of n slots is a prefix of any
     longer run with the same seeds.
@@ -294,7 +296,8 @@ def simulate_quantum_phase(cfg: ExperimentConfig) -> QuantumPhaseResult:
     n_matched = n_multi = discarded = 0
     for lo, hi in chunk_slices(n):
         pulses = alice_view.at(slice(lo, hi))
-        bob_basis = bob_rng.integers(0, 2, size=hi - lo, dtype=np.uint8)
+        bob_basis = bob_rng.integers(0, 256, size=hi - lo, dtype=np.uint8)
+        bob_basis >>= 7
         batch = simulate_detection(
             pulses, bob_basis, class_means, eta, cfg.detector, cfg.misalignment_rad, channel_rng
         )
@@ -337,10 +340,6 @@ class RunReport:
 
     def to_dict(self) -> dict:
         return asdict(self)
-
-    @classmethod
-    def from_dict(cls, data: dict) -> "RunReport":
-        return cls(**data)
 
     def to_json(self, indent: int | None = 2) -> str:
         return json.dumps(self.to_dict(), indent=indent, sort_keys=False)

@@ -7,7 +7,13 @@ intensity class and polarization are chosen by a uniform 4-bit random word:
     bits (b2, b3) -> state:  00 H, 01 V, 10 P, 11 M
 
 b0 is the most significant bit of the word, so signal:decoy:vacuum occur in
-an exact 8:4:4 = 2:1:1 ratio and the four states are equiprobable. Photon
+an exact 8:4:4 = 2:1:1 ratio and the four states are equiprobable. The word
+is the top nibble of one uniform byte per slot, `integers(0, 256, uint8) >> 4`:
+numpy draws a bounded uint8 by Lemire's multiply-shift, which for a
+power-of-two range never rejects and keeps the top bits of one stream byte,
+so this is the same stream as `integers(0, 16, uint8)` at the cost of a
+full-range draw. Every per-slot uniform of the quantum phase is drawn this
+way (`tests/test_source.py` pins the equivalence). Photon
 number per pulse is Poisson with the class mean (`SourceConfig.class_means`);
 clicks are drawn from the class means by `detection.simulate_detection`, see
 its module docstring.
@@ -68,14 +74,17 @@ class SourceConfig:
         return np.array([0.0, self.nu, self.mu])
 
 
-def _word_class(words: np.ndarray) -> np.ndarray:
-    """Class of each uint8 word, exploiting b0 = MSB: the top two bits, with
-    11 folded into signal (words 0..3 vacuum, 4..7 decoy, 8..15 signal)."""
-    kind = words >> 2
-    return np.minimum(kind, np.uint8(StateClass.SIGNAL), out=kind)
+def _byte_class(raw: np.ndarray) -> np.ndarray:
+    """Class of each slot's uniform byte, whose top two bits are the word's
+    (b0, b1), with 11 folded into signal (bytes 0..63 vacuum, 64..127 decoy,
+    128..255 signal). Built in place, with no intp temporary."""
+    kind = (raw >= 64).view(np.uint8)
+    kind += raw >= 128
+    return kind
 
 
-WORD_CLASS = _word_class(np.arange(16, dtype=np.uint8))
+# class of each 4-bit word, which is the top nibble of its byte
+WORD_CLASS = _byte_class(np.arange(16, dtype=np.uint8) << 4)
 
 
 @dataclass(frozen=True)
@@ -129,8 +138,10 @@ def generate_pulse_train(
 ) -> AliceView:
     """Generate `count` slots of pulses in one batch.
 
-    Draw order is fixed: one 4-bit word per slot on the canonical mix;
-    otherwise one class draw per slot, then one polarization draw per slot.
+    Draw order is fixed: one 4-bit word per slot on the canonical mix, the
+    top nibble of one uniform byte (the same stream as drawing the word
+    itself, see the module docstring); otherwise one class draw per slot,
+    then one polarization per slot, the top two bits of one uniform byte.
     The quantum phase calls this once per `chunk_slices` chunk, so its
     stream is the same for any run length.
     """
@@ -139,8 +150,8 @@ def generate_pulse_train(
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
     if cfg.class_probabilities == (0.5, 0.25, 0.25):
-        words = rng.integers(0, 16, size=count, dtype=np.uint8)
-        return AliceView(kind=_word_class(words), polarization=words & 0x3)
+        raw = rng.integers(0, 256, size=count, dtype=np.uint8)
+        return AliceView(kind=_byte_class(raw), polarization=(raw >> 4) & 0x3)
     # signal, decoy, vacuum -> StateClass 2, 1, 0
     kind = rng.choice(np.array([2, 1, 0], dtype=np.uint8), size=count, p=cfg.class_probabilities)
-    return AliceView(kind=kind, polarization=rng.integers(0, 4, size=count, dtype=np.uint8))
+    return AliceView(kind=kind, polarization=rng.integers(0, 256, size=count, dtype=np.uint8) >> 6)

@@ -163,16 +163,34 @@ def test_list_mix_draws_as_the_tuple():
     assert np.array_equal(a.polarization, b.polarization)
 
 
+def test_full_range_byte_top_bits_are_the_bounded_draw():
+    """The top k bits of `integers(0, 256, uint8)` are `integers(0, 2**k,
+    uint8)` from an equal generator, value for value and call after call,
+    odd sizes included: numpy's bounded uint8 draw (Lemire's multiply-shift)
+    never rejects on a power-of-two range and keeps the top bits of one
+    stream byte. This is why the quantum phase's words and bases, drawn as
+    full-range bytes, keep the pinned goldens; if it fails, a numpy release
+    changed its bounded draw and every stream with it."""
+    sizes = (1, 3, 5, 4097, (1 << 20) + 3)
+    for shift, high in ((4, 16), (7, 2), (6, 4)):
+        full, bounded = np.random.default_rng(29), np.random.default_rng(29)
+        for n in sizes:
+            top = full.integers(0, 256, size=n, dtype=np.uint8) >> shift
+            assert np.array_equal(top, bounded.integers(0, high, size=n, dtype=np.uint8)), (high, n)
+        assert full.bit_generator.state == bounded.bit_generator.state
+
+
 def test_train_follows_word_table():
     """Each slot's class and polarization are the table entry for the word
-    drawn first from the same seed."""
+    drawn from the same seed, across consecutive odd-sized calls."""
     cfg = SourceConfig(rng_seed=0)
-    n = 4096
-    train = generate_pulse_train(cfg, n)
-    words = np.random.default_rng(cfg.rng_seed).integers(0, 16, size=n, dtype=np.uint8)
-    assert len(train) == n
-    assert np.array_equal(train.kind, WORD_CLASS[words])
-    assert np.array_equal(train.polarization, words & 3)
+    rng, reference = np.random.default_rng(cfg.rng_seed), np.random.default_rng(cfg.rng_seed)
+    for n in (4097, 1023):
+        train = generate_pulse_train(cfg, n, rng)
+        words = reference.integers(0, 16, size=n, dtype=np.uint8)
+        assert len(train) == n
+        assert np.array_equal(train.kind, WORD_CLASS[words])
+        assert np.array_equal(train.polarization, words & 3)
 
 
 def test_non_canonical_mix_falls_back():
