@@ -26,10 +26,10 @@ n = 1_000_000
 train = generate_pulse_train(cfg, n, np.random.default_rng(7))
 
 print("\nclass frequencies")
-# class_probabilities is ordered (signal, decoy, vacuum)
-expected = dict(zip((StateClass.SIGNAL, StateClass.DECOY, StateClass.VACUUM), cfg.class_probabilities))
-for cls, p in expected.items():
-    observed = np.mean(train.kind == cls)
+# the expected mix is the share of the sixteen words in each class
+expected = np.bincount(WORD_CLASS, minlength=3) / 16
+for cls in (StateClass.SIGNAL, StateClass.DECOY, StateClass.VACUUM):
+    observed, p = np.mean(train.kind == cls), expected[cls]
     print(f"  {cls.name:<6} observed {observed:.4f}  expected {p:.4f}")
 
 # Each slot's mean photon number is its class mean; draw a Poisson number

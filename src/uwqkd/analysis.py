@@ -293,16 +293,10 @@ class CalibrationResult:
 def _anchor_prediction(anchor: Anchor, y0: float, e_d: float, mu: float, nu: float, q: float, f: float) -> float:
     eta = transmittance(anchor.total_loss_db)
     stats = expected_statistics(y0, eta, mu, nu, e_d)
-    if anchor.kind == "q_mu":
-        return stats.q_mu
-    if anchor.kind == "e_mu":
-        return stats.e_mu
-    if anchor.kind == "q_nu":
-        return stats.q_nu
-    if anchor.kind == "e_nu":
-        return stats.e_nu
-    report = secure_key_rate(stats, q=q, error_correction_efficiency=f)
-    return report.r_per_pulse
+    if anchor.kind == "r_per_pulse":
+        return secure_key_rate(stats, q=q, error_correction_efficiency=f).r_per_pulse
+    # the other kinds are DecoyStatistics fields
+    return getattr(stats, anchor.kind)
 
 
 def calibrate(

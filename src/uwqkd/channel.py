@@ -74,10 +74,11 @@ class WaterChannel:
     preset_tag: str = "Custom"
 
     def __post_init__(self) -> None:
-        if self.attenuation_coefficient < 0.0:
-            raise ValueError("attenuation coefficient must be >= 0")
-        if self.length_m < 0.0:
-            raise ValueError("path length must be >= 0")
+        # finite, so that their product, the loss, is never NaN
+        if not 0.0 <= self.attenuation_coefficient < math.inf:
+            raise ValueError("attenuation coefficient must be finite and >= 0")
+        if not 0.0 <= self.length_m < math.inf:
+            raise ValueError("path length must be finite and >= 0")
 
     @classmethod
     def jerlov(cls, water_type: str, length_m: float) -> "WaterChannel":
@@ -106,8 +107,8 @@ class ReceiverLoss:
     detector_efficiency: float = 0.2
 
     def __post_init__(self) -> None:
-        if self.optics_loss_db < 0.0:
-            raise ValueError("optics loss must be >= 0 dB")
+        if not 0.0 <= self.optics_loss_db < math.inf:
+            raise ValueError("optics loss must be finite and >= 0 dB")
         if not 0.0 < self.detector_efficiency <= 1.0:
             raise ValueError("detector efficiency must be in (0, 1]")
 

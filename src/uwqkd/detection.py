@@ -51,17 +51,11 @@ class DoubleClickPolicy(Enum):
 @dataclass(frozen=True)
 class DetectorConfig:
     dark_count_prob_per_gate: float = 0.0
-    gate_width_ns: float = 1.0
-    gates_per_frame: int = 4
     double_click_policy: DoubleClickPolicy = DoubleClickPolicy.RANDOM_BIT
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.dark_count_prob_per_gate < 1.0:
             raise ValueError("dark count probability must be in [0, 1)")
-        if self.gate_width_ns <= 0.0:
-            raise ValueError("gate width must be > 0")
-        if self.gates_per_frame < 1:
-            raise ValueError("gates per frame must be >= 1")
 
     @property
     def background_yield(self) -> float:

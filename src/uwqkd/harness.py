@@ -82,6 +82,10 @@ class ExperimentConfig:
         if not 0 < self.n_pulses < 1 << 32:
             # slot indices travel as u32 on the wire
             raise ConfigError("n_pulses must be in [1, 2^32 - 1]")
+        if min(self.seed_alice, self.seed_bob, self.seed_channel) < 0:
+            raise ConfigError("seeds must be >= 0")
+        if not math.isfinite(self.misalignment_deg):
+            raise ConfigError("misalignment must be finite")
         if not 0.0 <= self.drop_probability < 1.0:
             raise ConfigError("drop probability must be in [0, 1)")
         p, s = self.protocol, self.source
@@ -109,7 +113,6 @@ class ExperimentConfig:
             "source": {
                 "mu": self.source.mu,
                 "nu": self.source.nu,
-                "class_probabilities": list(self.source.class_probabilities),
                 "repetition_rate_hz": self.source.repetition_rate_hz,
             },
             "channel": {
@@ -123,8 +126,6 @@ class ExperimentConfig:
             },
             "detector": {
                 "dark_count_prob_per_gate": self.detector.dark_count_prob_per_gate,
-                "gate_width_ns": self.detector.gate_width_ns,
-                "gates_per_frame": self.detector.gates_per_frame,
                 "double_click_policy": self.detector.double_click_policy.value,
             },
             "misalignment_deg": self.misalignment_deg,
@@ -150,70 +151,90 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+class _Section:
+    """One section of a config dict. It records the keys read from it, so
+    that a key nothing reads (misspelt, or left from an older format) is
+    rejected rather than ignored."""
+
+    def __init__(self, data: dict, name: str, *, optional: bool = False):
+        self.name, self.read = name, set()
+        self.mapping = data.get(name, {}) if optional else _require(data, name, "")
+
+    def get(self, key: str, cast):
+        """A required key, cast."""
+        self.read.add(key)
+        return cast(_require(self.mapping, key, f"{self.name}."))
+
+    def present(self, **casts) -> dict:
+        """The optional keys given, cast; those left out take the defaults of
+        the dataclass they are passed to."""
+        self.read.update(casts)
+        return {key: cast(self.mapping[key]) for key, cast in casts.items() if key in self.mapping}
+
+    def reject_unread(self) -> None:
+        unread = sorted(set(self.mapping) - self.read)
+        if unread:
+            raise ConfigError("unused config key " + ", ".join(f"{self.name}.{k}" for k in unread))
+
+
 def config_from_dict(data: dict) -> ExperimentConfig:
+    """Parse a config dict. Inside a section, a key this does not read is an
+    error; other top-level keys (`sweep`, `calibration`) are left to their
+    readers."""
     try:
-        seeds = _require(data, "seeds", "")
-        source_d = _require(data, "source", "")
-        channel_d = _require(data, "channel", "")
-        receiver_d = _require(data, "receiver", "")
-        detector_d = _require(data, "detector", "")
-        source = SourceConfig(
-            mu=float(_require(source_d, "mu", "source.")),
-            nu=float(_require(source_d, "nu", "source.")),
-            class_probabilities=source_d.get("class_probabilities", (0.5, 0.25, 0.25)),
-            repetition_rate_hz=float(_require(source_d, "repetition_rate_hz", "source.")),
-            rng_seed=int(_require(seeds, "alice", "seeds.")),
+        seeds, source_d, channel_d, receiver_d, detector_d = (
+            _Section(data, name) for name in ("seeds", "source", "channel", "receiver", "detector")
         )
-        if "jerlov_type" in channel_d:
-            channel = WaterChannel.jerlov(
-                str(channel_d["jerlov_type"]), float(_require(channel_d, "length_m", "channel."))
-            )
+        protocol_d, transport_d = (_Section(data, name, optional=True) for name in ("protocol", "transport"))
+        source = SourceConfig(
+            mu=source_d.get("mu", float),
+            nu=source_d.get("nu", float),
+            repetition_rate_hz=source_d.get("repetition_rate_hz", float),
+            rng_seed=seeds.get("alice", int),
+        )
+        length_m = channel_d.get("length_m", float)
+        if "jerlov_type" in channel_d.mapping:
+            channel = WaterChannel.jerlov(channel_d.get("jerlov_type", str), length_m)
         else:
-            channel = WaterChannel(
-                attenuation_coefficient=float(
-                    _require(channel_d, "attenuation_coefficient_per_m", "channel.")
-                ),
-                length_m=float(_require(channel_d, "length_m", "channel.")),
-            )
+            channel = WaterChannel(channel_d.get("attenuation_coefficient_per_m", float), length_m)
         receiver = ReceiverLoss(
-            optics_loss_db=float(_require(receiver_d, "optics_loss_db", "receiver.")),
-            detector_efficiency=float(_require(receiver_d, "detector_efficiency", "receiver.")),
+            optics_loss_db=receiver_d.get("optics_loss_db", float),
+            detector_efficiency=receiver_d.get("detector_efficiency", float),
         )
         detector = DetectorConfig(
-            dark_count_prob_per_gate=float(
-                _require(detector_d, "dark_count_prob_per_gate", "detector.")
-            ),
-            gate_width_ns=float(detector_d.get("gate_width_ns", 1.0)),
-            gates_per_frame=int(detector_d.get("gates_per_frame", 4)),
-            double_click_policy=DoubleClickPolicy(detector_d.get("double_click_policy", "random_bit")),
+            dark_count_prob_per_gate=detector_d.get("dark_count_prob_per_gate", float),
+            **detector_d.present(double_click_policy=DoubleClickPolicy),
         )
-        protocol_d = data.get("protocol", {})
         protocol = ProtocolOptions(
             mu=source.mu,
             nu=source.nu,
-            sample_fraction=float(protocol_d.get("sample_fraction", 0.1)),
-            q=float(protocol_d.get("q", 0.5)),
-            error_correction_efficiency=float(protocol_d.get("error_correction_efficiency", 1.16)),
             repetition_rate_hz=source.repetition_rate_hz,
-            n_cascade_passes=int(protocol_d.get("n_cascade_passes", 4)),
-            min_key_bits=int(protocol_d.get("min_key_bits", 64)),
-            timeout_s=float(protocol_d.get("timeout_s", 30.0)),
+            **protocol_d.present(
+                sample_fraction=float,
+                q=float,
+                error_correction_efficiency=float,
+                n_cascade_passes=int,
+                min_key_bits=int,
+                timeout_s=float,
+            ),
         )
-        transport_d = data.get("transport", {})
-        return ExperimentConfig(
+        cfg = ExperimentConfig(
             n_pulses=int(_require(data, "n_pulses", "")),
-            seed_alice=int(_require(seeds, "alice", "seeds.")),
-            seed_bob=int(_require(seeds, "bob", "seeds.")),
-            seed_channel=int(_require(seeds, "channel", "seeds.")),
+            seed_alice=seeds.get("alice", int),
+            seed_bob=seeds.get("bob", int),
+            seed_channel=seeds.get("channel", int),
             source=source,
             channel=channel,
             receiver=receiver,
             detector=detector,
             misalignment_deg=float(_require(data, "misalignment_deg", "")),
             protocol=protocol,
-            drop_probability=float(transport_d.get("drop_probability", 0.0)),
+            **transport_d.present(drop_probability=float),
             raw=data,
         )
+        for section in (seeds, source_d, channel_d, receiver_d, detector_d, protocol_d, transport_d):
+            section.reject_unread()
+        return cfg
     except ConfigError:
         raise
     except (TypeError, ValueError, KeyError) as exc:
@@ -382,9 +403,7 @@ def _build_report(
     aborted = session.phase is Phase.ABORTED
     rate = res.rate_report
     key_bits = res.final_key
-    realized_bps = (
-        len(key_bits) * cfg.source.repetition_rate_hz / cfg.n_pulses if cfg.n_pulses else 0.0
-    )
+    realized_bps = len(key_bits) * cfg.source.repetition_rate_hz / cfg.n_pulses
     rate_dict = None
     if rate is not None:
         rate_dict = {

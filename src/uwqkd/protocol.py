@@ -33,7 +33,9 @@ bits are fully disclosed for exact estimation, never used as key.
 
 from __future__ import annotations
 
+import math
 import struct
+import threading
 import zlib
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -303,13 +305,18 @@ class ProtocolOptions:
     def __post_init__(self) -> None:
         if not 0.0 < self.sample_fraction < 1.0:
             raise ValueError("sample fraction must be in (0, 1)")
+        if not 0.0 < self.q <= 1.0:
+            raise ValueError("sifting factor q must be in (0, 1]")
+        if not 1.0 <= self.error_correction_efficiency < math.inf:
+            raise ValueError("error correction efficiency must be finite and >= 1")
         if not 1 <= self.n_cascade_passes <= 128:
             # pass indices travel as one byte, and a retried Cascade runs twice as many
             raise ValueError("reconciliation passes must be in [1, 128]")
         if self.min_key_bits < MIN_KEY_BITS:
             raise ValueError(f"min_key_bits must be >= {MIN_KEY_BITS}, Cascade's shortest key")
-        if self.timeout_s <= 0.0:
-            raise ValueError("timeout must be > 0")
+        if not 0.0 < self.timeout_s <= threading.TIMEOUT_MAX:
+            # sockets and locks refuse a longer wait
+            raise ValueError(f"timeout must be in (0, {threading.TIMEOUT_MAX:.0f}] s")
 
 
 @dataclass(frozen=True)

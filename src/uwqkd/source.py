@@ -7,7 +7,8 @@ intensity class and polarization are chosen by a uniform 4-bit random word:
     bits (b2, b3) -> state:  00 H, 01 V, 10 P, 11 M
 
 b0 is the most significant bit of the word, so signal:decoy:vacuum occur in
-an exact 8:4:4 = 2:1:1 ratio and the four states are equiprobable. The word
+an exact 8:4:4 = 2:1:1 ratio and the four states are equiprobable. This is
+the only class mix: a config sets the class means, not the mix. The word
 is the top nibble of one uniform byte per slot, `integers(0, 256, uint8) >> 4`:
 numpy draws a bounded uint8 by Lemire's multiply-shift, which for a
 power-of-two range never rejects and keeps the top bits of one stream byte,
@@ -26,6 +27,7 @@ the transmitter's session sifts on it. The quantum phase draws it one
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -40,16 +42,11 @@ class StateClass(IntEnum):
 
 @dataclass(frozen=True)
 class SourceConfig:
-    """Transmitter settings.
-
-    class_probabilities is ordered (signal, decoy, vacuum). The default
-    (0.5, 0.25, 0.25) is realized exactly by the 4-bit word mapping; any other
-    mix falls back to direct class sampling with the same polarization rule.
-    """
+    """Transmitter settings. The class mix is the 4-bit word's 2:1:1
+    (`WORD_CLASS`); only the class means and the clock are set here."""
 
     mu: float = 0.8
     nu: float = 0.1
-    class_probabilities: tuple[float, float, float] = (0.5, 0.25, 0.25)
     repetition_rate_hz: float = 20e6
     rng_seed: int = 0
 
@@ -58,15 +55,8 @@ class SourceConfig:
             raise ValueError("require mu > nu >= 0")
         if self.nu == 0.0:
             raise ValueError("decoy mean must be > 0 (vacuum is its own class)")
-        if self.repetition_rate_hz <= 0.0:
-            raise ValueError("repetition rate must be > 0")
-        # stored as a tuple so that a list of the canonical mix compares equal
-        # to it and draws 4-bit words, as the digest (which lists it) implies
-        p = tuple(float(x) for x in self.class_probabilities)
-        object.__setattr__(self, "class_probabilities", p)
-        # a class never emitted leaves its gain without a denominator
-        if len(p) != 3 or any(x <= 0.0 for x in p) or abs(sum(p) - 1.0) > 1e-12:
-            raise ValueError("class probabilities must be 3 positive values summing to 1")
+        if not 0.0 < self.repetition_rate_hz < math.inf:
+            raise ValueError("repetition rate must be finite and > 0")
 
     @property
     def class_means(self) -> np.ndarray:
@@ -138,20 +128,14 @@ def generate_pulse_train(
 ) -> AliceView:
     """Generate `count` slots of pulses in one batch.
 
-    Draw order is fixed: one 4-bit word per slot on the canonical mix, the
-    top nibble of one uniform byte (the same stream as drawing the word
-    itself, see the module docstring); otherwise one class draw per slot,
-    then one polarization per slot, the top two bits of one uniform byte.
-    The quantum phase calls this once per `chunk_slices` chunk, so its
-    stream is the same for any run length.
+    Draw order is fixed: one 4-bit word per slot, the top nibble of one
+    uniform byte (the same stream as drawing the word itself, see the module
+    docstring), and nothing else. The quantum phase calls this once per
+    `chunk_slices` chunk, so its stream is the same for any run length.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
-    if cfg.class_probabilities == (0.5, 0.25, 0.25):
-        raw = rng.integers(0, 256, size=count, dtype=np.uint8)
-        return AliceView(kind=_byte_class(raw), polarization=(raw >> 4) & 0x3)
-    # signal, decoy, vacuum -> StateClass 2, 1, 0
-    kind = rng.choice(np.array([2, 1, 0], dtype=np.uint8), size=count, p=cfg.class_probabilities)
-    return AliceView(kind=kind, polarization=rng.integers(0, 256, size=count, dtype=np.uint8) >> 6)
+    raw = rng.integers(0, 256, size=count, dtype=np.uint8)
+    return AliceView(kind=_byte_class(raw), polarization=(raw >> 4) & 0x3)

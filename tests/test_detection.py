@@ -67,8 +67,6 @@ def test_detector_config_validation():
     assert cfg.background_yield == pytest.approx(1.0 - (1.0 - 1e-3) ** 2, rel=1e-12)
     with pytest.raises(ValueError):
         DetectorConfig(dark_count_prob_per_gate=1.0)
-    with pytest.raises(ValueError):
-        DetectorConfig(gates_per_frame=0)
 
 
 def test_dark_prob_inverts_background_yield():

@@ -46,14 +46,11 @@ def test_source_config_defaults_and_validation():
     cfg = SourceConfig()
     assert cfg.mu == 0.8
     assert cfg.nu == 0.1
-    assert cfg.class_probabilities == (0.5, 0.25, 0.25)
     assert cfg.repetition_rate_hz == 20e6
     with pytest.raises(ValueError):
         SourceConfig(mu=0.1, nu=0.8)  # decoy must be weaker
     with pytest.raises(ValueError):
         SourceConfig(mu=0.8, nu=0.0)
-    with pytest.raises(ValueError):
-        SourceConfig(class_probabilities=(0.5, 0.3, 0.3))
 
 
 def test_train_class_and_state_frequencies():
@@ -134,33 +131,14 @@ def test_train_different_seeds_differ():
     assert differ_fraction == pytest.approx(29 / 32, abs=0.003)
 
 
-@pytest.mark.parametrize("mix", [(0.5, 0.25, 0.25), (0.6, 0.2, 0.2)])
-def test_train_draws_per_slot_in_one_batch(mix):
-    """One word per slot (or one class and one polarization draw on the
-    direct mix), in one batch, and nothing else: the stream ends where these
-    draws alone leave it."""
-    cfg = SourceConfig(class_probabilities=mix)
+def test_train_draws_per_slot_in_one_batch():
+    """One word per slot, in one batch, and nothing else: the stream ends
+    where these draws alone leave it."""
     n = (2 << 20) + 5
     rng, reference = np.random.default_rng(8), np.random.default_rng(8)
-    generate_pulse_train(cfg, n, rng)
-    if mix == (0.5, 0.25, 0.25):
-        reference.integers(0, 16, size=n, dtype=np.uint8)
-    else:
-        reference.choice(np.array([2, 1, 0], dtype=np.uint8), size=n, p=mix)
-        reference.integers(0, 4, size=n, dtype=np.uint8)
+    generate_pulse_train(SourceConfig(), n, rng)
+    reference.integers(0, 16, size=n, dtype=np.uint8)
     assert rng.bit_generator.state == reference.bit_generator.state
-
-
-def test_list_mix_draws_as_the_tuple():
-    """A mix given as a list is the same config as the tuple: equal
-    digests (the config lists it either way) must mean equal trains."""
-    as_list = SourceConfig(class_probabilities=[0.5, 0.25, 0.25], rng_seed=4)
-    as_tuple = SourceConfig(class_probabilities=(0.5, 0.25, 0.25), rng_seed=4)
-    assert as_list == as_tuple
-    assert as_list.class_probabilities == (0.5, 0.25, 0.25)
-    a, b = generate_pulse_train(as_list, 4096), generate_pulse_train(as_tuple, 4096)
-    assert np.array_equal(a.kind, b.kind)
-    assert np.array_equal(a.polarization, b.polarization)
 
 
 def test_full_range_byte_top_bits_are_the_bounded_draw():
@@ -191,14 +169,6 @@ def test_train_follows_word_table():
         assert len(train) == n
         assert np.array_equal(train.kind, WORD_CLASS[words])
         assert np.array_equal(train.polarization, words & 3)
-
-
-def test_non_canonical_mix_falls_back():
-    cfg = SourceConfig(class_probabilities=(0.6, 0.2, 0.2), rng_seed=11)
-    train = generate_pulse_train(cfg, 100_000)
-    counts = np.bincount(train.kind, minlength=3)
-    assert counts[StateClass.SIGNAL] / len(train) == pytest.approx(0.6, abs=0.006)
-    assert counts[StateClass.DECOY] / len(train) == pytest.approx(0.2, abs=0.006)
 
 
 def test_generate_count_validation():
