@@ -121,23 +121,23 @@ def test_every_shipped_config_loads(path):
 
 
 @pytest.mark.parametrize(
-    "section, key",
+    "section, key, value",
     [
-        ("source", "class_probabilities"),  # the mix is the 4-bit word's 2:1:1
-        ("detector", "gate_width_ns"),
-        ("detector", "gates_per_frame"),
-        ("protocol", "sample_fracton"),
-        ("seeds", "eve"),
-        ("channel", "jerlov_typ"),
-        ("receiver", "dark_count_prob_per_gate"),
-        ("transport", "drop_prob"),
+        ("source", "class_probabilities", [0.5, 0.25, 0.25]),  # the word's mix, no longer a key
+        ("detector", "gate_width_ns", 1.0),
+        ("detector", "gates_per_frame", 4),
+        ("protocol", "sample_fracton", 0.1),
+        ("seeds", "eve", 4),
+        ("channel", "jerlov_typ", "I"),
+        ("receiver", "dark_count_prob_per_gate", 1e-5),
+        ("transport", "drop_prob", 0.0),
     ],
 )
-def test_config_unread_key_raises(section, key):
+def test_config_unread_key_raises(section, key, value):
     """A key a section does not read is rejected, not ignored, even where
     its value is the one that would have been assumed."""
     data = base_dict()
-    data.setdefault(section, {})[key] = [0.5, 0.25, 0.25] if key == "class_probabilities" else 4
+    data.setdefault(section, {})[key] = value
     with pytest.raises(ConfigError, match=f"{section}.{key}"):
         config_from_dict(data)
 
