@@ -28,8 +28,9 @@ uniformly), then each candidate kept with probability P_d / p_max. The cost
 of the draws follows the clicks, not the slots.
 
 The transmitter's side of each slot arrives as a `source.AliceView`. One
-call draws one batch; the quantum phase makes one call per
-`source.chunk_slices` chunk.
+call draws one batch, and the batch keeps only the slots that clicked, with
+their bits: no column is as long as the batch. The quantum phase makes one
+call per `source.chunk_slices` chunk.
 """
 
 from __future__ import annotations
@@ -72,21 +73,43 @@ def dark_prob_for_background_yield(y0: float) -> float:
 
 @dataclass(frozen=True)
 class DetectionBatch:
-    """Receiver outcomes for a batch of slots, one column entry per slot.
+    """Receiver outcomes for a batch of n_slots slots, kept as its clicks.
 
-    bit is 0 wherever clicked is False. multi_click marks slots where both
-    detectors fired and the bit is a fair coin (RANDOM_BIT policy). Under
-    DISCARD those slots read as no-click, multi_click stays all False, and
-    discarded_doubles counts them.
+    slots are the clicked slots in ascending order and bits the bit read at
+    each. multi_slots are the clicked slots where both detectors fired and
+    the bit is a fair coin (RANDOM_BIT policy). Under DISCARD those slots
+    read as no-click, multi_slots is empty, and discarded_doubles counts
+    them. clicked, bit and multi_click are the same outcomes as full-length
+    columns, built on each access.
     """
 
-    clicked: np.ndarray  # bool
-    bit: np.ndarray      # uint8
-    multi_click: np.ndarray  # bool
+    n_slots: int
+    slots: np.ndarray        # int64, strictly ascending, in [0, n_slots)
+    bits: np.ndarray         # uint8, one per clicked slot
+    multi_slots: np.ndarray  # int64, a subset of slots
     discarded_doubles: int = 0
 
     def __len__(self) -> int:
-        return len(self.clicked)
+        return self.n_slots
+
+    @property
+    def clicked(self) -> np.ndarray:
+        clicked = np.zeros(self.n_slots, dtype=bool)
+        clicked[self.slots] = True
+        return clicked
+
+    @property
+    def bit(self) -> np.ndarray:
+        """0 wherever no detector clicked."""
+        bit = np.zeros(self.n_slots, dtype=np.uint8)
+        bit[self.slots] = self.bits
+        return bit
+
+    @property
+    def multi_click(self) -> np.ndarray:
+        multi = np.zeros(self.n_slots, dtype=bool)
+        multi[self.multi_slots] = True
+        return multi
 
 
 def _wrong_detector_prob(matched: np.ndarray, alice_bit: np.ndarray, theta: float) -> np.ndarray:
@@ -133,10 +156,6 @@ def simulate_detection(
     n = len(alice)
     if len(bob_basis) != n:
         raise ValueError("input columns must have equal length")
-    clicked = np.zeros(n, dtype=bool)
-    bit = np.zeros(n, dtype=np.uint8)
-    multi = np.zeros(n, dtype=bool)
-    discarded = 0
     p_dark = cfg.dark_count_prob_per_gate
     means = np.asarray(class_means, dtype=float)
     sin2 = math.sin(misalignment_theta) ** 2
@@ -153,18 +172,16 @@ def simulate_detection(
         p_fire = p_dark - (1.0 - p_dark) * np.expm1(-channel_eta * means[lit.kind] * p_route)
         fired.append(slots[rng.random(len(slots)) < p_fire / p_max])
     fire0, fire1 = fired
+    slots = np.union1d(fire0, fire1)
+    bits = np.isin(slots, fire1).view(np.uint8)
     both = np.intersect1d(fire0, fire1, assume_unique=True)
-    clicked[fire0] = True
-    clicked[fire1] = True
-    bit[fire1] = 1
+    at_both = np.searchsorted(slots, both)
     if cfg.double_click_policy is DoubleClickPolicy.DISCARD:
-        discarded = len(both)
-        clicked[both] = False
-        bit[both] = 0
-    else:
-        multi[both] = True
-        bit[both] = rng.integers(0, 2, size=len(both), dtype=np.uint8)
-    return DetectionBatch(clicked=clicked, bit=bit, multi_click=multi, discarded_doubles=discarded)
+        return DetectionBatch(
+            n, np.delete(slots, at_both), np.delete(bits, at_both), both[:0], discarded_doubles=len(both)
+        )
+    bits[at_both] = rng.integers(0, 2, size=len(both), dtype=np.uint8)
+    return DetectionBatch(n, slots, bits, both)
 
 
 def expected_gain(y0: float, eta: float, mean: float) -> float:

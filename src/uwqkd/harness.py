@@ -286,11 +286,9 @@ def simulate_transmitter(cfg: ExperimentConfig) -> AliceView:
     nibble is the 4-bit word) per 2^20-slot `chunk_slices` chunk."""
     n = cfg.n_pulses
     rng = np.random.default_rng(cfg.seed_alice)
-    view = AliceView(np.empty(n, np.uint8), np.empty(n, np.uint8))
+    view = AliceView(np.empty(n, np.uint8))
     for lo, hi in chunk_slices(n):
-        pulses = generate_pulse_train(cfg.source, hi - lo, rng)
-        view.kind[lo:hi] = pulses.kind
-        view.polarization[lo:hi] = pulses.polarization
+        view.word[lo:hi] = generate_pulse_train(cfg.source, hi - lo, rng).word
     return view
 
 
@@ -301,10 +299,10 @@ def simulate_quantum_phase(cfg: ExperimentConfig) -> QuantumPhaseResult:
     chunk, Bob's bases (Bob's stream: the top bit of one uniform byte per
     slot, the same stream as `integers(0, 2, uint8)`, see the `source`
     module docstring) and detection (the channel stream) are drawn, one call
-    each, and written into Bob's
-    full-length basis, click and bit columns. Each stream draws chunk by
-    chunk from its own generator, so a run of n slots is a prefix of any
-    longer run with the same seeds.
+    each. Bob's view keeps his bases, one bit a slot, and only the clicks of
+    each chunk, offset to session slots. Each stream draws chunk by chunk
+    from its own generator, so a run of n slots is a prefix of any longer
+    run with the same seeds.
 
     Clicks are drawn by `detection.simulate_detection`; see its module
     docstring.
@@ -312,27 +310,30 @@ def simulate_quantum_phase(cfg: ExperimentConfig) -> QuantumPhaseResult:
     n = cfg.n_pulses
     alice_view = simulate_transmitter(cfg)
     bob_rng, channel_rng = (np.random.default_rng(seed) for seed in (cfg.seed_bob, cfg.seed_channel))
-    bob_view = BobView(np.empty(n, np.uint8), np.empty(n, bool), np.empty(n, np.uint8))
+    packed_basis = np.empty((n + 7) // 8, np.uint8)
     eta, class_means = cfg.eta, cfg.source.class_means
+    slots, bits = [], []
     n_matched = n_multi = discarded = 0
     for lo, hi in chunk_slices(n):
         pulses = alice_view.at(slice(lo, hi))
         bob_basis = bob_rng.integers(0, 256, size=hi - lo, dtype=np.uint8)
         bob_basis >>= 7
+        # a chunk starts at a multiple of 2^20 slots, so on a whole byte
+        packed_basis[lo // 8 : (hi + 7) // 8] = np.packbits(bob_basis)
         batch = simulate_detection(
             pulses, bob_basis, class_means, eta, cfg.detector, cfg.misalignment_rad, channel_rng
         )
-        bob_view.basis[lo:hi] = bob_basis
-        bob_view.clicked[lo:hi] = batch.clicked
-        bob_view.bit[lo:hi] = batch.bit
+        slots.append(batch.slots + lo)
+        bits.append(batch.bits)
         n_matched += int(np.count_nonzero(pulses.basis == bob_basis))
-        n_multi += int(np.count_nonzero(batch.multi_click))
+        n_multi += len(batch.multi_slots)
         discarded += batch.discarded_doubles
+    bob_view = BobView(n, packed_basis, np.concatenate(slots), np.concatenate(bits))
     return QuantumPhaseResult(
         alice_view=alice_view,
         bob_view=bob_view,
         basis_match_fraction=n_matched / n,
-        n_clicks=int(np.count_nonzero(bob_view.clicked)),
+        n_clicks=len(bob_view.slots),
         n_multi_clicks=n_multi,
         discarded_doubles=discarded,
     )

@@ -319,20 +319,59 @@ class ProtocolOptions:
             raise ValueError(f"timeout must be in (0, {threading.TIMEOUT_MAX:.0f}] s")
 
 
+def _ascending_in_range(slots: np.ndarray, n_slots: int) -> bool:
+    """Whether slot indices are strictly ascending and in [0, n_slots)."""
+    return not len(slots) or (0 <= slots[0] and slots[-1] < n_slots and bool(np.all(np.diff(slots) > 0)))
+
+
 @dataclass(frozen=True)
 class BobView:
-    """Receiver knowledge per slot."""
+    """Receiver knowledge: his basis for every slot, one bit a slot, and his
+    clicks, kept as the clicked slots in ascending order with the bit read
+    at each.
 
-    basis: np.ndarray    # uint8 Basis
-    clicked: np.ndarray  # bool
-    bit: np.ndarray      # uint8
+    packed_basis is `np.packbits` of the per-slot basis column. basis,
+    clicked and bit are full-length uint8/bool columns (bit 0 where no
+    detector clicked), built on each access; the session reads only
+    `basis_at` its clicks.
+    """
+
+    n_slots: int
+    packed_basis: np.ndarray  # uint8, 8 slots a byte, first slot in the top bit
+    slots: np.ndarray         # int64, strictly ascending, in [0, n_slots)
+    bits: np.ndarray          # uint8, one per clicked slot
 
     def __post_init__(self) -> None:
-        if not (len(self.basis) == len(self.clicked) == len(self.bit)):
-            raise ValueError("column lengths differ")
+        if len(self.packed_basis) != (self.n_slots + 7) // 8:
+            raise ValueError("one basis bit per slot")
+        if len(self.bits) != len(self.slots):
+            raise ValueError("one bit per clicked slot")
+        if not _ascending_in_range(self.slots, self.n_slots):
+            raise ValueError("clicked slots must be strictly ascending and in range")
 
     def __len__(self) -> int:
-        return len(self.basis)
+        return self.n_slots
+
+    def basis_at(self, slots: np.ndarray) -> np.ndarray:
+        """His basis (uint8) at the given slots."""
+        shift = (7 - (slots & 7)).astype(np.uint8)
+        return (self.packed_basis[slots >> 3] >> shift) & 1
+
+    @property
+    def basis(self) -> np.ndarray:
+        return np.unpackbits(self.packed_basis, count=self.n_slots)
+
+    @property
+    def clicked(self) -> np.ndarray:
+        clicked = np.zeros(self.n_slots, dtype=bool)
+        clicked[self.slots] = True
+        return clicked
+
+    @property
+    def bit(self) -> np.ndarray:
+        bit = np.zeros(self.n_slots, dtype=np.uint8)
+        bit[self.slots] = self.bits
+        return bit
 
 
 @dataclass
@@ -660,7 +699,7 @@ class AliceSession(_Session):
         return []
 
     def _handle_basis_reveal(self, slots: np.ndarray, bases: np.ndarray) -> list[Frame]:
-        if len(slots) and (slots[-1] >= self.n_slots or np.any(np.diff(slots) <= 0)):
+        if not _ascending_in_range(slots, self.n_slots):
             return self._abort(AbortReason.INTERNAL, "clicked slot list not strictly ascending in range")
         self.n_clicked = len(slots)
         self._clicked_slots = slots
@@ -669,8 +708,7 @@ class AliceSession(_Session):
         self._matched_slots = slots[matched_mask]
         self.n_matched = len(self._matched_slots)
         self._tally_classes(clicked.kind, clicked.kind[matched_mask], clicked.bit[matched_mask])
-        totals = np.bincount(self.view.kind, minlength=3)
-        self.emitted_per_class = {v: int(totals[v]) for v in StateClass}
+        self.emitted_per_class = self.view.class_totals()
         empty = self._empty_class()
         if empty is not None:
             return self._abort(AbortReason.INTERNAL, f"no emitted pulses in class {empty.name}")
@@ -753,7 +791,7 @@ class BobSession(_Session):
         super().__init__(options, config_digest, len(view))
         self.view = view
         self._corrector: CascadeCorrector | None = None
-        self._clicked_slots = np.flatnonzero(view.clicked).astype(np.int64)
+        self._clicked_slots = view.slots
         self._matched_positions = np.zeros(0, dtype=np.int64)  # into clicked list
 
     def _handle_hello(self, role: int, digest: bytes, n_slots: int) -> list[Frame]:
@@ -766,10 +804,12 @@ class BobSession(_Session):
         self.n_clicked = len(slots)
         return [
             self._emit(FrameType.SYNC_HELLO, 1, self.config_digest, self.n_slots),
-            self._emit(FrameType.BASIS_REVEAL, slots, self.view.basis[slots]),
+            self._emit(FrameType.BASIS_REVEAL, slots, self.view.basis_at(slots)),
         ]
 
     def _handle_sift_ack(self, matched_slots: np.ndarray) -> list[Frame]:
+        if not _ascending_in_range(matched_slots, self.n_slots):
+            return self._abort(AbortReason.INTERNAL, "matched slot list not strictly ascending in range")
         positions = np.searchsorted(self._clicked_slots, matched_slots)
         if np.any(positions >= len(self._clicked_slots)) or np.any(
             self._clicked_slots[np.minimum(positions, len(self._clicked_slots) - 1)] != matched_slots
@@ -796,7 +836,7 @@ class BobSession(_Session):
         empty = self._empty_class()
         if empty is not None:
             return self._abort(AbortReason.INTERNAL, f"no emitted pulses in class {empty.name}")
-        matched_bits = self.view.bit[self._clicked_slots[self._matched_positions]]
+        matched_bits = self.view.bits[self._matched_positions]
         self._tally_classes(kinds, kinds[self._matched_positions], matched_bits)
         self.phase = Phase.ESTIMATION
         return []

@@ -19,10 +19,12 @@ number per pulse is Poisson with the class mean (`SourceConfig.class_means`);
 clicks are drawn from the class means by `detection.simulate_detection`, see
 its module docstring.
 
-`AliceView` is the one per-slot column type of the transmitter: the source
-writes it, detection reads it at the slots where a detector may fire, and
-the transmitter's session sifts on it. The quantum phase draws it one
-`chunk_slices` chunk at a time.
+`AliceView` is the one per-slot column type of the transmitter, and it
+stores one byte per slot: the 4-bit word. Class, polarization, basis and bit
+are derived from it on access. The source writes it, detection reads it at
+the slots where a detector may fire, and the transmitter's session reads it
+at the slots the receiver reports and counts its class totals. The quantum
+phase draws it one `chunk_slices` chunk at a time.
 """
 
 from __future__ import annotations
@@ -64,50 +66,72 @@ class SourceConfig:
         return np.array([0.0, self.nu, self.mu])
 
 
-def _byte_class(raw: np.ndarray) -> np.ndarray:
-    """Class of each slot's uniform byte, whose top two bits are the word's
-    (b0, b1), with 11 folded into signal (bytes 0..63 vacuum, 64..127 decoy,
-    128..255 signal). Built in place, with no intp temporary."""
-    kind = (raw >= 64).view(np.uint8)
-    kind += raw >= 128
+def _word_class(word: np.ndarray) -> np.ndarray:
+    """Class of each 4-bit word, whose top two bits are (b0, b1), with 11
+    folded into signal (words 0..3 vacuum, 4..7 decoy, 8..15 signal). Built
+    from two compares, with no intp temporary."""
+    kind = (word >= 4).view(np.uint8)
+    kind += word >= 8
     return kind
 
 
-# class of each 4-bit word, which is the top nibble of its byte
-WORD_CLASS = _byte_class(np.arange(16, dtype=np.uint8) << 4)
+# class of each 4-bit word
+WORD_CLASS = _word_class(np.arange(16, dtype=np.uint8))
 
 
 @dataclass(frozen=True)
 class AliceView:
-    """Transmitter ground truth, one column entry per slot.
+    """Transmitter ground truth: one 4-bit word per slot (see the module
+    docstring), the only stored column.
 
-    kind and polarization are what the source draws and the only stored
-    columns; basis and bit derive from the polarization index. A slot's mean
-    photon number is `SourceConfig.class_means[kind]`.
+    kind, polarization, basis and bit are read-only uint8 columns derived
+    from the words on each access, so bind one to a name to read it twice. A
+    slot's mean photon number is `SourceConfig.class_means[kind]`.
     """
 
-    kind: np.ndarray          # uint8, StateClass values
-    polarization: np.ndarray  # uint8, Polarization values
-
-    def __post_init__(self) -> None:
-        if len(self.polarization) != len(self.kind):
-            raise ValueError("column lengths differ")
+    word: np.ndarray  # uint8, 4-bit slot words
 
     def __len__(self) -> int:
-        return len(self.kind)
+        return len(self.word)
 
-    def at(self, slots: np.ndarray) -> AliceView:
-        """The view of the given slots only: a slice shares the columns, an
-        index array copies them."""
-        return AliceView(self.kind[slots], self.polarization[slots])
+    def at(self, slots: np.ndarray | slice) -> AliceView:
+        """The view of the given slots only: a slice shares the column, an
+        index array copies it."""
+        return AliceView(self.word[slots])
+
+    def class_totals(self) -> dict[StateClass, int]:
+        """Slots per class, from two compares over each chunk of words: no
+        temporary is longer than a chunk."""
+        n_signal = n_lit = 0
+        for lo, hi in chunk_slices(len(self.word)):
+            word = self.word[lo:hi]
+            n_signal += int(np.count_nonzero(word >= 8))
+            n_lit += int(np.count_nonzero(word >= 4))
+        return {
+            StateClass.VACUUM: len(self.word) - n_lit,
+            StateClass.DECOY: n_lit - n_signal,
+            StateClass.SIGNAL: n_signal,
+        }
+
+    @property
+    def kind(self) -> np.ndarray:
+        """StateClass values."""
+        return _word_class(self.word)
+
+    @property
+    def polarization(self) -> np.ndarray:
+        """Polarization values: the word's two low bits."""
+        return self.word & 3
 
     @property
     def basis(self) -> np.ndarray:
-        return (self.polarization >> 1).astype(np.uint8, copy=False)
+        basis = self.word >> 1
+        basis &= 1
+        return basis
 
     @property
     def bit(self) -> np.ndarray:
-        return (self.polarization & 1).astype(np.uint8, copy=False)
+        return self.word & 1
 
 
 _CHUNK = 1 << 20
@@ -137,5 +161,6 @@ def generate_pulse_train(
         raise ValueError("count must be >= 0")
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
-    raw = rng.integers(0, 256, size=count, dtype=np.uint8)
-    return AliceView(kind=_byte_class(raw), polarization=(raw >> 4) & 0x3)
+    word = rng.integers(0, 256, size=count, dtype=np.uint8)
+    word >>= 4
+    return AliceView(word)

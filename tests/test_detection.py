@@ -14,6 +14,7 @@ from uwqkd.detection import (
     simulate_detection,
 )
 from uwqkd.source import AliceView, SourceConfig, StateClass, generate_pulse_train
+from views import words
 
 
 def _batch(n, seed, *, eta, p_dark=0.0, theta=0.0, policy=DoubleClickPolicy.RANDOM_BIT,
@@ -167,6 +168,28 @@ def test_batch_columns_consistent():
         assert not (batch.multi_click & ~batch.clicked).any()  # a no-click is never a double
 
 
+def test_sparse_batch_invariants():
+    """The clicks are strictly ascending slots in range, one bit in {0, 1}
+    each, with the doubles among them; under DISCARD the same draws keep
+    every click but the doubles."""
+    batches = {
+        policy: _batch(20_000, seed=41, eta=0.9, mu=5.0, p_dark=1e-3, policy=policy)[2]
+        for policy in DoubleClickPolicy
+    }
+    for batch in batches.values():
+        assert batch.slots.dtype == np.int64 and batch.bits.dtype == np.uint8
+        assert len(batch.bits) == len(batch.slots) > 0
+        assert np.all(np.diff(batch.slots) > 0)
+        assert 0 <= batch.slots[0] and batch.slots[-1] < batch.n_slots
+        assert set(np.unique(batch.bits)) <= {0, 1}
+        assert np.isin(batch.multi_slots, batch.slots).all()
+    rand, disc = batches[DoubleClickPolicy.RANDOM_BIT], batches[DoubleClickPolicy.DISCARD]
+    assert len(rand.multi_slots) == disc.discarded_doubles > 0
+    assert len(disc.multi_slots) == 0
+    assert not np.isin(disc.slots, rand.multi_slots).any()
+    assert np.array_equal(np.union1d(disc.slots, rand.multi_slots), rand.slots)
+
+
 def test_perfect_channel_reproduces_key_bits():
     # mu = 40: a signal pulse is empty with probability e^-40, so at eta = 1
     # every matched signal slot is lit and reads Alice's bit
@@ -185,7 +208,7 @@ def test_perfect_channel_reproduces_key_bits():
 
 def test_simulate_detection_validation():
     z = np.zeros(4, dtype=np.uint8)
-    alice = AliceView(z, z)
+    alice = AliceView(z)
     with pytest.raises(ValueError):
         simulate_detection(alice, z, MEANS, 1.5, DetectorConfig(), 0.0, np.random.default_rng(0))
     with pytest.raises(ValueError):
@@ -199,7 +222,7 @@ def test_dark_free_empty_channel_draws_nothing():
     kind = np.full(n, StateClass.SIGNAL, dtype=np.uint8)
     rng = np.random.default_rng(65)
     before = rng.bit_generator.state
-    batch = simulate_detection(AliceView(kind, z), z, MEANS, 0.0, DetectorConfig(), 0.1, rng)
+    batch = simulate_detection(AliceView(words(kind, z)), z, MEANS, 0.0, DetectorConfig(), 0.1, rng)
     assert rng.bit_generator.state == before
     assert not batch.clicked.any()
 
@@ -224,8 +247,8 @@ def _dense_detection(alice, bob_basis, class_means, eta, cfg, theta, rng):
         discarded = int(both.sum())
         clicked &= ~both
         multi[:] = False
-    bit[~clicked] = 0
-    return DetectionBatch(clicked, bit, multi, discarded)
+    slots = np.flatnonzero(clicked)
+    return DetectionBatch(n, slots, bit[slots], np.flatnonzero(multi), discarded)
 
 
 ORACLE_SLOTS = (1 << 20) + 4096
@@ -304,7 +327,7 @@ def test_short_batches_click_at_the_dark_rate(n):
     rng = np.random.default_rng(67)
     clicks = np.zeros(n, dtype=np.int64)
     for _ in range(calls):
-        clicks += simulate_detection(AliceView(kind, z), z, MEANS, 0.0, cfg, 0.0, rng).clicked
+        clicks += simulate_detection(AliceView(words(kind, z)), z, MEANS, 0.0, cfg, 0.0, rng).clicked
     y0 = cfg.background_yield
     bound = 4.0 * math.sqrt(calls * y0 * (1.0 - y0)) + 1.0
     assert np.all(np.abs(clicks - calls * y0) <= bound), clicks

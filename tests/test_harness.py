@@ -10,6 +10,7 @@ import math
 import socket
 import threading
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -359,9 +360,11 @@ def test_quantum_phase_extends_a_shorter_run():
     short, long = (
         simulate_quantum_phase(_tank_variant(n_pulses=n)) for n in (1 << 20, (1 << 20) + 4096)
     )
-    for view in ("alice_view", "bob_view"):
-        for column, values in vars(getattr(short, view)).items():
-            assert np.array_equal(getattr(getattr(long, view), column)[: 1 << 20], values), column
+    columns = {"alice_view": ("kind", "polarization", "basis"), "bob_view": ("basis", "clicked", "bit")}
+    for view, names in columns.items():
+        for column in names:
+            values = getattr(getattr(short, view), column)
+            assert np.array_equal(getattr(getattr(long, view), column)[: 1 << 20], values), (view, column)
 
 
 @pytest.mark.parametrize(
@@ -391,6 +394,43 @@ def test_quantum_phase_pinned(changes, digest, clicks, multi, discarded, match, 
     assert repr(res.basis_match_fraction) == match
     if request.node.callspec.id == "discard-dark":  # still takes the discard path
         assert res.discarded_doubles > 0 and res.n_multi_clicks == 0
+
+
+def _traced_peak(call):
+    """call()'s result and the peak of the memory it allocated, numpy's
+    buffers included."""
+    tracemalloc.start()
+    try:
+        result = call()
+        return result, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_quantum_phase_memory_follows_the_clicks():
+    """Per slot, the quantum phase keeps one byte for the transmitter and one
+    bit for the receiver's basis; everything else it holds scales with a
+    chunk or the clicks."""
+    cfg = load_config(CONFIGS / "tank_run.json")
+    res, peak = _traced_peak(lambda: simulate_quantum_phase(cfg))
+    assert res.n_clicks == 12692
+    assert peak < 4 * cfg.n_pulses, peak
+
+
+def test_basis_reveal_memory_follows_the_clicks():
+    """The transmitter's reply to BASIS_REVEAL reads her words at the clicked
+    slots and counts her class totals without a full-length intp temporary."""
+    cfg = load_config(CONFIGS / "tank_run.json")
+    res = simulate_quantum_phase(cfg)
+    alice = AliceSession(res.alice_view, cfg.protocol, cfg.digest(), np.random.default_rng(0))
+    bob = BobSession(res.bob_view, cfg.protocol, cfg.digest())
+    reply, reveal = bob.step(protocol.IncomingFrame(protocol.encode_frame(alice.start()[0])))
+    alice.step(protocol.IncomingFrame(protocol.encode_frame(reply)))
+    event = protocol.IncomingFrame(protocol.encode_frame(reveal))
+    frames, peak = _traced_peak(lambda: alice.step(event))
+    assert [f.frame_type.name for f in frames] == ["SIFT_ACK", "INTENSITY_REVEAL", "QBER_SAMPLE"]
+    assert sum(alice.emitted_per_class.values()) == cfg.n_pulses
+    assert peak < 2 * cfg.n_pulses, peak
 
 
 @pytest.mark.parametrize(

@@ -28,6 +28,7 @@ from uwqkd.protocol import (
     encode_payload,
 )
 from uwqkd.source import AliceView
+from views import words
 
 DIGEST = hashlib.md5(b"session-under-test").digest()
 
@@ -176,9 +177,32 @@ def make_views(n, seed, error_rate=0.02, click_rate=0.5):
     flip = (rng.random(n) < error_rate).astype(np.uint8)
     matched = alice_basis == bob_basis
     bob_bit = np.where(matched, alice_bit ^ flip, rng.integers(0, 2, size=n)).astype(np.uint8)
-    alice = AliceView(kind=kind, polarization=(alice_basis << 1) | alice_bit)
-    bob = BobView(basis=bob_basis, clicked=clicked, bit=bob_bit)
+    slots = np.flatnonzero(clicked)
+    alice = AliceView(words(kind, (alice_basis << 1) | alice_bit))
+    bob = BobView(n, np.packbits(bob_basis), slots, bob_bit[slots])
     return alice, bob
+
+
+def test_bob_view_reads_back_its_columns():
+    basis = np.array([0, 1, 1, 0, 1, 0, 0, 1, 1, 1], dtype=np.uint8)
+    bits = np.array([0, 1], dtype=np.uint8)
+    view = BobView(10, np.packbits(basis), np.array([1, 8]), bits)
+    assert np.array_equal(view.basis, basis)
+    assert np.array_equal(view.basis_at(np.arange(10)), basis)
+    assert np.array_equal(view.clicked, np.isin(np.arange(10), [1, 8]))
+    assert np.array_equal(view.bit, [0, 0, 0, 0, 0, 0, 0, 0, 1, 0])
+
+
+def test_bob_view_clicks_must_be_ascending_in_range():
+    packed, bits = np.zeros(1, dtype=np.uint8), np.zeros(2, dtype=np.uint8)
+    assert len(BobView(8, packed, np.array([1, 7]), bits)) == 8
+    with pytest.raises(ValueError):
+        BobView(9, packed, np.array([1, 7]), bits)  # one basis bit per slot
+    with pytest.raises(ValueError):
+        BobView(8, packed, np.array([1]), bits)  # one bit per clicked slot
+    for slots in ([3, 3], [4, 2], [-1, 2], [2, 8]):
+        with pytest.raises(ValueError):
+            BobView(8, packed, np.array(slots), bits)
 
 
 def make_sessions(n=4096, seed=0, options=None, digest_a=DIGEST, digest_b=DIGEST):
@@ -379,7 +403,8 @@ def rewrite(frame_type, edit):
 
 def test_session_without_decoy_clicks_flags_it():
     va, vb = make_views(4096, seed=5)
-    vb.clicked[va.kind == 1] = False
+    not_decoy = va.kind[vb.slots] != 1  # drop every decoy click
+    vb = BobView(len(vb), vb.packed_basis, vb.slots[not_decoy], vb.bits[not_decoy])
     options = ProtocolOptions()
     alice = AliceSession(va, options, DIGEST, coin_rng=np.random.default_rng([5, 77]))
     bob = BobSession(vb, options, DIGEST)
@@ -393,7 +418,8 @@ def test_session_without_decoy_clicks_flags_it():
 
 def test_class_never_emitted_aborts_transmitter():
     alice, bob = make_sessions()
-    alice.view.kind[alice.view.kind == 0] = 1  # no vacuum slots: Y0 has no denominator
+    word = alice.view.word
+    word[word < 4] |= 4  # vacuum words become decoy: Y0 has no denominator
     pump(alice, bob)
     assert alice.phase is Phase.ABORTED
     assert alice.abort_reason is AbortReason.INTERNAL
@@ -443,6 +469,14 @@ def _flip_capped_flag(values):
     values[2] ^= 1
 
 
+def _repeat_matched_slot(values):
+    values[0] = np.insert(values[0], 1, values[0][1])
+
+
+def _swap_matched_slots(values):
+    values[0][[0, 1]] = values[0][[1, 0]]
+
+
 @pytest.mark.parametrize(
     "mangle, reason, message",
     [
@@ -450,13 +484,16 @@ def _flip_capped_flag(values):
         (edit_values(FrameType.INTENSITY_REVEAL, _vacuum_bytes_to_3), AbortReason.INTERNAL, "malformed"),
         (edit_values(FrameType.QBER_SAMPLE, _nan_fraction, 0), AbortReason.CONFIG_MISMATCH, "fraction"),
         (edit_values(FrameType.PA_SEED, _flip_capped_flag), AbortReason.LENGTH_MISMATCH, "flags"),
+        (edit_values(FrameType.SIFT_ACK, _repeat_matched_slot), AbortReason.INTERNAL, "ascending"),
+        (edit_values(FrameType.SIFT_ACK, _swap_matched_slots), AbortReason.INTERNAL, "ascending"),
     ],
-    ids=["vacuum_echo", "class_byte", "nan_fraction", "pa_flags"],
+    ids=["vacuum_echo", "class_byte", "nan_fraction", "pa_flags", "sift_repeated", "sift_swapped"],
 )
 def test_receiver_checks_peer_fields(mangle, reason, message):
     """Bob aborts, naming the field, when one of Alice's fields disagrees with
     his own state: her sample echo's sizes, a class byte above 2, the sample
-    fraction, or the key-length flags of PA_SEED."""
+    fraction, the key-length flags of PA_SEED, or matched slots that are not
+    strictly ascending (a repeated slot would take a key bit twice)."""
     alice, bob = make_sessions()
     pump(alice, bob, mangle=mangle)
     assert bob.phase is Phase.ABORTED

@@ -6,6 +6,7 @@ import pytest
 from uwqkd.detection import DetectorConfig, simulate_detection
 from uwqkd.polarization import Basis, Polarization
 from uwqkd.source import WORD_CLASS, AliceView, SourceConfig, StateClass, chunk_slices, generate_pulse_train
+from views import words
 
 # Full 4-bit slot table. b0 (MSB) and b1 select the class, b2 b3 the state.
 WORD_TABLE = {
@@ -33,6 +34,10 @@ def test_word_table(word):
     cls, expected_pol = WORD_TABLE[word]
     assert WORD_CLASS[word] == cls
     assert Polarization(word & 0x3) is expected_pol
+    view = AliceView(np.array([word], dtype=np.uint8))
+    assert (view.kind[0], view.polarization[0]) == (cls, expected_pol)
+    assert (view.basis[0], view.bit[0]) == (expected_pol.basis, expected_pol.bit)
+    assert np.array_equal(AliceView(words([cls], [expected_pol])).kind, [cls])
 
 
 def test_word_class_means():
@@ -58,6 +63,7 @@ def test_train_class_and_state_frequencies():
     n = 400_000
     train = generate_pulse_train(SourceConfig(rng_seed=3), n)
     counts = np.bincount(train.kind, minlength=3)
+    assert train.class_totals() == {v: int(counts[v]) for v in StateClass}
     assert counts[StateClass.SIGNAL] / n == pytest.approx(0.5, abs=0.004)
     assert counts[StateClass.DECOY] / n == pytest.approx(0.25, abs=0.004)
     assert counts[StateClass.VACUUM] / n == pytest.approx(0.25, abs=0.004)
@@ -176,7 +182,3 @@ def test_generate_count_validation():
         generate_pulse_train(SourceConfig(), -1)
     assert len(generate_pulse_train(SourceConfig(), 0)) == 0
 
-
-def test_alice_view_columns_must_match():
-    with pytest.raises(ValueError):
-        AliceView(kind=np.zeros(3, dtype=np.uint8), polarization=np.zeros(2, dtype=np.uint8))
