@@ -55,7 +55,7 @@ from .protocol import (
     Phase,
     ProtocolOptions,
 )
-from .source import AliceView, SourceConfig, chunk_slices, generate_pulse_train
+from .source import AliceView, SourceConfig, chunk_slices, generate_pulse_train, uniform_bytes
 from .transport import InProcessPump, run_socket_session, save_transcript
 
 
@@ -282,8 +282,8 @@ class QuantumPhaseResult:
 
 def simulate_transmitter(cfg: ExperimentConfig) -> AliceView:
     """The transmitter's own stream: Alice's view drawn from `seed_alice` only,
-    one `generate_pulse_train` call (one uniform byte per slot, whose top
-    nibble is the 4-bit word) per 2^20-slot `chunk_slices` chunk."""
+    one `generate_pulse_train` call (one `uniform_bytes` byte per slot, whose
+    top nibble is the 4-bit word) per 2^20-slot `chunk_slices` chunk."""
     n = cfg.n_pulses
     rng = np.random.default_rng(cfg.seed_alice)
     view = AliceView(np.empty(n, np.uint8))
@@ -296,9 +296,9 @@ def simulate_quantum_phase(cfg: ExperimentConfig) -> QuantumPhaseResult:
     """Deterministic quantum phase from the three role seeds.
 
     Alice's view is `simulate_transmitter`'s. Then, per `chunk_slices`
-    chunk, Bob's bases (Bob's stream: the top bit of one uniform byte per
-    slot, the same stream as `integers(0, 2, uint8)`, see the `source`
-    module docstring) and detection (the channel stream) are drawn, one call
+    chunk, Bob's bases (Bob's stream: the top bit of one `uniform_bytes`
+    byte per slot, the same stream as `integers(0, 2, uint8)`, see the
+    `source` module docstring) and detection (the channel stream) are drawn, one call
     each. Bob's view keeps his bases, one bit a slot, and only the clicks of
     each chunk, offset to session slots. Each stream draws chunk by chunk
     from its own generator, so a run of n slots is a prefix of any longer
@@ -316,7 +316,7 @@ def simulate_quantum_phase(cfg: ExperimentConfig) -> QuantumPhaseResult:
     n_matched = n_multi = discarded = 0
     for lo, hi in chunk_slices(n):
         pulses = alice_view.at(slice(lo, hi))
-        bob_basis = bob_rng.integers(0, 256, size=hi - lo, dtype=np.uint8)
+        bob_basis = uniform_bytes(bob_rng, hi - lo)
         bob_basis >>= 7
         # a chunk starts at a multiple of 2^20 slots, so on a whole byte
         packed_basis[lo // 8 : (hi + 7) // 8] = np.packbits(bob_basis)
@@ -538,14 +538,16 @@ def connect(cfg: ExperimentConfig, host: str, port: int, *, transcript_path=None
     t0 = time.perf_counter()
     alice = AliceSession(simulate_transmitter(cfg), cfg.protocol, cfg.digest(), _coin_rng(cfg))
     deadline = time.monotonic() + cfg.protocol.timeout_s
-    last_err = None
+    last_err = ""
     while time.monotonic() < deadline:
         try:
             sock = socket.create_connection((host, port), timeout=cfg.protocol.timeout_s)
             break
         except OSError as exc:
-            last_err = exc
-            time.sleep(0.05)
+            # only the text: the exception's traceback holds this frame, and
+            # so `alice`, until the cyclic GC runs
+            last_err = str(exc)
+            time.sleep(0.005)
     else:
         raise ConnectionError(f"could not reach {host}:{port}: {last_err}")
     with sock:

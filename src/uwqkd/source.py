@@ -9,12 +9,14 @@ intensity class and polarization are chosen by a uniform 4-bit random word:
 b0 is the most significant bit of the word, so signal:decoy:vacuum occur in
 an exact 8:4:4 = 2:1:1 ratio and the four states are equiprobable. This is
 the only class mix: a config sets the class means, not the mix. The word
-is the top nibble of one uniform byte per slot, `integers(0, 256, uint8) >> 4`:
-numpy draws a bounded uint8 by Lemire's multiply-shift, which for a
-power-of-two range never rejects and keeps the top bits of one stream byte,
-so this is the same stream as `integers(0, 16, uint8)` at the cost of a
-full-range draw. Every per-slot uniform of the quantum phase is drawn this
-way (`tests/test_source.py` pins the equivalence). Photon
+is the top nibble of one uniform byte per slot, `uniform_bytes(rng, n) >> 4`.
+That is the same stream as `integers(0, 16, uint8)` at the cost of a
+full-range draw: numpy draws a bounded uint8 by Lemire's multiply-shift,
+which for a power-of-two range never rejects and keeps the top bits of one
+stream byte. `uniform_bytes` returns the stream of `integers(0, 256, uint8)`
+but reads it as whole 64-bit PCG64 outputs, see its docstring. Every
+per-slot uniform of the quantum phase is drawn this way, and
+`tests/test_source.py` pins both equivalences. Photon
 number per pulse is Poisson with the class mean (`SourceConfig.class_means`);
 clicks are drawn from the class means by `detection.simulate_detection`, see
 its module docstring.
@@ -147,20 +149,58 @@ def chunk_slices(n: int):
         yield lo, min(lo + _CHUNK, n)
 
 
+def uniform_bytes(rng: np.random.Generator, count: int) -> np.ndarray:
+    """`rng.integers(0, 256, size=count, dtype=np.uint8)`, the same values,
+    leaving `rng.bit_generator.state` as that call would, drawn as raw PCG64
+    words instead of byte by byte.
+
+    numpy's full-range uint8 draw takes each byte from a 32-bit output,
+    lowest byte first, and PCG64's 32-bit output is the low half, then the
+    high half, of one 64-bit output, whose high half it buffers
+    (`has_uint32`, `uinteger`). So the stream is the little-endian bytes of
+    `random_raw`, after the first 4 bytes if a half-word is buffered. Those
+    and a tail of fewer than 8 bytes come from `integers` itself, and after
+    a whole last word the buffer is set to its high half, so the buffer ends
+    as it would. With no buffered half-word and a multiple of 8 bytes, the
+    result is the `random_raw` buffer itself, not a copy.
+
+    Raises TypeError for any bit generator but PCG64 (`default_rng`'s).
+    """
+    bitgen = rng.bit_generator
+    if not isinstance(bitgen, np.random.PCG64):
+        raise TypeError(f"uniform_bytes needs a PCG64 generator, got {type(bitgen).__name__}")
+    buffered = bitgen.state["has_uint32"]
+    head = rng.integers(0, 256, size=min(count, 4) if buffered else 0, dtype=np.uint8)
+    n_words, n_tail = divmod(count - len(head), 8)
+    raw = bitgen.random_raw(n_words)
+    if n_words and not n_tail:
+        # `integers` would have buffered, then read, the last word's high half
+        state = bitgen.state
+        state["uinteger"] = int(raw[-1]) >> 32
+        bitgen.state = state
+    # little-endian bytes: a view on little-endian hosts, a swapped copy elsewhere
+    bulk = raw.astype("<u8", copy=False).view(np.uint8)
+    if not len(head) and not n_tail:
+        return bulk
+    tail = rng.integers(0, 256, size=n_tail, dtype=np.uint8)
+    return np.concatenate((head, bulk, tail))
+
+
 def generate_pulse_train(
     cfg: SourceConfig, count: int, rng: np.random.Generator | None = None
 ) -> AliceView:
     """Generate `count` slots of pulses in one batch.
 
     Draw order is fixed: one 4-bit word per slot, the top nibble of one
-    uniform byte (the same stream as drawing the word itself, see the module
-    docstring), and nothing else. The quantum phase calls this once per
-    `chunk_slices` chunk, so its stream is the same for any run length.
+    `uniform_bytes` byte (the same stream as drawing the word itself, see
+    the module docstring), and nothing else. The quantum phase calls this
+    once per `chunk_slices` chunk, so its stream is the same for any run
+    length.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
     if rng is None:
         rng = np.random.default_rng(cfg.rng_seed)
-    word = rng.integers(0, 256, size=count, dtype=np.uint8)
+    word = uniform_bytes(rng, count)
     word >>= 4
     return AliceView(word)

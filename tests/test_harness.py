@@ -3,6 +3,7 @@
 import copy
 import csv
 import dataclasses
+import gc
 import hashlib
 import io
 import json
@@ -11,6 +12,7 @@ import socket
 import threading
 import time
 import tracemalloc
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -376,8 +378,12 @@ def test_quantum_phase_extends_a_shorter_run():
           "n_pulses": 1_500_000},
          "012cd6447ba6a65cb2f2f482a54c4ebe8e62955623eda5a1c39c3d6fe7728884",
          10582, 0, 15, "0.5005926666666667"),
+        # the last chunk, 4099 slots, is no whole number of 8-byte words
+        ({"n_pulses": (1 << 20) + 4099},
+         "63d28cc602754bd6dc97b2a7bdeec5a19de09a6be2254f313c122d90d69bfbea",
+         3316, 4, 0, "0.5006378986866792"),
     ],
-    ids=["tank", "discard-dark"],
+    ids=["tank", "discard-dark", "unaligned-tail"],
 )
 def test_quantum_phase_pinned(changes, digest, clicks, multi, discarded, match, request):
     """Every view column and counter of the tank link and of a dark discard
@@ -794,6 +800,43 @@ def test_connect_without_listener_fails():
     with pytest.raises(ConnectionError):
         connect(config_from_dict(data), "127.0.0.1", _free_port())
 
+
+
+def test_refused_connect_keeps_no_session_alive(monkeypatch, base_cfg):
+    """A refused first attempt must not tie the transmitter's session to a
+    reference cycle: with the cyclic GC off, its view dies with the report."""
+    views = {}
+
+    def transmitter(cfg, _original=harness.simulate_transmitter):
+        view = _original(cfg)
+        views[threading.current_thread()] = weakref.ref(view)
+        return view
+
+    attempts = []
+
+    def create_connection(*args, _original=socket.create_connection, **kwargs):
+        attempts.append(args)
+        if len(attempts) == 1:
+            raise ConnectionRefusedError("refused")
+        return _original(*args, **kwargs)
+
+    monkeypatch.setattr(harness, "simulate_transmitter", transmitter)
+    monkeypatch.setattr(harness.socket, "create_connection", create_connection)
+    port = _free_port()
+    receiver = threading.Thread(target=serve, args=(base_cfg, "127.0.0.1", port), daemon=True)
+    was_enabled = gc.isenabled()
+    gc.disable()
+    try:
+        receiver.start()
+        report = connect(base_cfg, "127.0.0.1", port)
+        receiver.join(timeout=60)
+        assert not receiver.is_alive()
+        assert report.status == "done" and len(attempts) == 2
+        del report
+        assert views[threading.current_thread()]() is None
+    finally:
+        if was_enabled:
+            gc.enable()
 
 # ---------------------------------------------------------------------------
 # sweeps and tomography

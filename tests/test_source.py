@@ -5,7 +5,15 @@ import pytest
 
 from uwqkd.detection import DetectorConfig, simulate_detection
 from uwqkd.polarization import Basis, Polarization
-from uwqkd.source import WORD_CLASS, AliceView, SourceConfig, StateClass, chunk_slices, generate_pulse_train
+from uwqkd.source import (
+    WORD_CLASS,
+    AliceView,
+    SourceConfig,
+    StateClass,
+    chunk_slices,
+    generate_pulse_train,
+    uniform_bytes,
+)
 from views import words
 
 # Full 4-bit slot table. b0 (MSB) and b1 select the class, b2 b3 the state.
@@ -163,6 +171,35 @@ def test_full_range_byte_top_bits_are_the_bounded_draw():
             assert np.array_equal(top, bounded.integers(0, high, size=n, dtype=np.uint8)), (high, n)
         assert full.bit_generator.state == bounded.bit_generator.state
 
+
+
+def test_uniform_bytes_is_the_full_range_draw():
+    """`uniform_bytes` gives `integers(0, 256, uint8)`'s values and leaves
+    the generator's state as it would, call after call: odd sizes leave a
+    buffered half-word, so later calls start both with and without one."""
+    sizes = (*range(10), 1023, 4097, (1 << 20) + 3, 7, 8, 12, 1 << 20)
+    fast, reference = np.random.default_rng(31), np.random.default_rng(31)
+    buffered = set()
+    for n in sizes:
+        buffered.add(fast.bit_generator.state["has_uint32"])
+        drawn = uniform_bytes(fast, n)
+        assert drawn.dtype == np.uint8
+        assert np.array_equal(drawn, reference.integers(0, 256, size=n, dtype=np.uint8)), n
+        assert fast.bit_generator.state == reference.bit_generator.state, n
+    assert buffered == {0, 1}
+
+
+def test_uniform_bytes_aligned_draw_is_the_raw_buffer():
+    """With no buffered half-word, a multiple of 8 bytes is the raw words'
+    own buffer, not a copy."""
+    drawn = uniform_bytes(np.random.default_rng(2), 1 << 20)
+    assert drawn.base is not None and drawn.base.dtype == np.uint64
+    assert drawn.base.size == (1 << 20) // 8
+
+
+def test_uniform_bytes_needs_pcg64():
+    with pytest.raises(TypeError):
+        uniform_bytes(np.random.Generator(np.random.MT19937(0)), 8)
 
 def test_train_follows_word_table():
     """Each slot's class and polarization are the table entry for the word
