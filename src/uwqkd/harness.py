@@ -298,11 +298,11 @@ def simulate_quantum_phase(cfg: ExperimentConfig) -> QuantumPhaseResult:
     Alice's view is `simulate_transmitter`'s. Then, per `chunk_slices`
     chunk, Bob's bases (Bob's stream: the top bit of one `uniform_bytes`
     byte per slot, the same stream as `integers(0, 2, uint8)`, see the
-    `source` module docstring) and detection (the channel stream) are drawn, one call
-    each. Bob's view keeps his bases, one bit a slot, and only the clicks of
-    each chunk, offset to session slots. Each stream draws chunk by chunk
-    from its own generator, so a run of n slots is a prefix of any longer
-    run with the same seeds.
+    `source` module docstring) and detection (the channel stream) are
+    drawn, one call each. Bob's view keeps his bases, one bit a slot, and
+    only the clicks of each chunk, offset to session slots. Each stream
+    draws chunk by chunk from its own generator, so a run of n slots is a
+    prefix of any longer run with the same seeds.
 
     Clicks are drawn by `detection.simulate_detection`; see its module
     docstring.

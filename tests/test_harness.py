@@ -801,7 +801,6 @@ def test_connect_without_listener_fails():
         connect(config_from_dict(data), "127.0.0.1", _free_port())
 
 
-
 def test_refused_connect_keeps_no_session_alive(monkeypatch, base_cfg):
     """A refused first attempt must not tie the transmitter's session to a
     reference cycle: with the cyclic GC off, its view dies with the report."""
@@ -837,6 +836,7 @@ def test_refused_connect_keeps_no_session_alive(monkeypatch, base_cfg):
     finally:
         if was_enabled:
             gc.enable()
+
 
 # ---------------------------------------------------------------------------
 # sweeps and tomography

@@ -172,7 +172,6 @@ def test_full_range_byte_top_bits_are_the_bounded_draw():
         assert full.bit_generator.state == bounded.bit_generator.state
 
 
-
 def test_uniform_bytes_is_the_full_range_draw():
     """`uniform_bytes` gives `integers(0, 256, uint8)`'s values and leaves
     the generator's state as it would, call after call: odd sizes leave a
@@ -200,6 +199,7 @@ def test_uniform_bytes_aligned_draw_is_the_raw_buffer():
 def test_uniform_bytes_needs_pcg64():
     with pytest.raises(TypeError):
         uniform_bytes(np.random.Generator(np.random.MT19937(0)), 8)
+
 
 def test_train_follows_word_table():
     """Each slot's class and polarization are the table entry for the word
