@@ -30,7 +30,7 @@ from .channel import (
     transmittance,
 )
 from .detection import (
-    DetectionBatch,
+    BobView,
     DetectorConfig,
     DoubleClickPolicy,
     dark_prob_for_background_yield,
@@ -76,7 +76,6 @@ from .postprocess import (
 from .protocol import (
     AliceSession,
     BobSession,
-    BobView,
     Frame,
     FrameChecksumError,
     FrameDecodeError,

@@ -51,6 +51,22 @@ def _ensure_out(args) -> Path | None:
     return args.out
 
 
+def _typed(value, kind: type, key: str):
+    """value, or a ConfigError naming its config key unless it is a kind
+    (dict for a JSON object, list for an array)."""
+    if not isinstance(value, kind):
+        raise ConfigError(f"config key {key} must be a JSON {'array' if kind is list else 'object'}")
+    return value
+
+
+def _cast(cast, value, key: str):
+    """value cast, or a ConfigError naming its config key."""
+    try:
+        return cast(value)
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid config key {key}: {exc}") from exc
+
+
 def _report_csv(report_dict: dict) -> str:
     flat = {}
 
@@ -96,18 +112,18 @@ def _cmd_run(args) -> int:
 
 def _cmd_sweep(args) -> int:
     cfg = _load(args)
-    sweep_cfg = cfg.raw.get("sweep", {})
+    sweep_cfg = _typed(cfg.raw.get("sweep", {}), dict, "sweep")
     if "distances_m" not in sweep_cfg:
         raise ConfigError("sweep requires config key sweep.distances_m")
-    distances = sweep_cfg["distances_m"]
-    water_types = sweep_cfg.get("jerlov_types", ["I", "II", "III"])
-    curves = run_sweep(
-        cfg,
-        distances,
-        water_types,
-        y0=sweep_cfg.get("y0"),
-        e_detector=sweep_cfg.get("e_detector"),
-    )
+    distances = _typed(sweep_cfg["distances_m"], list, "sweep.distances_m")
+    distances = [_cast(float, d, "sweep.distances_m") for d in distances]
+    water_types = _typed(sweep_cfg.get("jerlov_types", ["I", "II", "III"]), list, "sweep.jerlov_types")
+    noise = {
+        key: _cast(float, sweep_cfg[key], f"sweep.{key}")
+        for key in ("y0", "e_detector")
+        if sweep_cfg.get(key) is not None
+    }
+    curves = run_sweep(cfg, distances, [str(t) for t in water_types], **noise)
     out_dir = _ensure_out(args)
     fmt = args.format or "csv"
     if fmt == "json":
@@ -144,26 +160,33 @@ def _cmd_connect(args) -> int:
     return _emit_report(report, args, "report_connect")
 
 
+def _anchor(entry, key: str) -> Anchor:
+    entry = _typed(entry, dict, key)
+    for name in ("total_loss_db", "kind", "value"):
+        if name not in entry:
+            raise ConfigError(f"missing required config key {key}.{name}")
+    return Anchor(
+        total_loss_db=_cast(float, entry["total_loss_db"], f"{key}.total_loss_db"),
+        kind=str(entry["kind"]),
+        value=_cast(float, entry["value"], f"{key}.value"),
+    )
+
+
 def _cmd_calibrate(args) -> int:
     cfg = _load(args)
-    calib = cfg.raw.get("calibration", {})
-    if "anchors" not in calib or len(calib["anchors"]) < 2:
+    calib = _typed(cfg.raw.get("calibration", {}), dict, "calibration")
+    entries = _typed(calib.get("anchors", []), list, "calibration.anchors")
+    if len(entries) < 2:
         raise ConfigError("calibrate requires config key calibration.anchors with >= 2 entries")
-    anchors = [
-        Anchor(
-            total_loss_db=float(a["total_loss_db"]),
-            kind=str(a["kind"]),
-            value=float(a["value"]),
-        )
-        for a in calib["anchors"]
-    ]
     result = calibrate(
-        anchors,
-        mu=float(calib.get("mu", cfg.source.mu)),
-        nu=float(calib.get("nu", cfg.source.nu)),
+        [_anchor(entry, f"calibration.anchors[{i}]") for i, entry in enumerate(entries)],
+        mu=_cast(float, calib.get("mu", cfg.source.mu), "calibration.mu"),
+        nu=_cast(float, calib.get("nu", cfg.source.nu), "calibration.nu"),
         q=cfg.protocol.q,
         error_correction_efficiency=cfg.protocol.error_correction_efficiency,
-        residual_threshold=float(calib.get("residual_threshold", 0.05)),
+        residual_threshold=_cast(
+            float, calib.get("residual_threshold", 0.05), "calibration.residual_threshold"
+        ),
     )
     payload = {
         "y0": result.y0,

@@ -27,16 +27,17 @@ P_d any slot can have (a Binomial(slots, p_max) count of slots chosen
 uniformly), then each candidate kept with probability P_d / p_max. The cost
 of the draws follows the clicks, not the slots.
 
-The transmitter's side of each slot arrives as a `source.AliceView`. One
-call draws one batch, and the batch keeps only the slots that clicked, with
-their bits: no column is as long as the batch. The quantum phase makes one
-call per `source.chunk_slices` chunk.
+The transmitter's side of each slot arrives as a `source.AliceView`; the
+receiver's side is a `BobView`, his bases packed one bit a slot and only the
+slots that clicked, with their bits. One call draws one chunk's `BobView`;
+the quantum phase makes one call per `source.chunk_slices` chunk and joins
+them with `BobView.concatenate` into the session's view.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from enum import Enum
 
 import numpy as np
@@ -71,26 +72,72 @@ def dark_prob_for_background_yield(y0: float) -> float:
     return 1.0 - math.sqrt(1.0 - y0)
 
 
-@dataclass(frozen=True)
-class DetectionBatch:
-    """Receiver outcomes for a batch of n_slots slots, kept as its clicks.
+def _ascending_in_range(slots: np.ndarray, n_slots: int) -> bool:
+    """Whether slot indices are strictly ascending and in [0, n_slots)."""
+    return not len(slots) or (0 <= slots[0] and slots[-1] < n_slots and bool(np.all(np.diff(slots) > 0)))
 
-    slots are the clicked slots in ascending order and bits the bit read at
-    each. multi_slots are the clicked slots where both detectors fired and
-    the bit is a fair coin (RANDOM_BIT policy). Under DISCARD those slots
-    read as no-click, multi_slots is empty, and discarded_doubles counts
-    them. clicked, bit and multi_click are the same outcomes as full-length
-    columns, built on each access.
+
+@dataclass(frozen=True)
+class BobView:
+    """Receiver knowledge of n_slots slots: his basis for every slot, one bit
+    a slot, and his clicks, kept as the clicked slots in ascending order with
+    the bit read at each.
+
+    multi_slots are the clicked slots where both detectors fired and the bit
+    is a fair coin (RANDOM_BIT policy). Under DISCARD those slots read as
+    no-click, multi_slots is empty, and discarded_doubles counts them.
+
+    packed_basis is `np.packbits` of the per-slot basis column. basis,
+    clicked and bit are full-length uint8/bool columns (bit 0 where no
+    detector clicked), built on each access; the session reads only
+    `basis_at` its clicks.
     """
 
     n_slots: int
-    slots: np.ndarray        # int64, strictly ascending, in [0, n_slots)
-    bits: np.ndarray         # uint8, one per clicked slot
-    multi_slots: np.ndarray  # int64, a subset of slots
+    packed_basis: np.ndarray  # uint8, 8 slots a byte, first slot in the top bit
+    slots: np.ndarray         # int64, strictly ascending, in [0, n_slots)
+    bits: np.ndarray          # uint8, one per clicked slot
+    multi_slots: np.ndarray = field(default_factory=lambda: np.zeros(0, np.int64))  # int64, within slots
     discarded_doubles: int = 0
+
+    def __post_init__(self) -> None:
+        if len(self.packed_basis) != (self.n_slots + 7) // 8:
+            raise ValueError("one basis bit per slot")
+        if len(self.bits) != len(self.slots):
+            raise ValueError("one bit per clicked slot")
+        if not _ascending_in_range(self.slots, self.n_slots):
+            raise ValueError("clicked slots must be strictly ascending and in range")
+
+    @classmethod
+    def concatenate(cls, views: list[BobView]) -> BobView:
+        """One view of consecutive chunks: slots offset by each chunk's start,
+        the packed bases joined and the discarded doubles summed. Every chunk
+        but the last must fill whole bytes of packed bases."""
+        if any(len(view) % 8 for view in views[:-1]):
+            raise ValueError("every chunk but the last must be a multiple of 8 slots")
+        starts = [0]
+        for view in views:
+            starts.append(starts[-1] + len(view))
+        return cls(
+            starts[-1],
+            np.concatenate([view.packed_basis for view in views]),
+            np.concatenate([view.slots + lo for view, lo in zip(views, starts)]),
+            np.concatenate([view.bits for view in views]),
+            np.concatenate([view.multi_slots + lo for view, lo in zip(views, starts)]),
+            sum(view.discarded_doubles for view in views),
+        )
 
     def __len__(self) -> int:
         return self.n_slots
+
+    def basis_at(self, slots: np.ndarray) -> np.ndarray:
+        """His basis (uint8) at the given slots."""
+        shift = (7 - (slots & 7)).astype(np.uint8)
+        return (self.packed_basis[slots >> 3] >> shift) & 1
+
+    @property
+    def basis(self) -> np.ndarray:
+        return np.unpackbits(self.packed_basis, count=self.n_slots)
 
     @property
     def clicked(self) -> np.ndarray:
@@ -100,16 +147,9 @@ class DetectionBatch:
 
     @property
     def bit(self) -> np.ndarray:
-        """0 wherever no detector clicked."""
         bit = np.zeros(self.n_slots, dtype=np.uint8)
         bit[self.slots] = self.bits
         return bit
-
-    @property
-    def multi_click(self) -> np.ndarray:
-        multi = np.zeros(self.n_slots, dtype=bool)
-        multi[self.multi_slots] = True
-        return multi
 
 
 def _wrong_detector_prob(matched: np.ndarray, alice_bit: np.ndarray, theta: float) -> np.ndarray:
@@ -137,8 +177,9 @@ def simulate_detection(
     cfg: DetectorConfig,
     misalignment_theta: float,
     rng: np.random.Generator,
-) -> DetectionBatch:
-    """Gated detection of a batch of slots, drawn only where detectors fire.
+) -> BobView:
+    """Gated detection of a chunk of slots, drawn only where detectors fire:
+    the chunk's `BobView`, bob_basis packed.
 
     alice.kind indexes class_means, the mean photon number per StateClass
     value; alice's columns are read only at candidate slots. channel_eta is
@@ -148,7 +189,7 @@ def simulate_detection(
     and then detector 1: the binomial count of candidate slots at p_max, the
     candidate slots, then one uniform per candidate, kept if below
     P_d / p_max. Then, under RANDOM_BIT, one coin per slot where both fired.
-    Fixed so a given rng seed reproduces the batch exactly; with p_max 0
+    Fixed so a given rng seed reproduces the chunk exactly; with p_max 0
     nothing is drawn.
     """
     if not 0.0 <= channel_eta <= 1.0:
@@ -176,12 +217,13 @@ def simulate_detection(
     bits = np.isin(slots, fire1).view(np.uint8)
     both = np.intersect1d(fire0, fire1, assume_unique=True)
     at_both = np.searchsorted(slots, both)
+    packed_basis = np.packbits(bob_basis)
     if cfg.double_click_policy is DoubleClickPolicy.DISCARD:
-        return DetectionBatch(
-            n, np.delete(slots, at_both), np.delete(bits, at_both), both[:0], discarded_doubles=len(both)
+        return BobView(
+            n, packed_basis, np.delete(slots, at_both), np.delete(bits, at_both), both[:0], len(both)
         )
     bits[at_both] = rng.integers(0, 2, size=len(both), dtype=np.uint8)
-    return DetectionBatch(n, slots, bits, both)
+    return BobView(n, packed_basis, slots, bits, both)
 
 
 def expected_gain(y0: float, eta: float, mean: float) -> float:

@@ -38,7 +38,7 @@ from .channel import (
     end_to_end_transmittance,
     jerlov_coefficient,
 )
-from .detection import DetectorConfig, DoubleClickPolicy, simulate_detection
+from .detection import BobView, DetectorConfig, DoubleClickPolicy, simulate_detection
 from .polarization import (
     Polarization,
     ideal_state,
@@ -51,7 +51,6 @@ from .polarization import (
 from .protocol import (
     AliceSession,
     BobSession,
-    BobView,
     Phase,
     ProtocolOptions,
 )
@@ -275,9 +274,6 @@ class QuantumPhaseResult:
     alice_view: AliceView
     bob_view: BobView
     basis_match_fraction: float
-    n_clicks: int
-    n_multi_clicks: int
-    discarded_doubles: int
 
 
 def simulate_transmitter(cfg: ExperimentConfig) -> AliceView:
@@ -299,8 +295,9 @@ def simulate_quantum_phase(cfg: ExperimentConfig) -> QuantumPhaseResult:
     chunk, Bob's bases (Bob's stream: the top bit of one `uniform_bytes`
     byte per slot, the same stream as `integers(0, 2, uint8)`, see the
     `source` module docstring) and detection (the channel stream) are
-    drawn, one call each. Bob's view keeps his bases, one bit a slot, and
-    only the clicks of each chunk, offset to session slots. Each stream
+    drawn, one call each, giving the chunk's `BobView`.
+    `BobView.concatenate` joins them into the session's view: his bases,
+    one bit a slot, and his clicks offset to session slots. Each stream
     draws chunk by chunk from its own generator, so a run of n slots is a
     prefix of any longer run with the same seeds.
 
@@ -310,33 +307,17 @@ def simulate_quantum_phase(cfg: ExperimentConfig) -> QuantumPhaseResult:
     n = cfg.n_pulses
     alice_view = simulate_transmitter(cfg)
     bob_rng, channel_rng = (np.random.default_rng(seed) for seed in (cfg.seed_bob, cfg.seed_channel))
-    packed_basis = np.empty((n + 7) // 8, np.uint8)
     eta, class_means = cfg.eta, cfg.source.class_means
-    slots, bits = [], []
-    n_matched = n_multi = discarded = 0
+    chunks, n_matched = [], 0
     for lo, hi in chunk_slices(n):
         pulses = alice_view.at(slice(lo, hi))
         bob_basis = uniform_bytes(bob_rng, hi - lo)
         bob_basis >>= 7
-        # a chunk starts at a multiple of 2^20 slots, so on a whole byte
-        packed_basis[lo // 8 : (hi + 7) // 8] = np.packbits(bob_basis)
-        batch = simulate_detection(
+        chunks.append(simulate_detection(
             pulses, bob_basis, class_means, eta, cfg.detector, cfg.misalignment_rad, channel_rng
-        )
-        slots.append(batch.slots + lo)
-        bits.append(batch.bits)
+        ))
         n_matched += int(np.count_nonzero(pulses.basis == bob_basis))
-        n_multi += len(batch.multi_slots)
-        discarded += batch.discarded_doubles
-    bob_view = BobView(n, packed_basis, np.concatenate(slots), np.concatenate(bits))
-    return QuantumPhaseResult(
-        alice_view=alice_view,
-        bob_view=bob_view,
-        basis_match_fraction=n_matched / n,
-        n_clicks=len(bob_view.slots),
-        n_multi_clicks=n_multi,
-        discarded_doubles=discarded,
-    )
+    return QuantumPhaseResult(alice_view, BobView.concatenate(chunks), n_matched / n)
 
 
 # ---------------------------------------------------------------------------
@@ -434,9 +415,9 @@ def _build_report(
         # the transmitter (quantum None) knows only the clicks Bob reported
         quantum={
             "basis_match_fraction": quantum.basis_match_fraction if quantum else None,
-            "n_clicks": quantum.n_clicks if quantum else res.n_clicked,
-            "n_multi_clicks": quantum.n_multi_clicks if quantum else None,
-            "discarded_doubles": quantum.discarded_doubles if quantum else None,
+            "n_clicks": len(quantum.bob_view.slots) if quantum else res.n_clicked,
+            "n_multi_clicks": len(quantum.bob_view.multi_slots) if quantum else None,
+            "discarded_doubles": quantum.bob_view.discarded_doubles if quantum else None,
             "total_loss_db": cfg.total_loss_db,
             "eta": cfg.eta,
         },

@@ -212,7 +212,6 @@ class CascadeCorrector:
         self.parity_bits_received = 0
         self.digests_received = 0
         self.residual_check: bool | None = None
-        self.remote_hash: int | None = None
         self.finished = False
 
     # -- parity bookkeeping ------------------------------------------------
@@ -260,7 +259,6 @@ class CascadeCorrector:
                 self.layouts += _layouts(self.n, self._k1, self._seed, self.n_passes, self.n_passes)
                 return self._next_action()
             self.residual_check = bool(msg[1])
-            self.remote_hash = int(msg[2])
             self.finished = True
             return None
         raise ReconciliationFailed(f"unexpected reconciliation reply {kind!r}")

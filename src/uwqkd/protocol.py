@@ -8,7 +8,11 @@ The CRC-32 (standard reflected 0x04C11DB7, as in zlib) covers every byte
 before it. Sequence numbers count from 0 independently per direction; a gap
 means the transport lost a frame and the session aborts.
 
-Message flow (the quantum phase is over before either endpoint exists):
+The quantum phase is over before either endpoint exists. The transmitter
+reads her `source.AliceView`, one word a slot; the receiver reads his
+`detection.BobView`, his packed bases and his clicks.
+
+Message flow:
 
     Alice SYNC_HELLO        config digest and slot count
     Bob   SYNC_HELLO        his reply; the digests must match
@@ -60,6 +64,7 @@ from .postprocess import (
     generate_pa_seed,
     toeplitz_hash,
 )
+from .detection import BobView, _ascending_in_range
 from .source import AliceView, StateClass
 
 MAX_PAYLOAD = (1 << 24) - 1
@@ -317,61 +322,6 @@ class ProtocolOptions:
         if not 0.0 < self.timeout_s <= threading.TIMEOUT_MAX:
             # sockets and locks refuse a longer wait
             raise ValueError(f"timeout must be in (0, {threading.TIMEOUT_MAX:.0f}] s")
-
-
-def _ascending_in_range(slots: np.ndarray, n_slots: int) -> bool:
-    """Whether slot indices are strictly ascending and in [0, n_slots)."""
-    return not len(slots) or (0 <= slots[0] and slots[-1] < n_slots and bool(np.all(np.diff(slots) > 0)))
-
-
-@dataclass(frozen=True)
-class BobView:
-    """Receiver knowledge: his basis for every slot, one bit a slot, and his
-    clicks, kept as the clicked slots in ascending order with the bit read
-    at each.
-
-    packed_basis is `np.packbits` of the per-slot basis column. basis,
-    clicked and bit are full-length uint8/bool columns (bit 0 where no
-    detector clicked), built on each access; the session reads only
-    `basis_at` its clicks.
-    """
-
-    n_slots: int
-    packed_basis: np.ndarray  # uint8, 8 slots a byte, first slot in the top bit
-    slots: np.ndarray         # int64, strictly ascending, in [0, n_slots)
-    bits: np.ndarray          # uint8, one per clicked slot
-
-    def __post_init__(self) -> None:
-        if len(self.packed_basis) != (self.n_slots + 7) // 8:
-            raise ValueError("one basis bit per slot")
-        if len(self.bits) != len(self.slots):
-            raise ValueError("one bit per clicked slot")
-        if not _ascending_in_range(self.slots, self.n_slots):
-            raise ValueError("clicked slots must be strictly ascending and in range")
-
-    def __len__(self) -> int:
-        return self.n_slots
-
-    def basis_at(self, slots: np.ndarray) -> np.ndarray:
-        """His basis (uint8) at the given slots."""
-        shift = (7 - (slots & 7)).astype(np.uint8)
-        return (self.packed_basis[slots >> 3] >> shift) & 1
-
-    @property
-    def basis(self) -> np.ndarray:
-        return np.unpackbits(self.packed_basis, count=self.n_slots)
-
-    @property
-    def clicked(self) -> np.ndarray:
-        clicked = np.zeros(self.n_slots, dtype=bool)
-        clicked[self.slots] = True
-        return clicked
-
-    @property
-    def bit(self) -> np.ndarray:
-        bit = np.zeros(self.n_slots, dtype=np.uint8)
-        bit[self.slots] = self.bits
-        return bit
 
 
 @dataclass

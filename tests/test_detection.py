@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from uwqkd.detection import (
-    DetectionBatch,
+    BobView,
     DetectorConfig,
     DoubleClickPolicy,
     _wrong_detector_prob,
@@ -14,7 +14,7 @@ from uwqkd.detection import (
     simulate_detection,
 )
 from uwqkd.source import AliceView, SourceConfig, StateClass, generate_pulse_train
-from views import words
+from views import multi_click, words
 
 
 def _batch(n, seed, *, eta, p_dark=0.0, theta=0.0, policy=DoubleClickPolicy.RANDOM_BIT,
@@ -131,11 +131,11 @@ def test_double_click_policies():
     n = 300_000
     # strong light forces frequent double clicks
     train, _, rand_batch = _batch(n, seed=5, eta=0.9, mu=5.0)
-    assert rand_batch.multi_click.sum() > 0
+    assert multi_click(rand_batch).sum() > 0
     assert rand_batch.discarded_doubles == 0
     _, _, disc_batch = _batch(n, seed=5, eta=0.9, mu=5.0, policy=DoubleClickPolicy.DISCARD)
     assert disc_batch.discarded_doubles > 0
-    assert not disc_batch.multi_click.any()
+    assert not multi_click(disc_batch).any()
     # a discarded double reads as no-click
     assert disc_batch.clicked.sum() + disc_batch.discarded_doubles == pytest.approx(
         rand_batch.clicked.sum(), abs=0
@@ -145,7 +145,7 @@ def test_double_click_policies():
 def test_double_click_bit_is_fair():
     n = 400_000
     _, _, batch = _batch(n, seed=13, eta=0.9, mu=5.0)
-    doubles = batch.multi_click
+    doubles = multi_click(batch)
     assert doubles.sum() > 10_000
     mean_bit = batch.bit[doubles].mean()
     assert abs(mean_bit - 0.5) < 4 * math.sqrt(0.25 / doubles.sum())
@@ -156,7 +156,7 @@ def test_detection_determinism():
     _, _, b = _batch(100_000, seed=3, eta=0.01, p_dark=1e-4, theta=0.1)
     assert np.array_equal(a.clicked, b.clicked)
     assert np.array_equal(a.bit, b.bit)
-    assert np.array_equal(a.multi_click, b.multi_click)
+    assert np.array_equal(a.multi_slots, b.multi_slots)
 
 
 def test_batch_columns_consistent():
@@ -165,7 +165,7 @@ def test_batch_columns_consistent():
         assert len(batch) == 20_000
         assert set(np.unique(batch.bit)) <= {0, 1}
         assert not batch.bit[~batch.clicked].any()  # no click reads as bit 0
-        assert not (batch.multi_click & ~batch.clicked).any()  # a no-click is never a double
+        assert not (multi_click(batch) & ~batch.clicked).any()  # a no-click is never a double
 
 
 def test_sparse_batch_invariants():
@@ -190,6 +190,59 @@ def test_sparse_batch_invariants():
     assert np.array_equal(np.union1d(disc.slots, rand.multi_slots), rand.slots)
 
 
+def test_detection_view_keeps_bob_basis():
+    _, bob_basis, view = _batch(20_001, seed=43, eta=0.01)
+    assert np.array_equal(view.basis, bob_basis)
+    assert np.array_equal(view.basis_at(view.slots), bob_basis[view.slots])
+
+
+@pytest.mark.parametrize("policy", list(DoubleClickPolicy))
+def test_concatenate_matches_the_joined_columns(policy):
+    """Two chunk views joined equal the view built from their full-length
+    columns laid end to end: slots and doubles offset by the first chunk's
+    length, the discarded doubles summed."""
+    sizes = (1 << 20, 4099)
+    train = generate_pulse_train(BRIGHT, sum(sizes))
+    bob_basis = np.random.default_rng(44).integers(0, 2, size=sum(sizes), dtype=np.uint8)
+    cfg = DetectorConfig(dark_count_prob_per_gate=1e-3, double_click_policy=policy)
+    rng = np.random.default_rng(45)
+    chunks = [
+        simulate_detection(train.at(slice(lo, hi)), bob_basis[lo:hi], MEANS, 0.05, cfg, 0.1, rng)
+        for lo, hi in ((0, sizes[0]), (sizes[0], sum(sizes)))
+    ]
+    joined = BobView.concatenate(chunks)
+    clicked = np.concatenate([chunk.clicked for chunk in chunks])
+    multi = np.concatenate([multi_click(chunk) for chunk in chunks])
+    bit = np.concatenate([chunk.bit for chunk in chunks])
+    expected = BobView(
+        sum(sizes),
+        np.packbits(np.concatenate([chunk.basis for chunk in chunks])),
+        np.flatnonzero(clicked),
+        bit[clicked],
+        np.flatnonzero(multi),
+        sum(chunk.discarded_doubles for chunk in chunks),
+    )
+    assert len(joined) == len(expected)
+    for column in ("packed_basis", "slots", "bits", "multi_slots"):
+        assert np.array_equal(getattr(joined, column), getattr(expected, column)), column
+        assert getattr(joined, column).dtype == getattr(expected, column).dtype, column
+    assert joined.discarded_doubles == expected.discarded_doubles
+    assert np.array_equal(joined.basis, bob_basis)
+    if policy is DoubleClickPolicy.RANDOM_BIT:
+        assert all(len(chunk.multi_slots) for chunk in chunks)
+    else:
+        assert all(chunk.discarded_doubles for chunk in chunks)
+
+
+def test_concatenate_needs_whole_bytes_before_the_last_chunk():
+    def view(n):
+        return BobView(n, np.zeros((n + 7) // 8, np.uint8), np.array([n - 1]), np.ones(1, np.uint8))
+
+    assert len(BobView.concatenate([view(16), view(8), view(3)])) == 27
+    with pytest.raises(ValueError):
+        BobView.concatenate([view(16), view(12), view(8)])
+
+
 def test_perfect_channel_reproduces_key_bits():
     # mu = 40: a signal pulse is empty with probability e^-40, so at eta = 1
     # every matched signal slot is lit and reads Alice's bit
@@ -202,7 +255,7 @@ def test_perfect_channel_reproduces_key_bits():
     # matched slot never fires the wrong detector
     matched = (train.basis == bob_basis) & batch.clicked
     assert not batch.clicked[train.kind == StateClass.VACUUM].any()
-    assert not batch.multi_click[matched].any()
+    assert not multi_click(batch)[matched].any()
     assert np.array_equal(batch.bit[matched], train.bit[matched])
 
 
@@ -248,7 +301,7 @@ def _dense_detection(alice, bob_basis, class_means, eta, cfg, theta, rng):
         clicked &= ~both
         multi[:] = False
     slots = np.flatnonzero(clicked)
-    return DetectionBatch(n, slots, bit[slots], np.flatnonzero(multi), discarded)
+    return BobView(n, np.packbits(bob_basis), slots, bit[slots], np.flatnonzero(multi), discarded)
 
 
 ORACLE_SLOTS = (1 << 20) + 4096
@@ -274,7 +327,7 @@ def _assert_poisson_splitting(batch, slots, eta, p_dark, theta, policy):
     alice, bob_basis = slots
     group = (alice.kind.astype(np.int64) * 2 + (alice.basis == bob_basis)) * 2 + alice.bit
     # outcome 0: det0 only, 1: det1 only, 2: double, 3: no click
-    outcome = np.where(batch.multi_click, 2, np.where(batch.clicked, batch.bit, 3))
+    outcome = np.where(multi_click(batch), 2, np.where(batch.clicked, batch.bit, 3))
     counts = np.bincount(group * 4 + outcome, minlength=48).reshape(12, 4)
     sin2 = math.sin(theta) ** 2
     expected_doubles = variance_doubles = 0.0
@@ -296,7 +349,7 @@ def _assert_poisson_splitting(batch, slots, eta, p_dark, theta, policy):
                     bound = 4.0 * math.sqrt(n * p * (1.0 - p)) + (1.0 if p > 0.0 else 0.0)
                     assert abs(count - n * p) <= bound, (cls.name, match, a_bit, count, n * p)
     if policy is DoubleClickPolicy.DISCARD:
-        assert not batch.multi_click.any()
+        assert not multi_click(batch).any()
         bound = 4.0 * math.sqrt(variance_doubles) + (1.0 if expected_doubles > 0.0 else 0.0)
         assert abs(batch.discarded_doubles - expected_doubles) <= bound
 

@@ -319,7 +319,6 @@ def test_quantum_phase_deterministic(base_cfg):
     assert np.array_equal(a.alice_view.bit, b.alice_view.bit)
     assert np.array_equal(a.bob_view.clicked, b.bob_view.clicked)
     assert np.array_equal(a.bob_view.bit, b.bob_view.bit)
-    assert a.n_clicks == b.n_clicks
     assert a.basis_match_fraction == b.basis_match_fraction
 
 
@@ -337,7 +336,7 @@ def test_quantum_phase_matches_link_model(base_cfg):
         + 0.25 * y0
     )
     sigma = np.sqrt(p_click * (1.0 - p_click) * n)
-    assert abs(res.n_clicks - p_click * n) < 4 * sigma
+    assert abs(len(res.bob_view.slots) - p_click * n) < 4 * sigma
 
 
 def test_quantum_phase_seed_changes_outcome(base_cfg):
@@ -345,7 +344,7 @@ def test_quantum_phase_seed_changes_outcome(base_cfg):
     a = simulate_quantum_phase(base_cfg)
     b = simulate_quantum_phase(other)
     assert not np.array_equal(a.alice_view.kind, b.alice_view.kind)
-    assert a.n_clicks != b.n_clicks
+    assert len(a.bob_view.slots) != len(b.bob_view.slots)
 
 
 def _tank_variant(**changes) -> ExperimentConfig:
@@ -396,10 +395,11 @@ def test_quantum_phase_pinned(changes, digest, clicks, multi, discarded, match, 
     ):
         h.update(column.tobytes())
     assert h.hexdigest() == digest
-    assert (res.n_clicks, res.n_multi_clicks, res.discarded_doubles) == (clicks, multi, discarded)
+    view = res.bob_view
+    assert (len(view.slots), len(view.multi_slots), view.discarded_doubles) == (clicks, multi, discarded)
     assert repr(res.basis_match_fraction) == match
     if request.node.callspec.id == "discard-dark":  # still takes the discard path
-        assert res.discarded_doubles > 0 and res.n_multi_clicks == 0
+        assert view.discarded_doubles > 0 and len(view.multi_slots) == 0
 
 
 def _traced_peak(call):
@@ -419,7 +419,7 @@ def test_quantum_phase_memory_follows_the_clicks():
     chunk or the clicks."""
     cfg = load_config(CONFIGS / "tank_run.json")
     res, peak = _traced_peak(lambda: simulate_quantum_phase(cfg))
-    assert res.n_clicks == 12692
+    assert len(res.bob_view.slots) == 12692
     assert peak < 4 * cfg.n_pulses, peak
 
 
@@ -988,6 +988,11 @@ def test_cli_sweep(tmp_path, capsys):
 def test_cli_sweep_requires_section(tmp_path, capsys):
     code = main(["sweep", "--config", str(_write_config(tmp_path, base_dict()))])
     assert code == EXIT_VALIDATION
+    data = base_dict()
+    data["sweep"] = {"distances_m": 5}
+    code = main(["sweep", "--config", str(_write_config(tmp_path, data))])
+    assert code == EXIT_VALIDATION
+    assert "sweep.distances_m" in capsys.readouterr().err
 
 
 def test_cli_calibrate(tmp_path, capsys):
@@ -1015,6 +1020,17 @@ def test_cli_calibrate_needs_two_anchors(tmp_path, capsys):
     }
     code = main(["calibrate", "--config", str(_write_config(tmp_path, data))])
     assert code == EXIT_VALIDATION
+    capsys.readouterr()
+    good = {"total_loss_db": 30.0, "kind": "e_mu", "value": 0.0182}
+    for anchors, key in (
+        ([{"total_loss_db": 30.0, "value": 8e-4}, good], "calibration.anchors[0].kind"),
+        ([5, good], "calibration.anchors[0]"),
+        (5, "calibration.anchors"),
+    ):
+        data["calibration"] = {"anchors": anchors}
+        code = main(["calibrate", "--config", str(_write_config(tmp_path, data))])
+        assert code == EXIT_VALIDATION, anchors
+        assert key in capsys.readouterr().err
 
 
 def test_cli_tomography(tmp_path, capsys):

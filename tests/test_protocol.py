@@ -11,7 +11,6 @@ from uwqkd.protocol import (
     AbortReason,
     AliceSession,
     BobSession,
-    BobView,
     Frame,
     FrameChecksumError,
     FrameDecodeError,
@@ -27,6 +26,7 @@ from uwqkd.protocol import (
     encode_frame,
     encode_payload,
 )
+from uwqkd.detection import BobView
 from uwqkd.source import AliceView
 from views import words
 

@@ -14,7 +14,7 @@ from uwqkd.source import (
     generate_pulse_train,
     uniform_bytes,
 )
-from views import words
+from views import multi_click, words
 
 # Full 4-bit slot table. b0 (MSB) and b1 select the class, b2 b3 the state.
 WORD_TABLE = {
@@ -108,7 +108,7 @@ def test_train_photon_statistics():
     assert batch.clicked[sig].mean() == pytest.approx(1.0 - math.exp(-0.8), abs=0.002)
     # both detectors fire with probability (1 - exp(-mu/2))^2
     unmatched_sig = sig & (train.basis != bob_basis)
-    assert batch.multi_click[unmatched_sig].mean() == pytest.approx(
+    assert multi_click(batch)[unmatched_sig].mean() == pytest.approx(
         (1.0 - math.exp(-0.4)) ** 2, abs=0.004
     )
 
