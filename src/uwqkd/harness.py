@@ -501,6 +501,9 @@ def serve(cfg: ExperimentConfig, host: str, port: int, *, transcript_path=None) 
         bob = BobSession(quantum.bob_view, cfg.protocol, cfg.digest())
         server.settimeout(cfg.protocol.timeout_s)
         conn, _ = server.accept()
+        # each endpoint writes several frames before it reads; with Nagle's
+        # algorithm the last could wait ~40 ms for the peer's delayed ACK
+        conn.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)
         with conn:
             transcript = run_socket_session(bob, conn)
     if transcript_path is not None:
@@ -531,6 +534,7 @@ def connect(cfg: ExperimentConfig, host: str, port: int, *, transcript_path=None
             time.sleep(0.005)
     else:
         raise ConnectionError(f"could not reach {host}:{port}: {last_err}")
+    sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY, 1)  # as in serve
     with sock:
         transcript = run_socket_session(alice, sock)
     if transcript_path is not None:

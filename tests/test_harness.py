@@ -794,6 +794,27 @@ def test_transmitter_never_simulates_the_receiver(monkeypatch, base_cfg):
     assert callers == {"simulate_quantum_phase": {receiver}, "simulate_detection": {receiver}}
 
 
+def test_both_endpoints_send_without_delay(monkeypatch, base_cfg):
+    # without TCP_NODELAY the last of several frames written in a row waits
+    # for the peer's delayed ACK, a 40 ms stall in some sessions
+    no_delay = {}
+    session = harness.run_socket_session
+
+    def recorded(endpoint, sock):
+        no_delay[endpoint.role] = sock.getsockopt(socket.IPPROTO_TCP, socket.TCP_NODELAY)
+        return session(endpoint, sock)
+
+    monkeypatch.setattr(harness, "run_socket_session", recorded)
+    port = _free_port()
+    receiver = threading.Thread(target=serve, args=(base_cfg, "127.0.0.1", port), daemon=True)
+    receiver.start()
+    report = connect(base_cfg, "127.0.0.1", port)
+    receiver.join(timeout=60)
+    assert not receiver.is_alive()
+    assert report.status == "done"
+    assert no_delay == {"alice": 1, "bob": 1}
+
+
 def test_connect_without_listener_fails():
     data = base_dict()
     data["protocol"] = {"timeout_s": 0.3}
