@@ -277,32 +277,21 @@ class QuantumPhaseResult:
 
 
 def simulate_transmitter(cfg: ExperimentConfig) -> AliceView:
-    """The transmitter's own stream: Alice's view drawn from `seed_alice` only,
-    one `generate_pulse_train` call (one `uniform_bytes` byte per slot, whose
-    top nibble is the 4-bit word) per 2^20-slot `chunk_slices` chunk."""
-    n = cfg.n_pulses
-    rng = np.random.default_rng(cfg.seed_alice)
-    view = AliceView(np.empty(n, np.uint8))
-    for lo, hi in chunk_slices(n):
-        view.word[lo:hi] = generate_pulse_train(cfg.source, hi - lo, rng).word
-    return view
+    """The transmitter's own stream: Alice's view from `seed_alice` only, in
+    one `generate_pulse_train` call (the top nibble of a byte per slot)."""
+    return generate_pulse_train(cfg.source, cfg.n_pulses, np.random.default_rng(cfg.seed_alice))
 
 
 def simulate_quantum_phase(cfg: ExperimentConfig) -> QuantumPhaseResult:
     """Deterministic quantum phase from the three role seeds.
 
     Alice's view is `simulate_transmitter`'s. Then, per `chunk_slices`
-    chunk, Bob's bases (Bob's stream: the top bit of one `uniform_bytes`
-    byte per slot, the same stream as `integers(0, 2, uint8)`, see the
-    `source` module docstring) and detection (the channel stream) are
-    drawn, one call each, giving the chunk's `BobView`.
-    `BobView.concatenate` joins them into the session's view: his bases,
-    one bit a slot, and his clicks offset to session slots. Each stream
-    draws chunk by chunk from its own generator, so a run of n slots is a
-    prefix of any longer run with the same seeds.
-
-    Clicks are drawn by `detection.simulate_detection`; see its module
-    docstring.
+    chunk, Bob's bases (the top bit of one `uniform_bytes` byte per slot,
+    the same stream as `integers(0, 2, uint8)`) and his clicks (the channel
+    stream, see the `detection` module docstring) are drawn, one call each,
+    giving the chunk's `BobView`; `BobView.concatenate` joins them into the
+    session's view. Each stream has its own generator, so a run of n slots
+    is a prefix of any longer run with the same seeds.
     """
     n = cfg.n_pulses
     alice_view = simulate_transmitter(cfg)

@@ -25,8 +25,9 @@ its module docstring.
 stores one byte per slot: the 4-bit word. Class, polarization, basis and bit
 are derived from it on access. The source writes it, detection reads it at
 the slots where a detector may fire, and the transmitter's session reads it
-at the slots the receiver reports and counts its class totals. The quantum
-phase draws it one `chunk_slices` chunk at a time.
+at the slots the receiver reports and counts its class totals. It is drawn
+in one call, the same stream as one `chunk_slices` chunk at a time, since
+`uniform_bytes` reads whole PCG64 words.
 """
 
 from __future__ import annotations
@@ -142,8 +143,8 @@ _CHUNK = 1 << 20
 def chunk_slices(n: int):
     """(lo, hi) bounds of consecutive 2^20-slot slices covering n slots.
 
-    Every per-slot RNG stream of the quantum phase draws chunk by chunk in
-    this order, which is what keeps equal seeds bit-identical for any n.
+    Per-slot streams drawn chunk by chunk in this order (the transmitter's
+    in one call, the same stream) keep equal seeds bit-identical for any n.
     """
     for lo in range(0, n, _CHUNK):
         yield lo, min(lo + _CHUNK, n)
@@ -193,9 +194,9 @@ def generate_pulse_train(
 
     Draw order is fixed: one 4-bit word per slot, the top nibble of one
     `uniform_bytes` byte (the same stream as drawing the word itself, see
-    the module docstring), and nothing else. The quantum phase calls this
-    once per `chunk_slices` chunk, so its stream is the same for any run
-    length.
+    the module docstring), and nothing else. The transmitter calls this
+    once for the whole run, so a run of n slots is a prefix of any longer
+    run with the same seed.
     """
     if count < 0:
         raise ValueError("count must be >= 0")
