@@ -113,21 +113,23 @@ class InProcessPump:
 
 
 def _read_exact(sock: socket.socket, n: int, deadline: float) -> bytes | None:
-    """Read exactly n bytes or None on clean EOF; raises TimeoutError at deadline."""
-    buf = b""
-    while len(buf) < n:
+    """Read exactly n bytes, into one buffer, or None on clean EOF; raises
+    TimeoutError at deadline."""
+    buf, got = bytearray(n), 0
+    view = memoryview(buf)
+    while got < n:
         if time.monotonic() > deadline:
             raise TimeoutError("socket read deadline exceeded")
         try:
-            chunk = sock.recv(n - len(buf))
+            size = sock.recv_into(view[got:])
         except socket.timeout:
             continue
-        if not chunk:
-            if buf:
+        if not size:
+            if got:
                 raise ConnectionError("peer closed mid-frame")
             return None
-        buf += chunk
-    return buf
+        got += size
+    return bytes(buf)
 
 
 def read_frame_bytes(sock: socket.socket, deadline: float) -> bytes | None:

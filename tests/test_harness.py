@@ -627,6 +627,22 @@ def test_read_frame_bytes_reassembles_stream(base_cfg, tmp_path):
         assert read_frame_bytes(right, deadline) is None  # clean EOF
 
 
+def test_read_frame_bytes_reads_a_large_frame():
+    """A frame with a 4 MiB payload, written by another thread while it is
+    read, comes back byte-equal."""
+    payload = np.random.default_rng(5).integers(0, 256, size=4 << 20, dtype=np.uint8).tobytes()
+    frame = protocol.encode_frame(protocol.Frame(protocol.FrameType.BASIS_REVEAL, 1, payload))
+    left, right = socket.socketpair()
+    with left, right:
+        writer = threading.Thread(target=left.sendall, args=(frame,))
+        writer.start()
+        right.settimeout(0.2)
+        try:
+            assert read_frame_bytes(right, time.monotonic() + 10.0) == frame
+        finally:
+            writer.join()
+
+
 def test_read_frame_bytes_mid_frame_close():
     left, right = socket.socketpair()
     with left, right:
