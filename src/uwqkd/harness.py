@@ -150,6 +150,14 @@ def _require(mapping: dict, key: str, context: str):
     return mapping[key]
 
 
+def _cast(value, cast, key: str):
+    """cast(value); an int key takes only a whole number, so a fraction or a
+    bool is an error naming the key, not a value int() truncates."""
+    if cast is int and (isinstance(value, bool) or not float(value).is_integer()):
+        raise ConfigError(f"config key {key} must be an integer, got {value!r}")
+    return cast(value)
+
+
 class _Section:
     """One section of a config dict. It records the keys read from it, so
     that a key nothing reads (misspelt, or left from an older format) is
@@ -162,13 +170,14 @@ class _Section:
     def get(self, key: str, cast):
         """A required key, cast."""
         self.read.add(key)
-        return cast(_require(self.mapping, key, f"{self.name}."))
+        return _cast(_require(self.mapping, key, f"{self.name}."), cast, f"{self.name}.{key}")
 
     def present(self, **casts) -> dict:
         """The optional keys given, cast; those left out take the defaults of
         the dataclass they are passed to."""
         self.read.update(casts)
-        return {key: cast(self.mapping[key]) for key, cast in casts.items() if key in self.mapping}
+        given = {key: cast for key, cast in casts.items() if key in self.mapping}
+        return {key: _cast(self.mapping[key], cast, f"{self.name}.{key}") for key, cast in given.items()}
 
     def reject_unread(self) -> None:
         unread = sorted(set(self.mapping) - self.read)
@@ -218,7 +227,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             ),
         )
         cfg = ExperimentConfig(
-            n_pulses=int(_require(data, "n_pulses", "")),
+            n_pulses=_cast(_require(data, "n_pulses", ""), int, "n_pulses"),
             seed_alice=seeds.get("alice", int),
             seed_bob=seeds.get("bob", int),
             seed_channel=seeds.get("channel", int),
@@ -236,7 +245,7 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         return cfg
     except ConfigError:
         raise
-    except (TypeError, ValueError, KeyError) as exc:
+    except (TypeError, ValueError, KeyError, OverflowError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 

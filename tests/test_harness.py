@@ -231,6 +231,12 @@ def test_config_missing_key_raises(mutate):
         lambda d: d.setdefault("protocol", {}).__setitem__("q", 0.0),
         lambda d: d.setdefault("protocol", {}).__setitem__("q", 1.5),
         lambda d: d.setdefault("protocol", {}).__setitem__("error_correction_efficiency", 0.9),
+        # integer keys were truncated by int(), and the digest hashed the result
+        lambda d: d.__setitem__("n_pulses", 1500.7),
+        lambda d: d.__setitem__("n_pulses", True),
+        lambda d: d["seeds"].__setitem__("alice", 1.9),
+        lambda d: d.setdefault("protocol", {}).__setitem__("n_cascade_passes", 4.6),
+        lambda d: d.setdefault("protocol", {}).__setitem__("min_key_bits", 100.5),
     ],
     ids=[
         "n_pulses", "n_pulses_u32", "mu_type", "nu_order", "length",
@@ -238,6 +244,8 @@ def test_config_missing_key_raises(mutate):
         "seed_alice", "seed_bob", "seed_channel", "attenuation_nan", "length_nan",
         "optics_nan", "misalignment_nan", "rate_inf", "rate_nan", "timeout_nan",
         "timeout_inf", "q_zero", "q_above_one", "efficiency_below_one",
+        "n_pulses_fraction", "n_pulses_bool", "seed_fraction", "cascade_passes_fraction",
+        "min_key_bits_fraction",
     ],
 )
 def test_config_bad_value_raises(mutate):
@@ -245,6 +253,16 @@ def test_config_bad_value_raises(mutate):
     mutate(data)
     with pytest.raises(ConfigError):
         config_from_dict(data)
+
+
+def test_config_integer_error_names_the_key():
+    data = base_dict()
+    data["seeds"]["channel"] = 2.5
+    with pytest.raises(ConfigError, match=r"seeds\.channel"):
+        config_from_dict(data)
+    data = base_dict()
+    data["n_pulses"] = float(data["n_pulses"])  # a whole float keeps its value
+    assert config_from_dict(data).digest() == config_from_dict(base_dict()).digest()
 
 
 def test_load_config_round_trip(tmp_path, base_cfg):
