@@ -21,11 +21,15 @@ independently of the other detector, where p_d is the slot's probability of
 routing a photon to d. This is the same distribution as drawing each slot's
 photon number, its survivors, their routing and two dark counts.
 
-At a lossy link almost every slot stays dark, so the fired slots of each
-detector are drawn sparsely: candidate slots, each in with p_max, the largest
-P_d any slot can have (a Binomial(slots, p_max) count of slots chosen
-uniformly), then each candidate kept with probability P_d / p_max. The cost
-of the draws follows the clicks, not the slots.
+A slot has one of four outcomes: no click, detector 0 only, detector 1 only,
+or both, at rates set by its group (class, basis match, Alice's bit). Each
+call builds the 12-group table of P0(1 - P1), (1 - P0)P1 and P0*P1, kept
+cumulative. At a lossy link almost every slot stays dark, so clicks are
+drawn in one sparse pass: candidate slots, each in with p_max, the largest
+P(any click) of a group (a Binomial(slots, p_max) count of slots chosen
+uniformly), then one uniform in [0, p_max) per candidate, read against its
+group's row: below the first edge detector 0 fires, below the second
+detector 1, below the third both, else none. The cost follows the clicks.
 
 The transmitter's side of each slot arrives as a `source.AliceView`; the
 receiver's side is a `BobView`, his bases packed one bit a slot and only the
@@ -152,11 +156,16 @@ class BobView:
         return bit
 
 
-def _wrong_detector_prob(matched: np.ndarray, alice_bit: np.ndarray, theta: float) -> np.ndarray:
-    """Per-photon probability of landing on the bit-1 detector."""
+def _outcome_table(class_means: np.ndarray, eta: float, p_dark: float, theta: float) -> np.ndarray:
+    """(12, 3) cumulative P(detector 0 only), P(detector 1 only), P(both), a
+    row per group g = kind*4 + match*2 + alice_bit; the last is P(any click)."""
     sin2 = math.sin(theta) ** 2
-    p_one = np.where(alice_bit == 1, 1.0 - sin2, sin2)
-    return np.where(matched, p_one, 0.5)
+    p_one = np.array([0.5, 0.5, sin2, 1.0 - sin2])  # by match*2 + alice_bit
+    x = eta * np.asarray(class_means, dtype=float)[:, None]
+    p0 = p_dark - (1.0 - p_dark) * np.expm1(-x * (1.0 - p_one))
+    p1 = p_dark - (1.0 - p_dark) * np.expm1(-x * p_one)
+    outcomes = np.stack((p0 * (1.0 - p1), (1.0 - p0) * p1, p0 * p1), axis=-1)
+    return np.cumsum(outcomes.reshape(12, 3), axis=1)
 
 
 def _bernoulli_slots(p: float, m: int, rng: np.random.Generator) -> np.ndarray:
@@ -178,18 +187,17 @@ def simulate_detection(
     misalignment_theta: float,
     rng: np.random.Generator,
 ) -> BobView:
-    """Gated detection of a chunk of slots, drawn only where detectors fire:
-    the chunk's `BobView`, bob_basis packed.
+    """Gated detection of a chunk of slots, drawn only where a detector may
+    fire: the chunk's `BobView`, bob_basis packed.
 
     alice.kind indexes class_means, the mean photon number per StateClass
     value; alice's columns are read only at candidate slots. channel_eta is
     the end-to-end transmittance INCLUDING detector efficiency.
 
-    The click model is in the module docstring. Draw order, for detector 0
-    and then detector 1: the binomial count of candidate slots at p_max, the
-    candidate slots, then one uniform per candidate, kept if below
-    P_d / p_max. Then, under RANDOM_BIT, one coin per slot where both fired.
-    Fixed so a given rng seed reproduces the chunk exactly; with p_max 0
+    One pass over `_outcome_table` (see the module docstring). Draw order,
+    fixed so a given rng seed reproduces the chunk: the binomial count of
+    candidate slots at p_max, the candidate slots, one uniform per
+    candidate, then one coin per double under RANDOM_BIT. With p_max 0
     nothing is drawn.
     """
     if not 0.0 <= channel_eta <= 1.0:
@@ -197,33 +205,23 @@ def simulate_detection(
     n = len(alice)
     if len(bob_basis) != n:
         raise ValueError("input columns must have equal length")
-    p_dark = cfg.dark_count_prob_per_gate
-    means = np.asarray(class_means, dtype=float)
-    sin2 = math.sin(misalignment_theta) ** 2
-    # the brightest class routed to the likelier detector of a matched basis
-    x_max = channel_eta * means.max() * max(sin2, 1.0 - sin2)
-    p_max = p_dark - (1.0 - p_dark) * math.expm1(-x_max)
-    fired = []
-    for detector in (0, 1):
-        slots = _bernoulli_slots(p_max, n, rng)
-        lit = alice.at(slots)
-        p_route = _wrong_detector_prob(lit.basis == bob_basis[slots], lit.bit, misalignment_theta)
-        if detector == 0:
-            p_route = 1.0 - p_route
-        p_fire = p_dark - (1.0 - p_dark) * np.expm1(-channel_eta * means[lit.kind] * p_route)
-        fired.append(slots[rng.random(len(slots)) < p_fire / p_max])
-    fire0, fire1 = fired
-    slots = np.union1d(fire0, fire1)
-    bits = np.isin(slots, fire1).view(np.uint8)
-    both = np.intersect1d(fire0, fire1, assume_unique=True)
-    at_both = np.searchsorted(slots, both)
+    table = _outcome_table(class_means, channel_eta, cfg.dark_count_prob_per_gate, misalignment_theta)
+    p_max = table[:, 2].max()
+    slots = _bernoulli_slots(p_max, n, rng)
+    lit = alice.at(slots)
+    group = 4 * lit.kind + 2 * (lit.basis == bob_basis[slots]) + lit.bit
+    u = rng.random(len(slots)) * p_max
+    # 0: detector 0 only (bit 0), 1: detector 1 only (bit 1), 2: both, 3: no click
+    outcome = (u[:, None] >= table[group]).sum(axis=1, dtype=np.uint8)
+    clicked = outcome < 3
+    slots, bits = slots[clicked], outcome[clicked]
+    double = bits == 2
     packed_basis = np.packbits(bob_basis)
     if cfg.double_click_policy is DoubleClickPolicy.DISCARD:
-        return BobView(
-            n, packed_basis, np.delete(slots, at_both), np.delete(bits, at_both), both[:0], len(both)
-        )
-    bits[at_both] = rng.integers(0, 2, size=len(both), dtype=np.uint8)
-    return BobView(n, packed_basis, slots, bits, both)
+        single = ~double
+        return BobView(n, packed_basis, slots[single], bits[single], slots[:0], int(np.count_nonzero(double)))
+    bits[double] = rng.integers(0, 2, size=int(np.count_nonzero(double)), dtype=np.uint8)
+    return BobView(n, packed_basis, slots, bits, slots[double])
 
 
 def expected_gain(y0: float, eta: float, mean: float) -> float:

@@ -29,23 +29,26 @@ def test_traced_patch_sites_resolve():
 
 
 def test_tank_session_with_low_qber_hint_completes():
-    """Tank session 1452123309 samples 6 errors in 607 bits (hint 1.15%, true
-    rate about 1.8%); four passes of too-large blocks leave errors, and
-    Cascade's second round has to repair them for both endpoints to finish."""
+    """Tank session 1240841063 samples 0 errors in 593 bits (hint 0.17%, true
+    rate about 1.6%); four passes of too-large blocks leave errors, and
+    Cascade's second round has to repair them for both endpoints to finish.
+    Retries are rare: 3 of the first 6000 `session_seeds(1)` sessions retry,
+    and this one has the lowest hint of the three."""
     capture = EndpointCapture()
     with capture.installed():
-        record = run_session(WORKLOADS["tank"], 1452123309, capture)
+        record = run_session(WORKLOADS["tank"], 1240841063, capture)
     assert record.ok, record.failure
     for endpoint in capture.endpoints.values():
         assert "reconciliation_retried" in endpoint.flags
 
 
 def test_tracer_sees_every_chunk_of_the_quantum_phase():
-    """The quantum phase calls the source and detection once per chunk, and
-    each endpoint sizes its key through estimate_bounds, secure_key_rate and
-    toeplitz_hash, all at the module names the tracer wraps; code holding the
-    library's own functions would leave these counts short. Over TCP both
-    endpoints draw Alice's stream, and only the receiver detects."""
+    """The quantum phase calls the source once and detection once per
+    chunk, and each endpoint sizes its key through estimate_bounds,
+    secure_key_rate and toeplitz_hash, all at the module names the tracer
+    wraps; code holding the library's own functions would leave these counts
+    short. Over TCP both endpoints draw Alice's stream, and only the
+    receiver detects."""
     tracer, capture = Tracer(), EndpointCapture()
     with capture.installed(), tracer.installed():
         for session, (workload, draws) in enumerate([("tank", 1), ("tank-tcp", 2)]):

@@ -7,7 +7,7 @@ from uwqkd.detection import (
     BobView,
     DetectorConfig,
     DoubleClickPolicy,
-    _wrong_detector_prob,
+    _outcome_table,
     dark_prob_for_background_yield,
     expected_gain,
     expected_qber,
@@ -280,6 +280,12 @@ def test_dark_free_empty_channel_draws_nothing():
     assert not batch.clicked.any()
 
 
+def _p_bit_one(matched, alice_bit, theta):
+    """Per-photon probability of reaching the bit-1 detector."""
+    sin2 = math.sin(theta) ** 2
+    return np.where(matched, np.where(alice_bit == 1, 1.0 - sin2, sin2), 0.5)
+
+
 def _dense_detection(alice, bob_basis, class_means, eta, cfg, theta, rng):
     """Oracle: per slot, a Poisson photon number, binomial survivors, their
     binomial routing to the bit-1 detector, two dark counts and a coin."""
@@ -287,7 +293,7 @@ def _dense_detection(alice, bob_basis, class_means, eta, cfg, theta, rng):
     photons = rng.poisson(np.asarray(class_means)[alice.kind])
     survivors = rng.binomial(photons, eta)
     matched = alice.basis == bob_basis
-    n_one = rng.binomial(survivors, _wrong_detector_prob(matched, alice.bit, theta))
+    n_one = rng.binomial(survivors, _p_bit_one(matched, alice.bit, theta))
     fire0 = (survivors - n_one > 0) | (rng.random(n) < cfg.dark_count_prob_per_gate)
     fire1 = (n_one > 0) | (rng.random(n) < cfg.dark_count_prob_per_gate)
     coin = rng.integers(0, 2, size=n, dtype=np.uint8)
@@ -367,6 +373,43 @@ def test_sparse_detection_matches_dense_oracle(bright_slots, eta, p_dark, theta,
     dense = _dense_detection(*bright_slots, MEANS, eta, cfg, theta, np.random.default_rng(66))
     for batch in (sparse, dense):
         _assert_poisson_splitting(batch, bright_slots, eta, p_dark, theta, policy)
+
+
+@pytest.mark.parametrize("eta, p_dark, theta", [(0.0, 1e-3, 0.0), (7.4e-3, 2e-5, 0.12), (0.9, 0.0, 0.3)])
+def test_outcome_table_rows(eta, p_dark, theta):
+    """Each group's row is the cumulative P0(1-P1), (1-P0)P1 and P0*P1."""
+    table = _outcome_table(MEANS, eta, p_dark, theta)
+    assert table.shape == (12, 3)
+    sin2 = math.sin(theta) ** 2
+    for cls in StateClass:
+        for match in (0, 1):
+            for a_bit in (0, 1):
+                p_one = (1.0 - sin2 if a_bit else sin2) if match else 0.5
+                x = eta * MEANS[cls]
+                p0 = 1.0 - (1.0 - p_dark) * math.exp(-x * (1.0 - p_one))
+                p1 = 1.0 - (1.0 - p_dark) * math.exp(-x * p_one)
+                row = np.diff(table[cls * 4 + match * 2 + a_bit], prepend=0.0)
+                assert np.allclose(row, [p0 * (1 - p1), (1 - p0) * p1, p0 * p1], rtol=0.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("policy", list(DoubleClickPolicy))
+def test_draw_order(bright_slots, policy):
+    """One call leaves the generator where the documented draws leave it:
+    the binomial count at p_max, the candidates, one uniform per candidate,
+    then one coin per double under RANDOM_BIT."""
+    eta, p_dark, theta = 0.9, 1e-3, 0.12
+    cfg = DetectorConfig(dark_count_prob_per_gate=p_dark, double_click_policy=policy)
+    rng = np.random.default_rng(68)
+    view = simulate_detection(*bright_slots, MEANS, eta, cfg, theta, rng)
+    n_doubles = len(view.multi_slots) + view.discarded_doubles
+    assert n_doubles > 0
+    reference = np.random.default_rng(68)
+    k = reference.binomial(ORACLE_SLOTS, _outcome_table(MEANS, eta, p_dark, theta)[:, 2].max())
+    reference.choice(ORACLE_SLOTS, size=k, replace=False, shuffle=False)
+    reference.random(k)
+    if policy is DoubleClickPolicy.RANDOM_BIT:
+        reference.integers(0, 2, size=n_doubles, dtype=np.uint8)
+    assert rng.bit_generator.state == reference.bit_generator.state
 
 
 @pytest.mark.parametrize("n", [1, 3])

@@ -374,8 +374,9 @@ def _tank_variant(**changes) -> ExperimentConfig:
 
 
 def test_quantum_phase_extends_a_shorter_run():
-    """Every stream draws chunk by chunk, so a run one chunk long is the
-    first chunk of a longer run from the same seeds."""
+    """Every stream draws in slot order (the words in one call, the rest
+    chunk by chunk), so a run one chunk long is the first chunk of a longer
+    run from the same seeds."""
     short, long = (
         simulate_quantum_phase(_tank_variant(n_pulses=n)) for n in (1 << 20, (1 << 20) + 4096)
     )
@@ -389,16 +390,16 @@ def test_quantum_phase_extends_a_shorter_run():
 @pytest.mark.parametrize(
     "changes, digest, clicks, multi, discarded, match",
     [
-        ({}, "14ff8c6061104f9434825ad45354d7d53983cfeab9734cb414882d9b385ef5e2",
-         12692, 13, 0, "0.49994275"),
+        ({}, "be1ff8ea5e2da225ee5e47ce619fe9c4ebb85ee59fbeffc849e35637d89334f3",
+         12548, 13, 0, "0.49994275"),
         ({"detector__double_click_policy": "discard", "detector__dark_count_prob_per_gate": 2e-3,
           "n_pulses": 1_500_000},
-         "012cd6447ba6a65cb2f2f482a54c4ebe8e62955623eda5a1c39c3d6fe7728884",
-         10582, 0, 15, "0.5005926666666667"),
+         "eca7dae555a7e4744e7d4d27793573f9d002b849e6961c4f4366bcc3e7c2fbc7",
+         10649, 0, 14, "0.5005926666666667"),
         # the last chunk, 4099 slots, is no whole number of 8-byte words
         ({"n_pulses": (1 << 20) + 4099},
-         "63d28cc602754bd6dc97b2a7bdeec5a19de09a6be2254f313c122d90d69bfbea",
-         3316, 4, 0, "0.5006378986866792"),
+         "b4ae02bcacb12fa6df73eb26b293bb9ee68366a52d12506b9230529237c95e66",
+         3290, 4, 0, "0.5006378986866792"),
     ],
     ids=["tank", "discard-dark", "unaligned-tail"],
 )
@@ -437,7 +438,7 @@ def test_quantum_phase_memory_follows_the_clicks():
     chunk or the clicks."""
     cfg = load_config(CONFIGS / "tank_run.json")
     res, peak = _traced_peak(lambda: simulate_quantum_phase(cfg))
-    assert len(res.bob_view.slots) == 12692
+    assert len(res.bob_view.slots) == 12548
     assert peak < 4 * cfg.n_pulses, peak
 
 
@@ -460,13 +461,13 @@ def test_basis_reveal_memory_follows_the_clicks():
 @pytest.mark.parametrize(
     "changes, digest",
     [
-        (None, "2ff36841a0f048ba8266ac47c19e29993416a933065fac44f860398093798d8b"),
-        ({}, "42a1f91f1d04c7a49af92df9c478157d99342c41088d10a14a31f28d7b2ea915"),
-        ({"n_pulses": 900}, "47ea7c0a0b78d1896da7b68aaf98172506b5deb6ded8396d9df9e890db6e215a"),
-        ({"n_pulses": 850, "misalignment_deg": 30.0},
-         "d93a611be91a530b16cfb3bfe5d1c36389f6a508d60e5733df2c7f5e47ad0ab0"),
-        ({"n_pulses": 1200}, "f65515256746b2810fdd1fd17e6910f75a68a9a9920ee1d20fca91bbb3776d09"),
-        ({"n_pulses": 1900}, "6c066610d2eac765410daa7081058e98c557ae16321b6472f73a9fff47a2eb99"),
+        (None, "728feee40195c1b3acdd0d59a478a1526267f69b0787eaab2bde142773c5530f"),
+        ({}, "b890b1c7b31c665f2b3b9a2963022e8373a15f129a0ab1c8c00e58273e321b3b"),
+        ({"n_pulses": 900}, "43f38026f46d185427626662124f30a928fa98e3c7ef25a8383160fc3e52b4ee"),
+        ({"n_pulses": 900, "misalignment_deg": 30.0},
+         "ffc308d4efb9e4be9a1c6ee108d93ecbd1cfa4314c817cce15d91116c7f8ac8e"),
+        ({"n_pulses": 1200}, "4c52b242f5ba340912eeb1d396c40705c5595c96dbf647a4aa1bbc010b28ea0f"),
+        ({"n_pulses": 1900}, "b927f0d49cbe219e224bd89cbe02e6894a6814c39d29ea74c2aa086637d5f597"),
     ],
     ids=["tank", "reconciled", "cascade-skipped", "cascade-skipped-no-rate", "capped-to-zero", "capped"],
 )
@@ -560,7 +561,7 @@ def test_transcript_written_and_replayable(tmp_path, base_cfg, base_report):
         decode_frame(e.data)
     # the wire bytes of the whole session, in transcript order
     assert hashlib.sha256(b"".join(e.data for e in entries)).hexdigest() == (
-        "8b1552b37633aac97b307f45501f2b04e0336649ba71f030cd42cdc8c3871069"
+        "1728884c49a03276adf67de754d2ed8b3609d192cc9ec5e35d5dd324c4808681"
     )
     # save/load is lossless
     copy_path = tmp_path / "copy.jsonl"
