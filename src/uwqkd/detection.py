@@ -33,9 +33,11 @@ detector 1, below the third both, else none. The cost follows the clicks.
 
 The transmitter's side of each slot arrives as a `source.AliceView`; the
 receiver's side is a `BobView`, his bases packed one bit a slot and only the
-slots that clicked, with their bits. One call draws one chunk's `BobView`;
-the quantum phase makes one call per `source.chunk_slices` chunk and joins
-them with `BobView.concatenate` into the session's view.
+slots that clicked, with their bits. His bases arrive packed, as the quantum
+phase draws them (one uniform byte for 8 slots), are read only at the
+candidate slots and are kept as they are. One call draws one chunk's
+`BobView`; the quantum phase makes one call per `source.chunk_slices` chunk
+and joins them with `BobView.concatenate` into the session's view.
 """
 
 from __future__ import annotations
@@ -81,6 +83,13 @@ def _ascending_in_range(slots: np.ndarray, n_slots: int) -> bool:
     return not len(slots) or (0 <= slots[0] and slots[-1] < n_slots and bool(np.all(np.diff(slots) > 0)))
 
 
+def _bits_at(packed: np.ndarray, slots: np.ndarray) -> np.ndarray:
+    """The bits (uint8) at the given slots of a column packed as by
+    `np.packbits`, 8 slots a byte, the first in the top bit."""
+    shift = (7 - (slots & 7)).astype(np.uint8)
+    return (packed[slots >> 3] >> shift) & 1
+
+
 @dataclass(frozen=True)
 class BobView:
     """Receiver knowledge of n_slots slots: his basis for every slot, one bit
@@ -91,7 +100,8 @@ class BobView:
     is a fair coin (RANDOM_BIT policy). Under DISCARD those slots read as
     no-click, multi_slots is empty, and discarded_doubles counts them.
 
-    packed_basis is `np.packbits` of the per-slot basis column. basis,
+    packed_basis is `np.packbits` of the per-slot basis column, pad bits
+    clear, read slot by slot as `basis_at` reads it. basis,
     clicked and bit are full-length uint8/bool columns (bit 0 where no
     detector clicked), built on each access; the session reads only
     `basis_at` its clicks.
@@ -136,8 +146,7 @@ class BobView:
 
     def basis_at(self, slots: np.ndarray) -> np.ndarray:
         """His basis (uint8) at the given slots."""
-        shift = (7 - (slots & 7)).astype(np.uint8)
-        return (self.packed_basis[slots >> 3] >> shift) & 1
+        return _bits_at(self.packed_basis, slots)
 
     @property
     def basis(self) -> np.ndarray:
@@ -180,7 +189,7 @@ def _bernoulli_slots(p: float, m: int, rng: np.random.Generator) -> np.ndarray:
 
 def simulate_detection(
     alice: AliceView,
-    bob_basis: np.ndarray,
+    packed_basis: np.ndarray,
     class_means: np.ndarray,
     channel_eta: float,
     cfg: DetectorConfig,
@@ -188,9 +197,11 @@ def simulate_detection(
     rng: np.random.Generator,
 ) -> BobView:
     """Gated detection of a chunk of slots, drawn only where a detector may
-    fire: the chunk's `BobView`, bob_basis packed.
+    fire: the chunk's `BobView`, which keeps packed_basis as it is.
 
-    alice.kind indexes class_means, the mean photon number per StateClass
+    packed_basis holds Bob's basis one bit a slot, as `np.packbits` packs
+    it: (len(alice) + 7) // 8 bytes, with the pad bits of the last byte
+    clear. alice.kind indexes class_means, the mean photon number per StateClass
     value; alice's columns are read only at candidate slots. channel_eta is
     the end-to-end transmittance INCLUDING detector efficiency.
 
@@ -203,13 +214,13 @@ def simulate_detection(
     if not 0.0 <= channel_eta <= 1.0:
         raise ValueError("transmittance must be in [0, 1]")
     n = len(alice)
-    if len(bob_basis) != n:
-        raise ValueError("input columns must have equal length")
+    if len(packed_basis) != (n + 7) // 8:
+        raise ValueError("Bob's bases must be packed, one bit a slot")
     table = _outcome_table(class_means, channel_eta, cfg.dark_count_prob_per_gate, misalignment_theta)
     p_max = table[:, 2].max()
     slots = _bernoulli_slots(p_max, n, rng)
     lit = alice.at(slots)
-    group = 4 * lit.kind + 2 * (lit.basis == bob_basis[slots]) + lit.bit
+    group = 4 * lit.kind + 2 * (lit.basis == _bits_at(packed_basis, slots)) + lit.bit
     u = rng.random(len(slots)) * p_max
     # 0: detector 0 only (bit 0), 1: detector 1 only (bit 1), 2: both, 3: no
     # click; the edges passed, counted by three compares into one uint8 array
@@ -220,7 +231,6 @@ def simulate_detection(
     clicked = outcome < 3
     slots, bits = slots[clicked], outcome[clicked]
     double = bits == 2
-    packed_basis = np.packbits(bob_basis)
     if cfg.double_click_policy is DoubleClickPolicy.DISCARD:
         single = ~double
         return BobView(n, packed_basis, slots[single], bits[single], slots[:0], int(np.count_nonzero(double)))

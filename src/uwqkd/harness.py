@@ -6,6 +6,10 @@ losses, detector noise and frame misalignment. Physics parameters carry units
 in their key names and have no implicit defaults; protocol conventions
 (sample fraction, Cascade passes, timeout) do default.
 
+The quantum phase draws one stream per seed: the transmitter's 4-bit words
+(a byte a slot), the receiver's bases (a bit a slot, drawn already packed)
+and the channel's clicks (their cost follows the clicks).
+
 `run_experiment` plays the whole protocol between two session machines over
 an in-memory transport. `serve` and `connect` play the identical protocol
 over TCP, each endpoint simulating only its own side from the shared config
@@ -295,27 +299,34 @@ def simulate_quantum_phase(cfg: ExperimentConfig) -> QuantumPhaseResult:
     """Deterministic quantum phase from the three role seeds.
 
     Alice's view is `simulate_transmitter`'s. Then, per `chunk_slices`
-    chunk, Bob's bases (the top bit of one `uniform_bytes` byte per slot,
-    the same stream as `integers(0, 2, uint8)`) and his clicks (the channel
-    stream, see the `detection` module docstring) are drawn, one call each,
-    giving the chunk's `BobView`; `BobView.concatenate` joins them into the
-    session's view. Each stream has its own generator, so a run of n slots
-    is a prefix of any longer run with the same seeds.
+    chunk, Bob's bases and his clicks (the channel stream, see the
+    `detection` module docstring) are drawn, one call each, giving the
+    chunk's `BobView`; `BobView.concatenate` joins them into the session's
+    view. Bob's bases are one fair bit a slot, drawn already packed: the
+    chunk's (m + 7) // 8 `uniform_bytes` bytes, slot by slot from each
+    byte's top bit, with the pad bits of a short last chunk cleared. A full
+    chunk draws 2^14 PCG64 words, so chunk k of Bob's stream starts at
+    `advance(k * 2^14)`. Each stream has its own generator, so a run of n
+    slots is a prefix of any longer run with the same seeds.
+
+    The basis match fraction is counted on packed bytes: per chunk, the set
+    bits of Alice's packed bases XOR Bob's are the mismatched slots.
     """
     n = cfg.n_pulses
     alice_view = simulate_transmitter(cfg)
     bob_rng, channel_rng = (np.random.default_rng(seed) for seed in (cfg.seed_bob, cfg.seed_channel))
     eta, class_means = cfg.eta, cfg.source.class_means
-    chunks, n_matched = [], 0
+    chunks, n_differ = [], 0
     for lo, hi in chunk_slices(n):
-        pulses = alice_view.at(slice(lo, hi))
-        bob_basis = uniform_bytes(bob_rng, hi - lo)
-        bob_basis >>= 7
+        pulses, m = alice_view.at(slice(lo, hi)), hi - lo
+        bob_basis = uniform_bytes(bob_rng, (m + 7) // 8)
+        bob_basis[-1] &= 0xFF << (-m % 8) & 0xFF  # clear the pad bits after slot m
         chunks.append(simulate_detection(
             pulses, bob_basis, class_means, eta, cfg.detector, cfg.misalignment_rad, channel_rng
         ))
-        n_matched += int(np.count_nonzero(pulses.basis == bob_basis))
-    return QuantumPhaseResult(alice_view, BobView.concatenate(chunks), n_matched / n)
+        # Alice's basis is bit 1 of her word; both pads are clear
+        n_differ += int(np.count_nonzero(np.unpackbits(np.packbits(pulses.word & 2) ^ bob_basis)))
+    return QuantumPhaseResult(alice_view, BobView.concatenate(chunks), (n - n_differ) / n)
 
 
 # ---------------------------------------------------------------------------

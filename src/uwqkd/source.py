@@ -14,9 +14,10 @@ That is the same stream as `integers(0, 16, uint8)` at the cost of a
 full-range draw: numpy draws a bounded uint8 by Lemire's multiply-shift,
 which for a power-of-two range never rejects and keeps the top bits of one
 stream byte. `uniform_bytes` returns the stream of `integers(0, 256, uint8)`
-but reads it as whole 64-bit PCG64 outputs, see its docstring. Every
-per-slot uniform of the quantum phase is drawn this way, and
-`tests/test_source.py` pins both equivalences. Photon
+but reads it as whole 64-bit PCG64 outputs, see its docstring, and
+`tests/test_source.py` pins both equivalences. The receiver's bases are
+drawn the same way, one fair bit a slot: the bits of one `uniform_bytes`
+byte for each 8 slots (`harness.simulate_quantum_phase`). Photon
 number per pulse is Poisson with the class mean (`SourceConfig.class_means`);
 clicks are drawn from the class means by `detection.simulate_detection`, see
 its module docstring.

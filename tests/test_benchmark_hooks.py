@@ -29,14 +29,14 @@ def test_traced_patch_sites_resolve():
 
 
 def test_tank_session_with_low_qber_hint_completes():
-    """Tank session 1240841063 samples 0 errors in 593 bits (hint 0.17%, true
-    rate about 1.6%); four passes of too-large blocks leave errors, and
-    Cascade's second round has to repair them for both endpoints to finish.
-    Retries are rare: 3 of the first 6000 `session_seeds(1)` sessions retry,
-    and this one has the lowest hint of the three."""
+    """Tank session 1711815558 samples 5 errors in 600 bits (hint 1.0%, true
+    rate 92/5996, about 1.5%); four passes of too-large blocks leave errors,
+    and Cascade's second round has to repair them for both endpoints to
+    finish. Retries are rare: 4 of the first 6000 `session_seeds(1)`
+    sessions retry, and this one has the lowest hint of the four."""
     capture = EndpointCapture()
     with capture.installed():
-        record = run_session(WORKLOADS["tank"], 1240841063, capture)
+        record = run_session(WORKLOADS["tank"], 1711815558, capture)
     assert record.ok, record.failure
     for endpoint in capture.endpoints.values():
         assert "reconciliation_retried" in endpoint.flags

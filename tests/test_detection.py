@@ -26,7 +26,8 @@ def _batch(n, seed, *, eta, p_dark=0.0, theta=0.0, policy=DoubleClickPolicy.RAND
     det = DetectorConfig(dark_count_prob_per_gate=p_dark, double_click_policy=policy)
     rng = np.random.default_rng(seed + 2)
     batch = simulate_detection(
-        train, bob_basis, cfg.class_means, channel_eta=eta, cfg=det, misalignment_theta=theta, rng=rng,
+        train, np.packbits(bob_basis), cfg.class_means, channel_eta=eta, cfg=det, misalignment_theta=theta,
+        rng=rng,
     )
     return train, bob_basis, batch
 
@@ -207,7 +208,7 @@ def test_concatenate_matches_the_joined_columns(policy):
     cfg = DetectorConfig(dark_count_prob_per_gate=1e-3, double_click_policy=policy)
     rng = np.random.default_rng(45)
     chunks = [
-        simulate_detection(train.at(slice(lo, hi)), bob_basis[lo:hi], MEANS, 0.05, cfg, 0.1, rng)
+        simulate_detection(train.at(slice(lo, hi)), np.packbits(bob_basis[lo:hi]), MEANS, 0.05, cfg, 0.1, rng)
         for lo, hi in ((0, sizes[0]), (sizes[0], sum(sizes)))
     ]
     joined = BobView.concatenate(chunks)
@@ -259,13 +260,21 @@ def test_perfect_channel_reproduces_key_bits():
     assert np.array_equal(batch.bit[matched], train.bit[matched])
 
 
-def test_simulate_detection_validation():
-    z = np.zeros(4, dtype=np.uint8)
+@pytest.mark.parametrize("n", [4, 9, 4099])
+def test_simulate_detection_validation(n):
+    """A transmittance outside [0, 1] is refused, and so are Bob's bases
+    unless packed, (n + 7) // 8 bytes: a per-slot column is refused before
+    anything is drawn."""
+    z = np.zeros(n, dtype=np.uint8)
     alice = AliceView(z)
+    rng = np.random.default_rng(0)
     with pytest.raises(ValueError):
-        simulate_detection(alice, z, MEANS, 1.5, DetectorConfig(), 0.0, np.random.default_rng(0))
-    with pytest.raises(ValueError):
-        simulate_detection(alice, z[:2], MEANS, 0.5, DetectorConfig(), 0.0, np.random.default_rng(0))
+        simulate_detection(alice, np.packbits(z), MEANS, 1.5, DetectorConfig(), 0.0, rng)
+    packed_length = (n + 7) // 8
+    for basis in (z, z.astype(bool), z[: packed_length - 1], z[: packed_length + 1]):
+        with pytest.raises(ValueError, match="packed"):
+            simulate_detection(alice, basis, MEANS, 0.5, DetectorConfig(), 0.0, rng)
+    assert rng.bit_generator.state == np.random.default_rng(0).bit_generator.state
 
 
 def test_dark_free_empty_channel_draws_nothing():
@@ -275,7 +284,7 @@ def test_dark_free_empty_channel_draws_nothing():
     kind = np.full(n, StateClass.SIGNAL, dtype=np.uint8)
     rng = np.random.default_rng(65)
     before = rng.bit_generator.state
-    batch = simulate_detection(AliceView(words(kind, z)), z, MEANS, 0.0, DetectorConfig(), 0.1, rng)
+    batch = simulate_detection(AliceView(words(kind, z)), np.packbits(z), MEANS, 0.0, DetectorConfig(), 0.1, rng)
     assert rng.bit_generator.state == before
     assert not batch.clicked.any()
 
@@ -368,8 +377,8 @@ def test_sparse_detection_matches_dense_oracle(bright_slots, eta, p_dark, theta,
     """The sampler and a dense photon-by-photon oracle both give each
     outcome at the rate Poisson splitting predicts, group by group."""
     cfg = DetectorConfig(dark_count_prob_per_gate=p_dark, double_click_policy=policy)
-    sparse = simulate_detection(*bright_slots, MEANS, eta, cfg, theta,
-                                np.random.default_rng(63))
+    train, bob_basis = bright_slots
+    sparse = simulate_detection(train, np.packbits(bob_basis), MEANS, eta, cfg, theta, np.random.default_rng(63))
     dense = _dense_detection(*bright_slots, MEANS, eta, cfg, theta, np.random.default_rng(66))
     for batch in (sparse, dense):
         _assert_poisson_splitting(batch, bright_slots, eta, p_dark, theta, policy)
@@ -400,7 +409,8 @@ def test_draw_order(bright_slots, policy):
     eta, p_dark, theta = 0.9, 1e-3, 0.12
     cfg = DetectorConfig(dark_count_prob_per_gate=p_dark, double_click_policy=policy)
     rng = np.random.default_rng(68)
-    view = simulate_detection(*bright_slots, MEANS, eta, cfg, theta, rng)
+    train, bob_basis = bright_slots
+    view = simulate_detection(train, np.packbits(bob_basis), MEANS, eta, cfg, theta, rng)
     n_doubles = len(view.multi_slots) + view.discarded_doubles
     assert n_doubles > 0
     reference = np.random.default_rng(68)
@@ -423,7 +433,7 @@ def test_short_batches_click_at_the_dark_rate(n):
     rng = np.random.default_rng(67)
     clicks = np.zeros(n, dtype=np.int64)
     for _ in range(calls):
-        clicks += simulate_detection(AliceView(words(kind, z)), z, MEANS, 0.0, cfg, 0.0, rng).clicked
+        clicks += simulate_detection(AliceView(words(kind, z)), np.packbits(z), MEANS, 0.0, cfg, 0.0, rng).clicked
     y0 = cfg.background_yield
     bound = 4.0 * math.sqrt(calls * y0 * (1.0 - y0)) + 1.0
     assert np.all(np.abs(clicks - calls * y0) <= bound), clicks

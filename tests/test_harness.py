@@ -51,6 +51,7 @@ from uwqkd import (
 from uwqkd import harness, protocol
 from uwqkd.cli import EXIT_ABORT, EXIT_OK, EXIT_VALIDATION, main
 from uwqkd.harness import connect, serve, simulate_transmitter
+from uwqkd.source import chunk_slices, uniform_bytes
 from uwqkd.protocol import AbortReason
 from uwqkd.transport import read_frame_bytes, run_socket_session
 
@@ -387,19 +388,38 @@ def test_quantum_phase_extends_a_shorter_run():
             assert np.array_equal(getattr(getattr(long, view), column)[: 1 << 20], values), (view, column)
 
 
+@pytest.mark.parametrize("n", [(1 << 20) + 4099, 1 << 20, 1001])
+def test_bob_bases_are_packed_uniform_bytes(n):
+    """Bob's packed bases are, chunk by chunk, the (m + 7) // 8 bytes
+    `uniform_bytes` draws from his seed, with the pad bits after the last
+    slot cleared, so they are `np.packbits` of his per-slot bases. The match
+    fraction counted on packed bytes equals the dense per-slot comparison,
+    on an unaligned tail and on runs of whole and part bytes."""
+    cfg = _tank_variant(n_pulses=n)
+    res = simulate_quantum_phase(cfg)
+    view = res.bob_view
+    rng = np.random.default_rng(cfg.seed_bob)
+    expected = np.concatenate([uniform_bytes(rng, (hi - lo + 7) // 8) for lo, hi in chunk_slices(n)])
+    expected[-1] &= 0xFF << (-n % 8) & 0xFF
+    assert np.array_equal(view.packed_basis, expected)
+    assert np.array_equal(view.packed_basis, np.packbits(view.basis))
+    dense = np.count_nonzero(res.alice_view.basis == view.basis)
+    assert res.basis_match_fraction == dense / n
+
+
 @pytest.mark.parametrize(
     "changes, digest, clicks, multi, discarded, match",
     [
-        ({}, "be1ff8ea5e2da225ee5e47ce619fe9c4ebb85ee59fbeffc849e35637d89334f3",
-         12548, 13, 0, "0.49994275"),
+        ({}, "037d02f2902ffa9d74d8c2226dea54c26fd60e7a6723206c10287609b5f4d08c",
+         12665, 13, 0, "0.50013125"),
         ({"detector__double_click_policy": "discard", "detector__dark_count_prob_per_gate": 2e-3,
           "n_pulses": 1_500_000},
-         "eca7dae555a7e4744e7d4d27793573f9d002b849e6961c4f4366bcc3e7c2fbc7",
-         10649, 0, 14, "0.5005926666666667"),
+         "84ecad3b6dcff3a46292b0fe68161b7a44b695dcfa00d32b6248708624f77e3a",
+         10651, 0, 12, "0.499902"),
         # the last chunk, 4099 slots, is no whole number of 8-byte words
         ({"n_pulses": (1 << 20) + 4099},
-         "b4ae02bcacb12fa6df73eb26b293bb9ee68366a52d12506b9230529237c95e66",
-         3290, 4, 0, "0.5006378986866792"),
+         "fa06b1468f29cec7e2e37026725bfadb247deb4da7d2b0c14de4d8db4cd7709d",
+         3290, 1, 0, "0.4998171325432826"),
     ],
     ids=["tank", "discard-dark", "unaligned-tail"],
 )
@@ -438,7 +458,7 @@ def test_quantum_phase_memory_follows_the_clicks():
     chunk or the clicks."""
     cfg = load_config(CONFIGS / "tank_run.json")
     res, peak = _traced_peak(lambda: simulate_quantum_phase(cfg))
-    assert len(res.bob_view.slots) == 12548
+    assert len(res.bob_view.slots) == 12665
     assert peak < 4 * cfg.n_pulses, peak
 
 
@@ -461,13 +481,13 @@ def test_basis_reveal_memory_follows_the_clicks():
 @pytest.mark.parametrize(
     "changes, digest",
     [
-        (None, "728feee40195c1b3acdd0d59a478a1526267f69b0787eaab2bde142773c5530f"),
-        ({}, "b890b1c7b31c665f2b3b9a2963022e8373a15f129a0ab1c8c00e58273e321b3b"),
-        ({"n_pulses": 900}, "43f38026f46d185427626662124f30a928fa98e3c7ef25a8383160fc3e52b4ee"),
-        ({"n_pulses": 900, "misalignment_deg": 30.0},
-         "ffc308d4efb9e4be9a1c6ee108d93ecbd1cfa4314c817cce15d91116c7f8ac8e"),
-        ({"n_pulses": 1200}, "4c52b242f5ba340912eeb1d396c40705c5595c96dbf647a4aa1bbc010b28ea0f"),
-        ({"n_pulses": 1900}, "b927f0d49cbe219e224bd89cbe02e6894a6814c39d29ea74c2aa086637d5f597"),
+        (None, "6dd70be5ec71b1381b20a37e30fe5268ab6cd020d59b9f8c279bfc827a9f2041"),
+        ({}, "24ae07a79b0d3c796e6dfe9f46e20d68841447e4370aa38f998cd345a231f0c1"),
+        ({"n_pulses": 900}, "b3e1ccb86c26b73c392837c92af1a40706afe42cd630d9404e7d4f34468d5ca1"),
+        ({"n_pulses": 950, "misalignment_deg": 30.0},
+         "ac48be8a463ccf8e40d870f4335a741c47d542a7336f405da22818559000c9c6"),
+        ({"n_pulses": 1200}, "8440fc3deceecef71881b3c25015bde01cb91f18ff5aa4a1b0d13d79c927978d"),
+        ({"n_pulses": 1950}, "00d6e4b6cbed5e574851e9663841efcbcdb65f555cb8d12f4ad897e38a48c6e4"),
     ],
     ids=["tank", "reconciled", "cascade-skipped", "cascade-skipped-no-rate", "capped-to-zero", "capped"],
 )
@@ -561,7 +581,7 @@ def test_transcript_written_and_replayable(tmp_path, base_cfg, base_report):
         decode_frame(e.data)
     # the wire bytes of the whole session, in transcript order
     assert hashlib.sha256(b"".join(e.data for e in entries)).hexdigest() == (
-        "1728884c49a03276adf67de754d2ed8b3609d192cc9ec5e35d5dd324c4808681"
+        "f441615b11848a66a28078bae239ed31e4fe3eeb18aa6da6a9b7d0213d52a220"
     )
     # save/load is lossless
     copy_path = tmp_path / "copy.jsonl"

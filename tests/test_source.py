@@ -101,7 +101,7 @@ def test_train_photon_statistics():
     assert np.all(means[dec] == 0.1)
     bob_basis = np.random.default_rng(6).integers(0, 2, size=n, dtype=np.uint8)
     batch = simulate_detection(
-        train, bob_basis, cfg.class_means, 1.0, DetectorConfig(), 0.0, np.random.default_rng(7)
+        train, np.packbits(bob_basis), cfg.class_means, 1.0, DetectorConfig(), 0.0, np.random.default_rng(7)
     )
     assert not batch.clicked[vac].any()
     # P(n >= 1 | mu = 0.8) = 1 - exp(-0.8)
