@@ -101,10 +101,9 @@ class BobView:
     no-click, multi_slots is empty, and discarded_doubles counts them.
 
     packed_basis is `np.packbits` of the per-slot basis column, pad bits
-    clear, read slot by slot as `basis_at` reads it. basis,
-    clicked and bit are full-length uint8/bool columns (bit 0 where no
-    detector clicked), built on each access; the session reads only
-    `basis_at` its clicks.
+    clear. basis, clicked and bit are full-length uint8/bool columns (bit 0
+    where no detector clicked), built on each access; the session reads
+    only `basis_at` its clicks.
     """
 
     n_slots: int
@@ -201,9 +200,10 @@ def simulate_detection(
 
     packed_basis holds Bob's basis one bit a slot, as `np.packbits` packs
     it: (len(alice) + 7) // 8 bytes, with the pad bits of the last byte
-    clear. alice.kind indexes class_means, the mean photon number per StateClass
-    value; alice's columns are read only at candidate slots. channel_eta is
-    the end-to-end transmittance INCLUDING detector efficiency.
+    clear. alice.kind indexes class_means, the mean photon number per
+    StateClass value; alice's columns are read only at candidate slots.
+    channel_eta is the end-to-end transmittance INCLUDING detector
+    efficiency.
 
     One pass over `_outcome_table` (see the module docstring). Draw order,
     fixed so a given rng seed reproduces the chunk: the binomial count of
@@ -222,8 +222,8 @@ def simulate_detection(
     lit = alice.at(slots)
     group = 4 * lit.kind + 2 * (lit.basis == _bits_at(packed_basis, slots)) + lit.bit
     u = rng.random(len(slots)) * p_max
-    # 0: detector 0 only (bit 0), 1: detector 1 only (bit 1), 2: both, 3: no
-    # click; the edges passed, counted by three compares into one uint8 array
+    # the number of its group's edges u passes: 0: detector 0 only (bit 0),
+    # 1: detector 1 only (bit 1), 2: both, 3: no click
     edges = table.T[:, group]
     outcome = (u >= edges[0]).view(np.uint8)
     outcome += u >= edges[1]

@@ -284,7 +284,8 @@ def test_dark_free_empty_channel_draws_nothing():
     kind = np.full(n, StateClass.SIGNAL, dtype=np.uint8)
     rng = np.random.default_rng(65)
     before = rng.bit_generator.state
-    batch = simulate_detection(AliceView(words(kind, z)), np.packbits(z), MEANS, 0.0, DetectorConfig(), 0.1, rng)
+    alice = AliceView(words(kind, z))
+    batch = simulate_detection(alice, np.packbits(z), MEANS, 0.0, DetectorConfig(), 0.1, rng)
     assert rng.bit_generator.state == before
     assert not batch.clicked.any()
 
@@ -378,7 +379,8 @@ def test_sparse_detection_matches_dense_oracle(bright_slots, eta, p_dark, theta,
     outcome at the rate Poisson splitting predicts, group by group."""
     cfg = DetectorConfig(dark_count_prob_per_gate=p_dark, double_click_policy=policy)
     train, bob_basis = bright_slots
-    sparse = simulate_detection(train, np.packbits(bob_basis), MEANS, eta, cfg, theta, np.random.default_rng(63))
+    sparse = simulate_detection(train, np.packbits(bob_basis), MEANS, eta, cfg, theta,
+                                np.random.default_rng(63))
     dense = _dense_detection(*bright_slots, MEANS, eta, cfg, theta, np.random.default_rng(66))
     for batch in (sparse, dense):
         _assert_poisson_splitting(batch, bright_slots, eta, p_dark, theta, policy)
@@ -431,9 +433,10 @@ def test_short_batches_click_at_the_dark_rate(n):
     z = np.zeros(n, dtype=np.uint8)
     kind = np.full(n, StateClass.SIGNAL, dtype=np.uint8)
     rng = np.random.default_rng(67)
+    alice, packed = AliceView(words(kind, z)), np.packbits(z)
     clicks = np.zeros(n, dtype=np.int64)
     for _ in range(calls):
-        clicks += simulate_detection(AliceView(words(kind, z)), np.packbits(z), MEANS, 0.0, cfg, 0.0, rng).clicked
+        clicks += simulate_detection(alice, packed, MEANS, 0.0, cfg, 0.0, rng).clicked
     y0 = cfg.background_yield
     bound = 4.0 * math.sqrt(calls * y0 * (1.0 - y0)) + 1.0
     assert np.all(np.abs(clicks - calls * y0) <= bound), clicks
