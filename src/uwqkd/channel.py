@@ -21,16 +21,21 @@ JERLOV_COEFFICIENTS = {
 }
 
 
-def jerlov_coefficient(water_type: str) -> float:
-    """Look up the attenuation coefficient for a Jerlov water type."""
+def _jerlov_key(water_type: str) -> str:
+    """The key of a Jerlov water type in JERLOV_COEFFICIENTS: "jerlov_ii",
+    "Jerlov II" and "II" all give "II"."""
     key = water_type.strip().upper().removeprefix("JERLOV").strip("_- ")
-    try:
-        return JERLOV_COEFFICIENTS[key]
-    except KeyError:
+    if key not in JERLOV_COEFFICIENTS:
         raise ValueError(
             f"unknown Jerlov water type {water_type!r}; expected one of "
             f"{sorted(JERLOV_COEFFICIENTS)}"
-        ) from None
+        )
+    return key
+
+
+def jerlov_coefficient(water_type: str) -> float:
+    """Look up the attenuation coefficient for a Jerlov water type."""
+    return JERLOV_COEFFICIENTS[_jerlov_key(water_type)]
 
 
 def loss_db(attenuation_coefficient: float, length_m: float) -> float:
@@ -82,8 +87,8 @@ class WaterChannel:
 
     @classmethod
     def jerlov(cls, water_type: str, length_m: float) -> "WaterChannel":
-        key = water_type.strip().upper().removeprefix("JERLOV").strip("_- ")
-        return cls(jerlov_coefficient(key), length_m, preset_tag=f"Jerlov{key}")
+        key = _jerlov_key(water_type)
+        return cls(JERLOV_COEFFICIENTS[key], length_m, preset_tag=f"Jerlov{key}")
 
     @property
     def loss_db(self) -> float:

@@ -1,6 +1,7 @@
 """Command line front end.
 
-Subcommands: run, sweep, serve, connect, calibrate, tomography.
+Subcommands: run, serve, connect (one session each), sweep, calibrate,
+tomography.
 Exit codes: 0 success, 2 protocol abort, 3 validation/config error.
 """
 
@@ -16,9 +17,12 @@ from pathlib import Path
 from .analysis import Anchor, calibrate, sweep_to_csv
 from .harness import (
     ConfigError,
+    ExperimentConfig,
+    _Section,
+    config_from_dict,
     connect,
-    load_config,
     override_seeds,
+    read_config,
     run_experiment,
     run_sweep,
     serve,
@@ -30,41 +34,28 @@ EXIT_ABORT = 2
 EXIT_VALIDATION = 3
 
 
-def _add_common(parser: argparse.ArgumentParser, *, config_required: bool = True) -> None:
-    parser.add_argument("--config", type=Path, required=config_required, help="JSON experiment config")
-    parser.add_argument("--seed", type=int, default=None, help="override the three role seeds from one master seed")
-    parser.add_argument("--out", type=Path, default=None, help="directory for output files")
-    parser.add_argument("--format", choices=("json", "csv"), default=None, help="output format")
-
-
-def _load(args) -> "ExperimentConfig":
-    cfg = load_config(args.config)
+def _load(args) -> tuple[dict, ExperimentConfig]:
+    """The config file's JSON, for the readers of its other sections, and
+    the experiment it describes, with --seed applied."""
+    data = read_config(args.config)
+    cfg = config_from_dict(data)
     if args.seed is not None:
         cfg = override_seeds(cfg, args.seed)
-    return cfg
+    return data, cfg
 
 
-def _ensure_out(args) -> Path | None:
-    if args.out is None:
-        return None
-    args.out.mkdir(parents=True, exist_ok=True)
+def _out_dir(args) -> Path | None:
+    if args.out is not None:
+        args.out.mkdir(parents=True, exist_ok=True)
     return args.out
 
 
-def _typed(value, kind: type, key: str):
-    """value, or a ConfigError naming its config key unless it is a kind
-    (dict for a JSON object, list for an array)."""
-    if not isinstance(value, kind):
-        raise ConfigError(f"config key {key} must be a JSON {'array' if kind is list else 'object'}")
-    return value
-
-
-def _cast(cast, value, key: str):
-    """value cast, or a ConfigError naming its config key."""
-    try:
-        return cast(value)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid config key {key}: {exc}") from exc
+def _emit(args, name: str, text: str) -> None:
+    """Print text and, with --out, write it to the file name there."""
+    out_dir = _out_dir(args)
+    if out_dir is not None:
+        (out_dir / name).write_text(text + "\n")
+    print(text)
 
 
 def _report_csv(report_dict: dict) -> str:
@@ -87,106 +78,55 @@ def _report_csv(report_dict: dict) -> str:
     return buf.getvalue()
 
 
-def _emit_report(report, args, default_name: str) -> int:
-    out_dir = _ensure_out(args)
-    fmt = args.format or "json"
-    if fmt == "csv":
-        text = _report_csv(report.to_dict())
-        suffix = ".csv"
+def _cmd_session(args) -> int:
+    """run in process, or one endpoint (args.endpoint) over TCP."""
+    _, cfg = _load(args)
+    out_dir = _out_dir(args)
+    suffix = "" if args.endpoint is None else f"_{args.command}"
+    transcript_path = out_dir / f"transcript{suffix}.jsonl" if out_dir is not None else None
+    if args.endpoint is None:
+        report = run_experiment(cfg, transcript_path=transcript_path)
     else:
-        text = report.to_json()
-        suffix = ".json"
-    if out_dir is not None:
-        (out_dir / (default_name + suffix)).write_text(text + "\n")
-    print(text)
+        report = args.endpoint(cfg, args.host, args.port, transcript_path=transcript_path)
+    text = _report_csv(report.to_dict()) if args.format == "csv" else report.to_json()
+    _emit(args, f"report{suffix}.{args.format}", text)
     return EXIT_ABORT if report.status == "aborted" else EXIT_OK
 
 
-def _cmd_run(args) -> int:
-    cfg = _load(args)
-    out_dir = _ensure_out(args)
-    transcript_path = out_dir / "transcript.jsonl" if out_dir is not None else None
-    report = run_experiment(cfg, transcript_path=transcript_path)
-    return _emit_report(report, args, "report")
-
-
 def _cmd_sweep(args) -> int:
-    cfg = _load(args)
-    sweep_cfg = _typed(cfg.raw.get("sweep", {}), dict, "sweep")
-    if "distances_m" not in sweep_cfg:
-        raise ConfigError("sweep requires config key sweep.distances_m")
-    distances = _typed(sweep_cfg["distances_m"], list, "sweep.distances_m")
-    distances = [_cast(float, d, "sweep.distances_m") for d in distances]
-    water_types = _typed(sweep_cfg.get("jerlov_types", ["I", "II", "III"]), list, "sweep.jerlov_types")
-    noise = {
-        key: _cast(float, sweep_cfg[key], f"sweep.{key}")
-        for key in ("y0", "e_detector")
-        if sweep_cfg.get(key) is not None
-    }
-    curves = run_sweep(cfg, distances, [str(t) for t in water_types], **noise)
-    out_dir = _ensure_out(args)
-    fmt = args.format or "csv"
-    if fmt == "json":
-        payload = {
-            wt: [p.__dict__ for p in points] for wt, points in curves.items()
-        }
-        text = json.dumps(payload, indent=2)
-        if out_dir is not None:
-            (out_dir / "sweep.json").write_text(text + "\n")
-        print(text)
+    data, cfg = _load(args)
+    sweep = _Section(data.get("sweep", {}), "sweep")
+    distances = sweep.get("distances_m", [float])
+    water_types = sweep.present(jerlov_types=[str]).values()  # else run_sweep's default
+    noise = sweep.present(y0=float, e_detector=float)
+    sweep.reject_unread()
+    curves = run_sweep(cfg, distances, *water_types, **noise)
+    if args.format == "json":
+        payload = {wt: [p.__dict__ for p in points] for wt, points in curves.items()}
+        _emit(args, "sweep.json", json.dumps(payload, indent=2))
         return EXIT_OK
     for wt, points in curves.items():
-        csv_text = sweep_to_csv(points)
-        if out_dir is not None:
-            (out_dir / f"sweep_jerlov_{wt}.csv").write_text(csv_text)
         print(f"# water_type=Jerlov{wt}")
-        print(csv_text, end="")
+        _emit(args, f"sweep_jerlov_{wt}.csv", sweep_to_csv(points).rstrip("\n"))
     return EXIT_OK
 
 
-def _cmd_serve(args) -> int:
-    cfg = _load(args)
-    out_dir = _ensure_out(args)
-    transcript_path = out_dir / "transcript_serve.jsonl" if out_dir is not None else None
-    report = serve(cfg, args.host, args.port, transcript_path=transcript_path)
-    return _emit_report(report, args, "report_serve")
-
-
-def _cmd_connect(args) -> int:
-    cfg = _load(args)
-    out_dir = _ensure_out(args)
-    transcript_path = out_dir / "transcript_connect.jsonl" if out_dir is not None else None
-    report = connect(cfg, args.host, args.port, transcript_path=transcript_path)
-    return _emit_report(report, args, "report_connect")
-
-
-def _anchor(entry, key: str) -> Anchor:
-    entry = _typed(entry, dict, key)
-    for name in ("total_loss_db", "kind", "value"):
-        if name not in entry:
-            raise ConfigError(f"missing required config key {key}.{name}")
-    return Anchor(
-        total_loss_db=_cast(float, entry["total_loss_db"], f"{key}.total_loss_db"),
-        kind=str(entry["kind"]),
-        value=_cast(float, entry["value"], f"{key}.value"),
-    )
-
-
 def _cmd_calibrate(args) -> int:
-    cfg = _load(args)
-    calib = _typed(cfg.raw.get("calibration", {}), dict, "calibration")
-    entries = _typed(calib.get("anchors", []), list, "calibration.anchors")
-    if len(entries) < 2:
-        raise ConfigError("calibrate requires config key calibration.anchors with >= 2 entries")
+    data, cfg = _load(args)
+    calib = _Section(data.get("calibration", {}), "calibration")
+    anchors = [
+        Anchor(part.get("total_loss_db", float), part.get("kind", str), part.get("value", float))
+        for part in calib.sections("anchors")
+    ]
+    threshold = calib.present(residual_threshold=float)
+    calib.reject_unread()
     result = calibrate(
-        [_anchor(entry, f"calibration.anchors[{i}]") for i, entry in enumerate(entries)],
-        mu=_cast(float, calib.get("mu", cfg.source.mu), "calibration.mu"),
-        nu=_cast(float, calib.get("nu", cfg.source.nu), "calibration.nu"),
+        anchors,
+        mu=cfg.source.mu,
+        nu=cfg.source.nu,
         q=cfg.protocol.q,
         error_correction_efficiency=cfg.protocol.error_correction_efficiency,
-        residual_threshold=_cast(
-            float, calib.get("residual_threshold", 0.05), "calibration.residual_threshold"
-        ),
+        **threshold,
     )
     payload = {
         "y0": result.y0,
@@ -196,54 +136,53 @@ def _cmd_calibrate(args) -> int:
         "ok": result.ok,
         "threshold": result.threshold,
     }
-    text = json.dumps(payload, indent=2)
-    out_dir = _ensure_out(args)
-    if out_dir is not None:
-        (out_dir / "calibration.json").write_text(text + "\n")
-    print(text)
+    _emit(args, "calibration.json", json.dumps(payload, indent=2))
     return EXIT_OK if result.ok else EXIT_VALIDATION
 
 
 def _cmd_tomography(args) -> int:
-    report = tomography_report(args.theta_deg, args.shots_per_basis, args.seed if args.seed is not None else 0)
-    text = json.dumps(report, indent=2)
-    out_dir = _ensure_out(args)
-    if out_dir is not None:
-        (out_dir / "tomography.json").write_text(text + "\n")
-    print(text)
+    report = tomography_report(args.theta_deg, args.shots_per_basis, args.seed)
+    _emit(args, "tomography.json", json.dumps(report, indent=2))
     return EXIT_OK
+
+
+def _add_out(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", type=Path, default=None, help="directory for output files")
+
+
+def _config_command(sub, name: str, help: str, func, formats=(), **defaults) -> argparse.ArgumentParser:
+    """A subcommand that reads --config; formats, if any, are the --format
+    choices, the first the default."""
+    parser = sub.add_parser(name, help=help)
+    parser.add_argument("--config", type=Path, required=True, help="JSON experiment config")
+    parser.add_argument("--seed", type=int, default=None, help="override the three role seeds from one master seed")
+    _add_out(parser)
+    if formats:
+        parser.add_argument("--format", choices=formats, default=formats[0], help="output format")
+    parser.set_defaults(func=func, **defaults)
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="uwqkd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_run = sub.add_parser("run", help="one full in-process experiment")
-    _add_common(p_run)
-    p_run.set_defaults(func=_cmd_run)
+    report_formats = ("json", "csv")
+    _config_command(sub, "run", "one full in-process experiment", _cmd_session, report_formats, endpoint=None)
+    for name, endpoint, help in (
+        ("serve", serve, "receiver endpoint over TCP"),
+        ("connect", connect, "transmitter endpoint over TCP"),
+    ):
+        p_endpoint = _config_command(sub, name, help, _cmd_session, report_formats, endpoint=endpoint)
+        p_endpoint.add_argument("--host", default="127.0.0.1")
+        p_endpoint.add_argument("--port", type=int, required=True)
 
-    p_sweep = sub.add_parser("sweep", help="analytic distance sweep (CSV)")
-    _add_common(p_sweep)
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_serve = sub.add_parser("serve", help="receiver endpoint over TCP")
-    _add_common(p_serve)
-    p_serve.add_argument("--host", default="127.0.0.1")
-    p_serve.add_argument("--port", type=int, required=True)
-    p_serve.set_defaults(func=_cmd_serve)
-
-    p_connect = sub.add_parser("connect", help="transmitter endpoint over TCP")
-    _add_common(p_connect)
-    p_connect.add_argument("--host", default="127.0.0.1")
-    p_connect.add_argument("--port", type=int, required=True)
-    p_connect.set_defaults(func=_cmd_connect)
-
-    p_cal = sub.add_parser("calibrate", help="fit background yield and misalignment error")
-    _add_common(p_cal)
-    p_cal.set_defaults(func=_cmd_calibrate)
+    _config_command(sub, "sweep", "analytic distance sweep (CSV)", _cmd_sweep, ("csv", "json"))
+    _config_command(sub, "calibrate", "fit background yield and misalignment error", _cmd_calibrate)
 
     p_tomo = sub.add_parser("tomography", help="four-state tomography report")
-    _add_common(p_tomo, config_required=False)
+    p_tomo.add_argument("--seed", type=int, default=0, help="sampling seed, default 0")
+    _add_out(p_tomo)
     p_tomo.add_argument("--theta-deg", type=float, default=0.0)
     p_tomo.add_argument("--shots-per-basis", type=int, default=10**6)
     p_tomo.set_defaults(func=_cmd_tomography)

@@ -25,7 +25,7 @@ import json
 import math
 import socket
 import time
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -79,7 +79,6 @@ class ExperimentConfig:
     misalignment_deg: float
     protocol: ProtocolOptions
     drop_probability: float = 0.0
-    raw: dict = field(default_factory=dict, compare=False)
 
     def __post_init__(self) -> None:
         if not 0 < self.n_pulses < 1 << 32:
@@ -155,21 +154,33 @@ def _require(mapping: dict, key: str, context: str):
 
 
 def _cast(value, cast, key: str):
-    """cast(value); an int key takes only a whole number, so a fraction or a
-    bool is an error naming the key, not a value int() truncates."""
-    if cast is int and (isinstance(value, bool) or not float(value).is_integer()):
-        raise ConfigError(f"config key {key} must be an integer, got {value!r}")
-    return cast(value)
+    """cast(value), or a ConfigError naming the key. A cast `[item]` takes a
+    JSON array and casts each entry (named `key[i]`), and `_Section` gives a
+    sub-section; an int key takes only a whole number, so a fraction or a
+    bool is an error, not a value int() truncates."""
+    if isinstance(cast, list):
+        if not isinstance(value, list):
+            raise ConfigError(f"config key {key} must be a JSON array")
+        return [_cast(item, cast[0], f"{key}[{i}]") for i, item in enumerate(value)]
+    if cast is _Section:
+        return _Section(value, key)
+    try:
+        if cast is int and (isinstance(value, bool) or not float(value).is_integer()):
+            raise ValueError(f"must be an integer, got {value!r}")
+        return cast(value)
+    except (TypeError, ValueError, OverflowError) as exc:
+        raise ConfigError(f"invalid config key {key}: {exc}") from exc
 
 
 class _Section:
-    """One section of a config dict. It records the keys read from it, so
-    that a key nothing reads (misspelt, or left from an older format) is
-    rejected rather than ignored."""
+    """One JSON object of a config, named by its key. It records the keys
+    read from it, so that a key nothing reads (misspelt, or left from an
+    older format) is rejected rather than ignored."""
 
-    def __init__(self, data: dict, name: str, *, optional: bool = False):
-        self.name, self.read = name, set()
-        self.mapping = data.get(name, {}) if optional else _require(data, name, "")
+    def __init__(self, mapping, name: str):
+        if not isinstance(mapping, dict):
+            raise ConfigError(f"config key {name} must be a JSON object")
+        self.mapping, self.name, self.read, self.parts = mapping, name, set(), []
 
     def get(self, key: str, cast):
         """A required key, cast."""
@@ -178,15 +189,24 @@ class _Section:
 
     def present(self, **casts) -> dict:
         """The optional keys given, cast; those left out take the defaults of
-        the dataclass they are passed to."""
+        the callee they are passed to."""
         self.read.update(casts)
         given = {key: cast for key, cast in casts.items() if key in self.mapping}
         return {key: _cast(self.mapping[key], cast, f"{self.name}.{key}") for key, cast in given.items()}
+
+    def sections(self, key: str) -> list["_Section"]:
+        """A required JSON array of objects, one sub-section each, which
+        `reject_unread` checks too."""
+        parts = self.get(key, [_Section])
+        self.parts += parts
+        return parts
 
     def reject_unread(self) -> None:
         unread = sorted(set(self.mapping) - self.read)
         if unread:
             raise ConfigError("unused config key " + ", ".join(f"{self.name}.{k}" for k in unread))
+        for part in self.parts:
+            part.reject_unread()
 
 
 def config_from_dict(data: dict) -> ExperimentConfig:
@@ -195,9 +215,10 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     readers."""
     try:
         seeds, source_d, channel_d, receiver_d, detector_d = (
-            _Section(data, name) for name in ("seeds", "source", "channel", "receiver", "detector")
+            _Section(_require(data, name, ""), name)
+            for name in ("seeds", "source", "channel", "receiver", "detector")
         )
-        protocol_d, transport_d = (_Section(data, name, optional=True) for name in ("protocol", "transport"))
+        protocol_d, transport_d = (_Section(data.get(name, {}), name) for name in ("protocol", "transport"))
         source = SourceConfig(
             mu=source_d.get("mu", float),
             nu=source_d.get("nu", float),
@@ -239,10 +260,9 @@ def config_from_dict(data: dict) -> ExperimentConfig:
             channel=channel,
             receiver=receiver,
             detector=detector,
-            misalignment_deg=float(_require(data, "misalignment_deg", "")),
+            misalignment_deg=_cast(_require(data, "misalignment_deg", ""), float, "misalignment_deg"),
             protocol=protocol,
             **transport_d.present(drop_probability=float),
-            raw=data,
         )
         for section in (seeds, source_d, channel_d, receiver_d, detector_d, protocol_d, transport_d):
             section.reject_unread()
@@ -253,28 +273,30 @@ def config_from_dict(data: dict) -> ExperimentConfig:
         raise ConfigError(f"invalid config: {exc}") from exc
 
 
-def load_config(path) -> ExperimentConfig:
+def read_config(path) -> dict:
+    """A config file's JSON, for `config_from_dict` and the readers of the
+    other top-level sections."""
     try:
-        data = json.loads(Path(path).read_text())
+        return json.loads(Path(path).read_text())
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot load config {path}: {exc}") from exc
-    return config_from_dict(data)
+
+
+def load_config(path) -> ExperimentConfig:
+    return config_from_dict(read_config(path))
 
 
 def override_seeds(cfg: ExperimentConfig, master_seed: int) -> ExperimentConfig:
     """Derive the three role seeds from one master seed (master, +1, +2).
 
-    Every other field, a Jerlov preset included, is kept; so are the other
-    sections of `raw`.
+    Every other field, a Jerlov preset included, is kept.
     """
-    seeds = {"alice": master_seed, "bob": master_seed + 1, "channel": master_seed + 2}
     return replace(
         cfg,
-        seed_alice=seeds["alice"],
-        seed_bob=seeds["bob"],
-        seed_channel=seeds["channel"],
+        seed_alice=master_seed,
+        seed_bob=master_seed + 1,
+        seed_channel=master_seed + 2,
         source=replace(cfg.source, rng_seed=master_seed),
-        raw={**cfg.raw, "seeds": seeds} if cfg.raw else {},
     )
 
 

@@ -108,7 +108,6 @@ def test_config_from_dict_wires_every_section(base_cfg):
         dark_count_prob_per_gate=1e-5, double_click_policy=DoubleClickPolicy.RANDOM_BIT
     )
     assert cfg.drop_probability == 0.0
-    assert cfg.raw == BASE
 
 
 def test_config_jerlov_channel_variant():
@@ -119,9 +118,19 @@ def test_config_jerlov_channel_variant():
     assert cfg.channel.preset_tag == "JerlovII"
 
 
+SHIPPED_CONFIG_COMMAND = {
+    "calibrate_detector.json": "calibrate",
+    "ocean_sweep.json": "sweep",
+    "tank_run.json": "run",
+}
+
+
 @pytest.mark.parametrize("path", sorted(CONFIGS.glob("*.json")), ids=lambda path: path.name)
-def test_every_shipped_config_loads(path):
-    assert load_config(path).raw == json.loads(path.read_text())
+def test_every_shipped_config_loads(path, capsys):
+    """Each shipped config runs its own subcommand, so a section that its
+    reader no longer takes fails here."""
+    assert main([SHIPPED_CONFIG_COMMAND[path.name], "--config", str(path)]) == EXIT_OK
+    capsys.readouterr()
 
 
 @pytest.mark.parametrize(
@@ -288,8 +297,8 @@ def test_load_config_invalid_json(tmp_path):
 def test_override_seeds(base_cfg, origin):
     if origin == "loaded":
         cfg0 = base_cfg
-    else:  # no raw JSON to rebuild from, and a Jerlov preset to keep
-        cfg0 = dataclasses.replace(base_cfg, channel=WaterChannel.jerlov("I", 50.0), raw={})
+    else:  # a Jerlov preset to keep
+        cfg0 = dataclasses.replace(base_cfg, channel=WaterChannel.jerlov("I", 50.0))
     cfg = override_seeds(cfg0, 700)
     assert (cfg.seed_alice, cfg.seed_bob, cfg.seed_channel) == (700, 701, 702)
     assert cfg.source.rng_seed == 700
@@ -299,8 +308,6 @@ def test_override_seeds(base_cfg, origin):
     before.pop("seeds"), after.pop("seeds")
     assert before == after
     assert cfg.channel == cfg0.channel
-    if cfg0.raw:
-        assert cfg.raw == {**cfg0.raw, "seeds": {"alice": 700, "bob": 701, "channel": 702}}
 
 
 @pytest.mark.parametrize("field", ["mu", "nu", "repetition_rate_hz"])
@@ -1064,18 +1071,24 @@ def test_cli_sweep(tmp_path, capsys):
 def test_cli_sweep_requires_section(tmp_path, capsys):
     code = main(["sweep", "--config", str(_write_config(tmp_path, base_dict()))])
     assert code == EXIT_VALIDATION
-    data = base_dict()
-    data["sweep"] = {"distances_m": 5}
-    code = main(["sweep", "--config", str(_write_config(tmp_path, data))])
-    assert code == EXIT_VALIDATION
     assert "sweep.distances_m" in capsys.readouterr().err
+    for sweep, key in (
+        ({"distances_m": 5}, "sweep.distances_m"),
+        ({"distances_m": [10.0, "far"]}, "sweep.distances_m[1]"),
+        ({"distances_m": [10.0], "jerlov_type": ["III"]}, "sweep.jerlov_type"),
+        ({"distances_m": [10.0], "y0": None}, "sweep.y0"),  # leave it out for the default
+        ([10.0], "config key sweep must be a JSON object"),
+    ):
+        data = base_dict()
+        data["sweep"] = sweep
+        code = main(["sweep", "--config", str(_write_config(tmp_path, data))])
+        assert code == EXIT_VALIDATION, sweep
+        assert key in capsys.readouterr().err
 
 
 def test_cli_calibrate(tmp_path, capsys):
     data = base_dict()
     data["calibration"] = {
-        "mu": 0.8,
-        "nu": 0.1,
         "anchors": [
             {"total_loss_db": 30.0, "kind": "q_mu", "value": 8.105e-4},
             {"total_loss_db": 30.0, "kind": "e_mu", "value": 0.0182},
@@ -1098,15 +1111,34 @@ def test_cli_calibrate_needs_two_anchors(tmp_path, capsys):
     assert code == EXIT_VALIDATION
     capsys.readouterr()
     good = {"total_loss_db": 30.0, "kind": "e_mu", "value": 0.0182}
-    for anchors, key in (
-        ([{"total_loss_db": 30.0, "value": 8e-4}, good], "calibration.anchors[0].kind"),
-        ([5, good], "calibration.anchors[0]"),
-        (5, "calibration.anchors"),
+    pair = [{"total_loss_db": 30.0, "kind": "q_mu", "value": 8.105e-4}, good]
+    for calibration, key in (
+        ({"anchors": [{"total_loss_db": 30.0, "value": 8e-4}, good]}, "calibration.anchors[0].kind"),
+        ({"anchors": [5, good]}, "calibration.anchors[0]"),
+        ({"anchors": 5}, "calibration.anchors"),
+        ({"anchors": [{**pair[0], "valu": 8.105e-4}, good]}, "calibration.anchors[0].valu"),
+        ({"anchors": pair, "residual_treshold": 1e-30}, "calibration.residual_treshold"),
+        ({"anchors": pair, "mu": 0.8}, "calibration.mu"),  # the source's mu is the one used
+        (pair, "config key calibration must be a JSON object"),
     ):
-        data["calibration"] = {"anchors": anchors}
+        data["calibration"] = calibration
         code = main(["calibrate", "--config", str(_write_config(tmp_path, data))])
-        assert code == EXIT_VALIDATION, anchors
+        assert code == EXIT_VALIDATION, calibration
         assert key in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["tomography", "--config", "x"],
+        ["tomography", "--format", "json"],
+        ["calibrate", "--config", "x", "--format", "csv"],
+    ],
+)
+def test_cli_rejects_flags_nothing_reads(argv, capsys):
+    with pytest.raises(SystemExit):
+        main(argv)
+    capsys.readouterr()
 
 
 def test_cli_tomography(tmp_path, capsys):
