@@ -108,11 +108,6 @@ def estimate_bounds(stats: DecoyStatistics) -> SinglePhotonBounds:
 class KeyRateReport:
     r_per_pulse: float
     r_bits_per_second: float
-    statistics: DecoyStatistics
-    bounds: SinglePhotonBounds
-    q: float = 0.5
-    error_correction_efficiency: float = 1.16
-    repetition_rate_hz: float = 20e6
     clamped_to_zero: bool = False
 
 
@@ -139,11 +134,6 @@ def secure_key_rate(
     return KeyRateReport(
         r_per_pulse=r,
         r_bits_per_second=r * repetition_rate_hz,
-        statistics=stats,
-        bounds=bounds,
-        q=q,
-        error_correction_efficiency=error_correction_efficiency,
-        repetition_rate_hz=repetition_rate_hz,
         clamped_to_zero=raw < 0.0,
     )
 
@@ -260,6 +250,16 @@ def sweep_to_csv(points: list[SweepPoint]) -> str:
 # Calibration of (Y0, e_detector) against anchor observations.
 
 
+_ANCHOR_KINDS = ("r_per_pulse", "q_mu", "e_mu", "q_nu", "e_nu")
+
+
+def anchor_kind(kind: str) -> str:
+    """kind itself if it names an anchor observable, else a ValueError."""
+    if kind not in _ANCHOR_KINDS:
+        raise ValueError(f"anchor kind must be one of {_ANCHOR_KINDS}")
+    return kind
+
+
 @dataclass(frozen=True)
 class Anchor:
     """One observable pinned at a total link loss (channel + receiver), in dB.
@@ -271,11 +271,8 @@ class Anchor:
     kind: str
     value: float
 
-    _KINDS = ("r_per_pulse", "q_mu", "e_mu", "q_nu", "e_nu")
-
     def __post_init__(self) -> None:
-        if self.kind not in self._KINDS:
-            raise ValueError(f"anchor kind must be one of {self._KINDS}")
+        anchor_kind(self.kind)
         if self.total_loss_db < 0.0:
             raise ValueError("total loss must be >= 0 dB")
 

@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import Anchor, calibrate, sweep_to_csv
+from .analysis import Anchor, anchor_kind, calibrate, sweep_to_csv
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -36,12 +36,9 @@ EXIT_VALIDATION = 3
 
 def _load(args) -> tuple[dict, ExperimentConfig]:
     """The config file's JSON, for the readers of its other sections, and
-    the experiment it describes, with --seed applied."""
+    the experiment it describes."""
     data = read_config(args.config)
-    cfg = config_from_dict(data)
-    if args.seed is not None:
-        cfg = override_seeds(cfg, args.seed)
-    return data, cfg
+    return data, config_from_dict(data)
 
 
 def _out_dir(args) -> Path | None:
@@ -81,6 +78,8 @@ def _report_csv(report_dict: dict) -> str:
 def _cmd_session(args) -> int:
     """run in process, or one endpoint (args.endpoint) over TCP."""
     _, cfg = _load(args)
+    if args.seed is not None:
+        cfg = override_seeds(cfg, args.seed)
     out_dir = _out_dir(args)
     suffix = "" if args.endpoint is None else f"_{args.command}"
     transcript_path = out_dir / f"transcript{suffix}.jsonl" if out_dir is not None else None
@@ -115,9 +114,11 @@ def _cmd_calibrate(args) -> int:
     data, cfg = _load(args)
     calib = _Section(data.get("calibration", {}), "calibration")
     anchors = [
-        Anchor(part.get("total_loss_db", float), part.get("kind", str), part.get("value", float))
+        Anchor(part.get("total_loss_db", float), part.get("kind", anchor_kind), part.get("value", float))
         for part in calib.sections("anchors")
     ]
+    if len(anchors) < 2:
+        raise ConfigError("config key calibration.anchors needs at least two anchors")
     threshold = calib.present(residual_threshold=float)
     calib.reject_unread()
     result = calibrate(
@@ -155,7 +156,6 @@ def _config_command(sub, name: str, help: str, func, formats=(), **defaults) -> 
     choices, the first the default."""
     parser = sub.add_parser(name, help=help)
     parser.add_argument("--config", type=Path, required=True, help="JSON experiment config")
-    parser.add_argument("--seed", type=int, default=None, help="override the three role seeds from one master seed")
     _add_out(parser)
     if formats:
         parser.add_argument("--format", choices=formats, default=formats[0], help="output format")
@@ -167,15 +167,18 @@ def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="uwqkd", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    report_formats = ("json", "csv")
-    _config_command(sub, "run", "one full in-process experiment", _cmd_session, report_formats, endpoint=None)
     for name, endpoint, help in (
+        ("run", None, "one full in-process experiment"),
         ("serve", serve, "receiver endpoint over TCP"),
         ("connect", connect, "transmitter endpoint over TCP"),
     ):
-        p_endpoint = _config_command(sub, name, help, _cmd_session, report_formats, endpoint=endpoint)
-        p_endpoint.add_argument("--host", default="127.0.0.1")
-        p_endpoint.add_argument("--port", type=int, required=True)
+        p_session = _config_command(sub, name, help, _cmd_session, ("json", "csv"), endpoint=endpoint)
+        p_session.add_argument(
+            "--seed", type=int, default=None, help="override the three role seeds from one master seed"
+        )
+        if endpoint is not None:
+            p_session.add_argument("--host", default="127.0.0.1")
+            p_session.add_argument("--port", type=int, required=True)
 
     _config_command(sub, "sweep", "analytic distance sweep (CSV)", _cmd_sweep, ("csv", "json"))
     _config_command(sub, "calibrate", "fit background yield and misalignment error", _cmd_calibrate)

@@ -213,6 +213,8 @@ def config_from_dict(data: dict) -> ExperimentConfig:
     """Parse a config dict. Inside a section, a key this does not read is an
     error; other top-level keys (`sweep`, `calibration`) are left to their
     readers."""
+    if not isinstance(data, dict):
+        raise ConfigError("config must be a JSON object")
     try:
         seeds, source_d, channel_d, receiver_d, detector_d = (
             _Section(_require(data, name, ""), name)
@@ -422,9 +424,9 @@ def _build_report(
         rate_dict = {
             "R_per_pulse": rate.r_per_pulse,
             "R_bps": rate.r_bits_per_second,
-            "q": rate.q,
-            "error_correction_efficiency": rate.error_correction_efficiency,
-            "repetition_rate_hz": rate.repetition_rate_hz,
+            "q": cfg.protocol.q,
+            "error_correction_efficiency": cfg.protocol.error_correction_efficiency,
+            "repetition_rate_hz": cfg.source.repetition_rate_hz,
             "clamped_to_zero": rate.clamped_to_zero,
         }
     counters = {"local": dict(session.error_counters)}

@@ -9,6 +9,11 @@ still leaves errors when the sampled QBER hint is far too low: the blocks are
 then too large for four passes. So the first digest mismatch starts a second
 round of as many fresh passes, block sizes again from the first pass's, and
 then a second digest; only a second mismatch fails the reconciliation.
+Both sides derive from one party, which owns the layouts, the second round
+and the ledger of parity bits and digests under one 8n parity budget.
+Every parity either side computes, of a whole block or of a search range
+[lo, hi), is read off one array, the prefix sums mod 2 of the pass's permuted
+key: pref[hi] ^ pref[lo].
 
 Privacy amplification is a Toeplitz-matrix hash over GF(2) with
 T[i][j] = seed[i - j + n - 1]. Its m output bits are the window
@@ -103,17 +108,6 @@ class _PassLayout:
     block_size: int
 
 
-def _block_parities(key: np.ndarray, lay: _PassLayout) -> np.ndarray:
-    """Parity of every block of one pass over the permuted key."""
-    starts = np.arange(0, len(key), lay.block_size)
-    return (np.add.reduceat(key[lay.permutation].astype(np.int64), starts) & 1).astype(np.uint8)
-
-
-def _parity_prefix(key: np.ndarray, lay: _PassLayout) -> np.ndarray:
-    """Prefix sums of the permuted key: [lo, hi) has parity (pref[hi] - pref[lo]) & 1."""
-    return np.concatenate([[0], np.cumsum(key[lay.permutation], dtype=np.int64)])
-
-
 def _layouts(n: int, k1: int, seed: int, first: int, n_passes: int) -> list[_PassLayout]:
     """Passes first .. first + n_passes - 1, with block sizes k1, 2 k1, 4 k1, ..."""
     layouts = []
@@ -126,74 +120,30 @@ def _layouts(n: int, k1: int, seed: int, first: int, n_passes: int) -> list[_Pas
     return layouts
 
 
-class CascadeResponder:
-    """Reference-key side of Cascade: answers parity questions, never mutates."""
-
-    def __init__(self, key: np.ndarray, qber_hint: float, seed: int, n_passes: int = 4):
-        self.key = np.asarray(key, dtype=np.uint8)
-        if self.key.ndim != 1 or len(self.key) < MIN_KEY_BITS:
-            raise ValueError(f"key must be 1-D with at least {MIN_KEY_BITS} bits")
-        self.n = len(self.key)
-        self.n_passes = n_passes
-        self._k1, self._seed = _initial_block_size(qber_hint), seed
-        self.layouts = _layouts(self.n, self._k1, seed, 0, n_passes)
-        # prefix sums of the permuted key per pass give O(1) range parities
-        self._prefix = [_parity_prefix(self.key, lay) for lay in self.layouts]
-        self.parity_bits_disclosed = 0
-        self.digests_disclosed = 0
-
-    def _range_parity(self, pass_index: int, lo: int, hi: int) -> int:
-        pref = self._prefix[pass_index]
-        if not 0 <= lo < hi <= self.n:
-            raise ReconciliationFailed(f"bad parity range [{lo}, {hi})")
-        return int((pref[hi] - pref[lo]) & 1)
-
-    def on_message(self, msg: tuple) -> tuple:
-        kind = msg[0]
-        if kind == "pass_begin":
-            p = msg[1]
-            parities = _block_parities(self.key, self.layouts[p])
-            self.parity_bits_disclosed += len(parities)
-            self._check_budget()
-            return ("pass_parities", p, parities)
-        if kind == "range_query":
-            answers = np.fromiter(
-                (self._range_parity(p, lo, hi) for p, lo, hi in msg[1]),
-                dtype=np.uint8,
-                count=len(msg[1]),
-            )
-            self.parity_bits_disclosed += len(answers)
-            self._check_budget()
-            return ("range_reply", answers)
-        if kind == "verify":
-            mine = key_hash_64(self.key)
-            self.digests_disclosed += 1
-            if msg[1] != mine and self.digests_disclosed == 1:
-                new = _layouts(self.n, self._k1, self._seed, self.n_passes, self.n_passes)
-                self.layouts += new
-                self._prefix += [_parity_prefix(self.key, lay) for lay in new]
-            return ("verify_result", msg[1] == mine, mine)
-        raise ReconciliationFailed(f"unexpected reconciliation message {kind!r}")
-
-    def _check_budget(self) -> None:
-        if self.parity_bits_disclosed > _PARITY_BUDGET_FACTOR * self.n:
-            raise ReconciliationFailed("parity disclosure budget exhausted")
-
-    @property
-    def leaked_bits(self) -> int:
-        return self.parity_bits_disclosed + 64 * self.digests_disclosed
+def _parity_prefix(key: np.ndarray, lay: _PassLayout) -> np.ndarray:
+    """Prefix sums mod 2 of the permuted key: pref[i] is the parity of its
+    first i bits, so [lo, hi) has parity pref[hi] ^ pref[lo]."""
+    pref = np.zeros(len(key) + 1, dtype=np.uint8)
+    np.bitwise_xor.accumulate(key[lay.permutation], out=pref[1:])
+    return pref
 
 
-@dataclass
-class _Search:
-    pass_index: int
-    lo: int
-    hi: int
-    done: bool = False
+def _range_parity(pref: np.ndarray, lo: int, hi: int) -> int:
+    return int(pref[hi] ^ pref[lo])
 
 
-class CascadeCorrector:
-    """Noisy-key side of Cascade. Emits one message, consumes one reply."""
+def _block_parities(pref: np.ndarray, block_size: int) -> np.ndarray:
+    """Parity of every block of one pass, the last one possibly short."""
+    n = len(pref) - 1
+    edges = pref[np.append(np.arange(0, n, block_size), n)]
+    return edges[1:] ^ edges[:-1]
+
+
+class _CascadeParty:
+    """What the two sides of Cascade share: the key (a copy), the pass
+    layouts, the second round, each pass's prefix parities, and one ledger
+    of what was disclosed (parity bits and 64-bit digests) under one parity
+    budget."""
 
     def __init__(self, key: np.ndarray, qber_hint: float, seed: int, n_passes: int = 4):
         self.key = np.array(key, dtype=np.uint8)
@@ -203,31 +153,92 @@ class CascadeCorrector:
         self.n_passes = n_passes
         self._k1, self._seed = _initial_block_size(qber_hint), seed
         self.layouts = _layouts(self.n, self._k1, seed, 0, n_passes)
-        self.remote_parities: dict[int, np.ndarray] = {}
-        self.my_parities: dict[int, np.ndarray] = {}
-        self.passes_begun = 0
+        self._prefixes: dict[int, np.ndarray] = {}  # by pass, until the key changes
+        self.parity_bits = 0
+        self.digests = 0
+
+    def _prefix(self, p: int) -> np.ndarray:
+        pref = self._prefixes.get(p)
+        if pref is None:
+            pref = self._prefixes[p] = _parity_prefix(self.key, self.layouts[p])
+        return pref
+
+    def _disclose(self, n_parities: int) -> None:
+        self.parity_bits += n_parities
+        if self.parity_bits > _PARITY_BUDGET_FACTOR * self.n:
+            raise ReconciliationFailed("parity disclosure budget exhausted")
+
+    def _compare_digests(self, match: bool) -> bool:
+        """Count one digest. The first mismatch adds a second round of
+        passes, block sizes again from the first pass's; True if it did."""
+        self.digests += 1
+        if match or self.digests > 1:
+            return False
+        self.layouts += _layouts(self.n, self._k1, self._seed, self.n_passes, self.n_passes)
+        return True
+
+    @property
+    def leaked_bits(self) -> int:
+        return self.parity_bits + 64 * self.digests
+
+
+class CascadeResponder(_CascadeParty):
+    """Reference-key side of Cascade: answers parity questions, never mutates."""
+
+    def _answers(self, queries):
+        """The parity of each queried range, in order; a range outside the key fails."""
+        for p, lo, hi in queries:
+            pref = self._prefix(p)
+            if not 0 <= lo < hi <= self.n:
+                raise ReconciliationFailed(f"bad parity range [{lo}, {hi})")
+            yield _range_parity(pref, lo, hi)
+
+    def on_message(self, msg: tuple) -> tuple:
+        kind = msg[0]
+        if kind == "pass_begin":
+            p = msg[1]
+            parities = _block_parities(self._prefix(p), self.layouts[p].block_size)
+            self._disclose(len(parities))
+            return ("pass_parities", p, parities)
+        if kind == "range_query":
+            answers = np.fromiter(self._answers(msg[1]), dtype=np.uint8, count=len(msg[1]))
+            self._disclose(len(answers))
+            return ("range_reply", answers)
+        if kind == "verify":
+            mine = key_hash_64(self.key)
+            self._compare_digests(msg[1] == mine)
+            return ("verify_result", msg[1] == mine, mine)
+        raise ReconciliationFailed(f"unexpected reconciliation message {kind!r}")
+
+
+@dataclass
+class _Search:
+    pass_index: int
+    lo: int
+    hi: int
+    prefix: np.ndarray  # the pass's prefix parities
+
+
+class CascadeCorrector(_CascadeParty):
+    """Noisy-key side of Cascade. Emits one message, consumes one reply."""
+
+    def __init__(self, key: np.ndarray, qber_hint: float, seed: int, n_passes: int = 4):
+        super().__init__(key, qber_hint, seed, n_passes)
+        self._mismatch: list[np.ndarray] = []  # per begun pass: remote ^ own block parities
         self.searches: list[_Search] = []
-        self._search_prefix: np.ndarray | None = None
         self.corrections = 0
-        self.parity_bits_received = 0
-        self.digests_received = 0
         self.residual_check: bool | None = None
         self.finished = False
 
-    # -- parity bookkeeping ------------------------------------------------
-
     def _flip(self, real_pos: int) -> None:
         self.key[real_pos] ^= 1
+        self._prefixes.clear()
         self.corrections += 1
-        for p in range(self.passes_begun):
-            lay = self.layouts[p]
-            block = int(lay.inverse[real_pos]) // lay.block_size
-            self.my_parities[p][block] ^= 1
+        for lay, mismatch in zip(self.layouts, self._mismatch):
+            mismatch[int(lay.inverse[real_pos]) // lay.block_size] ^= 1
 
-    def _mismatched_blocks(self, p: int) -> np.ndarray:
-        return np.flatnonzero(self.remote_parities[p] ^ self.my_parities[p])
-
-    # -- driving -----------------------------------------------------------
+    def _pending(self) -> list[_Search]:
+        return [s for s in self.searches if s.hi - s.lo > 1]
 
     def start(self) -> tuple:
         return ("pass_begin", 0)
@@ -239,91 +250,54 @@ class CascadeCorrector:
         kind = msg[0]
         if kind == "pass_parities":
             p = msg[1]
-            if p != self.passes_begun:
+            if p != len(self._mismatch):
                 raise ReconciliationFailed("pass parities out of order")
-            self.remote_parities[p] = np.asarray(msg[2], dtype=np.uint8)
-            self.my_parities[p] = _block_parities(self.key, self.layouts[p])
-            if len(self.remote_parities[p]) != len(self.my_parities[p]):
+            remote = np.asarray(msg[2], dtype=np.uint8)
+            mine = _block_parities(self._prefix(p), self.layouts[p].block_size)
+            if len(remote) != len(mine):
                 raise ReconciliationFailed("pass parity count mismatch")
-            self.parity_bits_received += len(msg[2])
-            self.passes_begun += 1
-            return self._next_action()
-        if kind == "range_reply":
-            self.parity_bits_received += len(msg[1])
+            self._mismatch.append(remote ^ mine)
+            self._disclose(len(remote))
+        elif kind == "range_reply":
             self._consume_range_reply(np.asarray(msg[1], dtype=np.uint8))
-            return self._next_action()
-        if kind == "verify_result":
-            self.digests_received += 1
-            if not msg[1] and self.digests_received == 1:
-                # the responder has added the same second round of passes
-                self.layouts += _layouts(self.n, self._k1, self._seed, self.n_passes, self.n_passes)
-                return self._next_action()
-            self.residual_check = bool(msg[1])
-            self.finished = True
-            return None
-        raise ReconciliationFailed(f"unexpected reconciliation reply {kind!r}")
+            self._disclose(len(msg[1]))
+        elif kind == "verify_result":
+            if not self._compare_digests(bool(msg[1])):
+                self.residual_check = bool(msg[1])
+                self.finished = True
+                return None
+        else:
+            raise ReconciliationFailed(f"unexpected reconciliation reply {kind!r}")
+        return self._next_action()
 
     def _next_action(self) -> tuple:
-        if self.parity_bits_received > _PARITY_BUDGET_FACTOR * self.n:
-            raise ReconciliationFailed("parity disclosure budget exhausted")
-        pending = [s for s in self.searches if not s.done]
+        pending = self._pending()
         if pending:
-            return self._emit_queries(pending)
+            return ("range_query", [(s.pass_index, s.lo, (s.lo + s.hi) // 2) for s in pending])
         # all searches done: apply flips, then look for new mismatches
-        if self.searches:
-            found = {self.layouts[s.pass_index].permutation[s.lo] for s in self.searches}
-            for pos in found:
-                self._flip(int(pos))
-            self.searches = []
-        for p in range(self.passes_begun):
-            blocks = self._mismatched_blocks(p)
+        for pos in {self.layouts[s.pass_index].permutation[s.lo] for s in self.searches}:
+            self._flip(int(pos))
+        self.searches = []
+        for p, mismatch in enumerate(self._mismatch):
+            blocks = np.flatnonzero(mismatch)
             if len(blocks):
-                return self._begin_searches(p, blocks)
-        if self.passes_begun < len(self.layouts):
-            return ("pass_begin", self.passes_begun)
+                size, pref = self.layouts[p].block_size, self._prefix(p)
+                self.searches = [_Search(p, int(b) * size, min((int(b) + 1) * size, self.n), pref) for b in blocks]
+                return self._next_action()
+        if len(self._mismatch) < len(self.layouts):
+            return ("pass_begin", len(self._mismatch))
         return ("verify", key_hash_64(self.key), self.corrections)
 
-    def _begin_searches(self, p: int, blocks: np.ndarray) -> tuple:
-        lay = self.layouts[p]
-        self._search_prefix = _parity_prefix(self.key, lay)
-        self.searches = []
-        for b in blocks:
-            lo = int(b) * lay.block_size
-            hi = min(lo + lay.block_size, self.n)
-            self.searches.append(_Search(p, lo, hi, done=hi - lo == 1))
-        pending = [s for s in self.searches if not s.done]
-        if not pending:
-            return self._next_action()
-        return self._emit_queries(pending)
-
-    def _my_range_parity(self, lo: int, hi: int) -> int:
-        pref = self._search_prefix
-        return int((pref[hi] - pref[lo]) & 1)
-
-    def _emit_queries(self, pending: list[_Search]) -> tuple:
-        queries = []
-        for s in pending:
-            mid = (s.lo + s.hi) // 2
-            queries.append((s.pass_index, s.lo, mid))
-        return ("range_query", queries)
-
     def _consume_range_reply(self, answers: np.ndarray) -> None:
-        pending = [s for s in self.searches if not s.done]
+        pending = self._pending()
         if len(answers) != len(pending):
             raise ReconciliationFailed("range reply length mismatch")
         for s, remote_left in zip(pending, answers):
             mid = (s.lo + s.hi) // 2
-            my_left = self._my_range_parity(s.lo, mid)
-            if int(remote_left) != my_left:
+            if int(remote_left) != _range_parity(s.prefix, s.lo, mid):
                 s.hi = mid
             else:
                 s.lo = mid
-            if s.hi - s.lo == 1:
-                s.done = True
-
-    @property
-    def leaked_bits(self) -> int:
-        return self.parity_bits_received + 64 * self.digests_received
 
 
 # ---------------------------------------------------------------------------

@@ -696,12 +696,12 @@ class AliceSession(_Session):
         if msg[0] == "verify":
             self.corrections = int(msg[2])
         reply = self._responder.on_message(msg)
-        self.parity_bits = self._responder.parity_bits_disclosed
+        self.parity_bits = self._responder.parity_bits
         frames = [self._emit_recon(reply)]
         if reply[0] == "verify_result":
             self.leaked_bits = self._responder.leaked_bits
             if not reply[1]:
-                if self._responder.digests_disclosed == 1:  # the corrector starts a second round
+                if self._responder.digests == 1:  # the corrector starts a second round
                     self.flags.append("reconciliation_retried")
                     return frames
                 self.residual_check = False
@@ -813,13 +813,13 @@ class BobSession(_Session):
 
     def _handle_recon(self, subkind: int, *values) -> list[Frame]:
         nxt = self._corrector.on_reply((RECON_KINDS[subkind], *values))
-        self.parity_bits = self._corrector.parity_bits_received
+        self.parity_bits = self._corrector.parity_bits
         if nxt is not None:
             return [self._emit_recon(nxt)]
         self.corrections = self._corrector.corrections
         self.leaked_bits = self._corrector.leaked_bits
         self.residual_check = self._corrector.residual_check
-        if self._corrector.digests_received > 1:
+        if self._corrector.digests > 1:
             self.flags.append("reconciliation_retried")
         if not self.residual_check:
             return self._abort(AbortReason.VERIFY_FAILED, "reconciliation digest mismatch")

@@ -286,10 +286,15 @@ def test_load_config_missing_file(tmp_path):
         load_config(tmp_path / "nope.json")
 
 
-def test_load_config_invalid_json(tmp_path):
+@pytest.mark.parametrize(
+    "text, message",
+    [("{not json", "cannot load config"), ("5", "must be a JSON object"), ("[1]", "must be a JSON object")],
+    ids=["broken", "number", "array"],
+)
+def test_load_config_invalid_json(tmp_path, text, message):
     path = tmp_path / "broken.json"
-    path.write_text("{not json")
-    with pytest.raises(ConfigError):
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
         load_config(path)
 
 
@@ -1034,6 +1039,11 @@ def test_cli_run_bad_config_is_validation_error(tmp_path, capsys):
     code = main(["run", "--config", str(_write_config(tmp_path, data))])
     assert code == EXIT_VALIDATION
     assert main(["run", "--config", str(tmp_path / "absent.json")]) == EXIT_VALIDATION
+    capsys.readouterr()
+    for not_an_object in (5, [1]):
+        code = main(["run", "--config", str(_write_config(tmp_path, not_an_object))])
+        assert code == EXIT_VALIDATION
+        assert "config must be a JSON object" in capsys.readouterr().err
 
 
 def test_cli_run_unread_key_is_validation_error(tmp_path, capsys):
@@ -1109,11 +1119,12 @@ def test_cli_calibrate_needs_two_anchors(tmp_path, capsys):
     }
     code = main(["calibrate", "--config", str(_write_config(tmp_path, data))])
     assert code == EXIT_VALIDATION
-    capsys.readouterr()
+    assert "calibration.anchors needs at least two anchors" in capsys.readouterr().err
     good = {"total_loss_db": 30.0, "kind": "e_mu", "value": 0.0182}
     pair = [{"total_loss_db": 30.0, "kind": "q_mu", "value": 8.105e-4}, good]
     for calibration, key in (
         ({"anchors": [{"total_loss_db": 30.0, "value": 8e-4}, good]}, "calibration.anchors[0].kind"),
+        ({"anchors": [pair[0], {**good, "kind": "e_muu"}]}, "calibration.anchors[1].kind"),
         ({"anchors": [5, good]}, "calibration.anchors[0]"),
         ({"anchors": 5}, "calibration.anchors"),
         ({"anchors": [{**pair[0], "valu": 8.105e-4}, good]}, "calibration.anchors[0].valu"),
@@ -1133,6 +1144,8 @@ def test_cli_calibrate_needs_two_anchors(tmp_path, capsys):
         ["tomography", "--config", "x"],
         ["tomography", "--format", "json"],
         ["calibrate", "--config", "x", "--format", "csv"],
+        ["sweep", "--config", "x", "--seed", "1"],  # both are analytic: no output reads the seeds
+        ["calibrate", "--config", "x", "--seed", "1"],
     ],
 )
 def test_cli_rejects_flags_nothing_reads(argv, capsys):

@@ -8,6 +8,10 @@ from uwqkd.postprocess import (
     CascadeResponder,
     PASeed,
     ReconciliationFailed,
+    _block_parities,
+    _layouts,
+    _parity_prefix,
+    _range_parity,
     binary_entropy,
     final_key_length,
     generate_pa_seed,
@@ -27,13 +31,14 @@ def _keys_with_errors(n, n_errors, seed):
 
 
 def _cascade(noisy, reference, qber_hint, seed=0, responder_seed=None):
-    """Run a corrector holding `noisy` to completion against a responder holding `reference`."""
+    """Run a corrector holding `noisy` to completion against a responder
+    holding `reference`; returns both."""
     corrector = CascadeCorrector(noisy, qber_hint, seed)
     responder = CascadeResponder(reference, qber_hint, seed if responder_seed is None else responder_seed)
     msg = corrector.start()
     while msg is not None:
         msg = corrector.on_reply(responder.on_message(msg))
-    return corrector
+    return corrector, responder
 
 
 def test_key_hash_is_sensitive():
@@ -70,38 +75,55 @@ def test_key_hash_matches_bitwise_crc():
         assert key_hash_64(bits) == reference(data)
 
 
+@pytest.mark.parametrize("n, block_size", [(1024, 37), (1000, 8), (64, 64), (100, 200)])
+def test_parities_read_off_the_prefix_match_direct_sums(n, block_size):
+    """Every block and range parity Cascade reads off a pass's prefix
+    parities equals the sum, mod 2, of the permuted key's bits."""
+    rng = np.random.default_rng(n)
+    key = rng.integers(0, 2, size=n, dtype=np.uint8)
+    lay = _layouts(n, block_size, seed=3, first=0, n_passes=2)[1]
+    permuted = key[lay.permutation].astype(np.int64)
+    pref = _parity_prefix(key, lay)
+    size = lay.block_size
+    direct = [permuted[lo : lo + size].sum() & 1 for lo in range(0, n, size)]
+    assert _block_parities(pref, size).tolist() == direct
+    for lo, hi in rng.integers(0, n + 1, size=(200, 2)):
+        lo, hi = sorted((int(lo), int(hi)))
+        assert _range_parity(pref, lo, hi) == permuted[lo:hi].sum() & 1
+
+
 def test_cascade_error_free_key():
     reference, _ = _keys_with_errors(1024, 0, seed=1)
-    result = _cascade(reference.copy(), reference, 0.02)
+    result, _ = _cascade(reference.copy(), reference, 0.02)
     assert result.residual_check
     assert result.corrections == 0
     assert np.array_equal(result.key, reference)
     # initial block 37 bits (half-up rounding of 0.73/0.02), doubling per pass:
     # 28 + 14 + 7 + 4 block parities, plus the 64-bit verification digest.
-    assert result.parity_bits_received == 53
+    assert result.parity_bits == 53
     assert result.leaked_bits == 117
 
 
 def test_cascade_repairs_two_percent():
     n, n_err = 10_000, 200
     reference, noisy = _keys_with_errors(n, n_err, seed=7)
-    result = _cascade(noisy, reference, 0.02)
+    result, _ = _cascade(noisy, reference, 0.02)
     assert result.residual_check
     assert np.array_equal(result.key, reference)
     # every flip lands on a true error, so corrections count them exactly
     assert result.corrections == n_err
     assert result.leaked_bits <= 1.5 * n * binary_entropy(0.02)
-    assert result.parity_bits_received <= 4 * n
+    assert result.parity_bits <= 4 * n
 
 
 @pytest.mark.parametrize("qber", [0.005, 0.05, 0.10])
 def test_cascade_across_error_rates(qber):
     n = 6000
     reference, noisy = _keys_with_errors(n, int(n * qber), seed=int(qber * 1000))
-    result = _cascade(noisy, reference, qber)
+    result, _ = _cascade(noisy, reference, qber)
     assert result.residual_check
     assert np.array_equal(result.key, reference)
-    assert result.parity_bits_received <= 4 * n
+    assert result.parity_bits <= 4 * n
 
 
 @pytest.mark.parametrize(
@@ -114,16 +136,19 @@ def test_cascade_survives_wrong_hint(n_errors, seed, qber_hint):
     # sized for a hint 8x too low leave errors after four passes, so this one
     # needs the second round that the first digest mismatch starts.
     reference, noisy = _keys_with_errors(4096, n_errors, seed=seed)
-    result = _cascade(noisy, reference, qber_hint)
+    result, responder = _cascade(noisy, reference, qber_hint)
     assert result.residual_check
     assert np.array_equal(result.key, reference)
-    assert result.leaked_bits == result.parity_bits_received + 64 * result.digests_received
+    assert result.leaked_bits == result.parity_bits + 64 * result.digests
+    # both sides keep the same ledger, second round included
+    assert result.digests == responder.digests == (2 if qber_hint < 0.01 else 1)
+    assert (result.parity_bits, result.leaked_bits) == (responder.parity_bits, responder.leaked_bits)
 
 
 def test_cascade_deterministic():
     reference, noisy = _keys_with_errors(4096, 80, seed=11)
-    r1 = _cascade(noisy.copy(), reference, 0.02, seed=5)
-    r2 = _cascade(noisy.copy(), reference, 0.02, seed=5)
+    r1, _ = _cascade(noisy.copy(), reference, 0.02, seed=5)
+    r2, _ = _cascade(noisy.copy(), reference, 0.02, seed=5)
     assert r1.leaked_bits == r2.leaked_bits
     assert r1.corrections == r2.corrections
     assert np.array_equal(r1.key, r2.key)
@@ -134,7 +159,7 @@ def test_cascade_mismatched_seeds_fail_verification():
     # digest comparison has to catch it
     reference, noisy = _keys_with_errors(2048, 40, seed=13)
     try:
-        result = _cascade(noisy, reference, 0.02, seed=2, responder_seed=1)
+        result, _ = _cascade(noisy, reference, 0.02, seed=2, responder_seed=1)
         assert not result.residual_check
     except ReconciliationFailed:
         pass  # budget guard tripping is also a loud failure
@@ -147,6 +172,34 @@ def test_cascade_rejects_wrong_parity_count():
     kind, p, parities = responder.on_message(corrector.start())
     with pytest.raises(ReconciliationFailed):
         corrector.on_reply((kind, p, parities[:-1]))
+
+
+def test_cascade_parity_budget_guards_both_sides():
+    """Past 8 n parity bits either side gives up: the responder once the
+    range queries it answered cross the budget, the corrector once the
+    replies it consumed do."""
+    key, _ = _keys_with_errors(1024, 0, seed=7)
+    responder = CascadeResponder(key, 0.02, seed=1)
+    for _ in range(8):
+        responder.on_message(("range_query", [(0, 0, 1)] * 1024))
+    assert responder.parity_bits == 8 * 1024
+    with pytest.raises(ReconciliationFailed, match="budget"):
+        responder.on_message(("range_query", [(0, 0, 1)]))
+
+    corrector = CascadeCorrector(key, 0.02, seed=1)
+
+    def lying_reply(msg):
+        # a responder whose key differs from the corrector's current key at
+        # bit 5, however often that bit is corrected: the searches never end
+        liar = corrector.key.copy()
+        liar[5] ^= 1
+        return CascadeResponder(liar, 0.02, seed=1).on_message(msg)
+
+    msg = corrector.start()
+    with pytest.raises(ReconciliationFailed, match="budget"):
+        for _ in range(8 * 1024):
+            msg = corrector.on_reply(lying_reply(msg))
+    assert corrector.parity_bits > 8 * 1024
 
 
 def test_cascade_hint_domain():

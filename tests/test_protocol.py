@@ -501,6 +501,23 @@ def test_receiver_checks_peer_fields(mangle, reason, message):
     assert message in bob.abort_message
 
 
+def test_range_query_flood_aborts_transmitter():
+    """A receiver asking for more range parities than the 8 n budget makes
+    the transmitter abort INTERNAL, answering none of them; step() does not
+    raise."""
+    def flood(values):
+        values[1] = [(0, 0, 1)] * (8 * 4096 + 1)  # more than 8 n for any key of these 4096 slots
+
+    alice, bob = make_sessions()
+    pump(alice, bob, mangle=edit_values(FrameType.RECON_MSG, flood, RECON_KINDS.index("range_query")))
+    assert alice.phase is Phase.ABORTED
+    assert alice.abort_reason is AbortReason.INTERNAL
+    assert alice.abort_message == "reconciliation broke down: parity disclosure budget exhausted"
+    assert alice.result.parity_bits <= 8 * len(alice.remaining_key)
+    assert bob.phase is Phase.ABORTED
+    assert bob.abort_reason is AbortReason.PEER_ABORT
+
+
 @pytest.mark.parametrize("payload", [b"", struct.pack(">BH", 0xFF, 0)])
 def test_peer_abort_with_unknown_reason(payload):
     _, bob = make_sessions()
