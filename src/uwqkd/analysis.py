@@ -260,6 +260,14 @@ def anchor_kind(kind: str) -> str:
     return kind
 
 
+def anchor_loss_db(total_loss_db) -> float:
+    """total_loss_db as a float if it is a loss >= 0 dB, else a ValueError."""
+    loss = float(total_loss_db)
+    if not loss >= 0.0:
+        raise ValueError("total loss must be >= 0 dB")
+    return loss
+
+
 @dataclass(frozen=True)
 class Anchor:
     """One observable pinned at a total link loss (channel + receiver), in dB.
@@ -273,8 +281,7 @@ class Anchor:
 
     def __post_init__(self) -> None:
         anchor_kind(self.kind)
-        if self.total_loss_db < 0.0:
-            raise ValueError("total loss must be >= 0 dB")
+        anchor_loss_db(self.total_loss_db)
 
 
 @dataclass(frozen=True)

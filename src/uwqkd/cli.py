@@ -14,7 +14,7 @@ import json
 import sys
 from pathlib import Path
 
-from .analysis import Anchor, anchor_kind, calibrate, sweep_to_csv
+from .analysis import Anchor, anchor_kind, anchor_loss_db, calibrate, sweep_to_csv
 from .harness import (
     ConfigError,
     ExperimentConfig,
@@ -114,7 +114,7 @@ def _cmd_calibrate(args) -> int:
     data, cfg = _load(args)
     calib = _Section(data.get("calibration", {}), "calibration")
     anchors = [
-        Anchor(part.get("total_loss_db", float), part.get("kind", anchor_kind), part.get("value", float))
+        Anchor(part.get("total_loss_db", anchor_loss_db), part.get("kind", anchor_kind), part.get("value", float))
         for part in calib.sections("anchors")
     ]
     if len(anchors) < 2:

@@ -25,19 +25,20 @@ A slot has one of four outcomes: no click, detector 0 only, detector 1 only,
 or both, at rates set by its group (class, basis match, Alice's bit). Each
 call builds the 12-group table of P0(1 - P1), (1 - P0)P1 and P0*P1, kept
 cumulative. At a lossy link almost every slot stays dark, so clicks are
-drawn in one sparse pass: candidate slots, each in with p_max, the largest
-P(any click) of a group (a Binomial(slots, p_max) count of slots chosen
-uniformly), then one uniform in [0, p_max) per candidate, read against its
-group's row: below the first edge detector 0 fires, below the second
-detector 1, below the third both, else none. The cost follows the clicks.
+drawn in one sparse pass a chunk: candidate slots, each in with p_max, the
+largest P(any click) of a group (a Binomial(slots, p_max) count of slots
+chosen uniformly), then one uniform in [0, p_max) per candidate, read
+against its group's row: below the first edge detector 0 fires, below the
+second detector 1, below the third both, else none. The cost follows the
+clicks.
 
 The transmitter's side of each slot arrives as a `source.AliceView`; the
 receiver's side is a `BobView`, his bases packed one bit a slot and only the
 slots that clicked, with their bits. His bases arrive packed, as the quantum
 phase draws them (one uniform byte for 8 slots), are read only at the
-candidate slots and are kept as they are. One call draws one chunk's
-`BobView`; the quantum phase makes one call per `source.chunk_slices` chunk
-and joins them with `BobView.concatenate` into the session's view.
+candidate slots and are kept as they are. One call draws the whole run's
+`BobView`, one `source.chunk_slices` chunk at a time: the channel stream is
+the one stream drawn in chunks, since its draw count follows the clicks.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ from enum import Enum
 
 import numpy as np
 
-from .source import AliceView
+from .source import AliceView, chunk_slices
 
 
 class DoubleClickPolicy(Enum):
@@ -121,25 +122,6 @@ class BobView:
         if not _ascending_in_range(self.slots, self.n_slots):
             raise ValueError("clicked slots must be strictly ascending and in range")
 
-    @classmethod
-    def concatenate(cls, views: list[BobView]) -> BobView:
-        """One view of consecutive chunks: slots offset by each chunk's start,
-        the packed bases joined and the discarded doubles summed. Every chunk
-        but the last must fill whole bytes of packed bases."""
-        if any(len(view) % 8 for view in views[:-1]):
-            raise ValueError("every chunk but the last must be a multiple of 8 slots")
-        starts = [0]
-        for view in views:
-            starts.append(starts[-1] + len(view))
-        return cls(
-            starts[-1],
-            np.concatenate([view.packed_basis for view in views]),
-            np.concatenate([view.slots + lo for view, lo in zip(views, starts)]),
-            np.concatenate([view.bits for view in views]),
-            np.concatenate([view.multi_slots + lo for view, lo in zip(views, starts)]),
-            sum(view.discarded_doubles for view in views),
-        )
-
     def __len__(self) -> int:
         return self.n_slots
 
@@ -195,8 +177,8 @@ def simulate_detection(
     misalignment_theta: float,
     rng: np.random.Generator,
 ) -> BobView:
-    """Gated detection of a chunk of slots, drawn only where a detector may
-    fire: the chunk's `BobView`, which keeps packed_basis as it is.
+    """Gated detection of a run of slots, drawn only where a detector may
+    fire: the run's `BobView`, which keeps packed_basis as it is.
 
     packed_basis holds Bob's basis one bit a slot, as `np.packbits` packs
     it: (len(alice) + 7) // 8 bytes, with the pad bits of the last byte
@@ -205,11 +187,11 @@ def simulate_detection(
     channel_eta is the end-to-end transmittance INCLUDING detector
     efficiency.
 
-    One pass over `_outcome_table` (see the module docstring). Draw order,
-    fixed so a given rng seed reproduces the chunk: the binomial count of
-    candidate slots at p_max, the candidate slots, one uniform per
-    candidate, then one coin per double under RANDOM_BIT. With p_max 0
-    nothing is drawn.
+    One pass over `_outcome_table` per `chunk_slices` chunk (see the module
+    docstring). Draw order, fixed so a given rng seed reproduces the run:
+    per chunk, the binomial count of candidate slots at p_max over the
+    chunk, the candidate slots, one uniform per candidate, then one coin per
+    double under RANDOM_BIT. With p_max 0 nothing is drawn.
     """
     if not 0.0 <= channel_eta <= 1.0:
         raise ValueError("transmittance must be in [0, 1]")
@@ -218,23 +200,34 @@ def simulate_detection(
         raise ValueError("Bob's bases must be packed, one bit a slot")
     table = _outcome_table(class_means, channel_eta, cfg.dark_count_prob_per_gate, misalignment_theta)
     p_max = table[:, 2].max()
-    slots = _bernoulli_slots(p_max, n, rng)
-    lit = alice.at(slots)
-    group = 4 * lit.kind + 2 * (lit.basis == _bits_at(packed_basis, slots)) + lit.bit
-    u = rng.random(len(slots)) * p_max
-    # the number of its group's edges u passes: 0: detector 0 only (bit 0),
-    # 1: detector 1 only (bit 1), 2: both, 3: no click
-    edges = table.T[:, group]
-    outcome = (u >= edges[0]).view(np.uint8)
-    outcome += u >= edges[1]
-    outcome += u >= edges[2]
-    clicked = outcome < 3
-    slots, bits = slots[clicked], outcome[clicked]
+    random_bit = cfg.double_click_policy is DoubleClickPolicy.RANDOM_BIT
+    # each list starts with an empty part, so that a run of 0 slots joins too
+    slot_parts, outcome_parts = [np.zeros(0, np.int64)], [np.zeros(0, np.uint8)]
+    coin_parts = [np.zeros(0, np.uint8)]
+    for lo, hi in chunk_slices(n):
+        slots = _bernoulli_slots(p_max, hi - lo, rng)
+        slots += lo
+        lit = alice.at(slots)
+        group = 4 * lit.kind + 2 * (lit.basis == _bits_at(packed_basis, slots)) + lit.bit
+        u = rng.random(len(slots)) * p_max
+        # the number of its group's edges u passes: 0: detector 0 only (bit 0),
+        # 1: detector 1 only (bit 1), 2: both, 3: no click
+        edges = table.T[:, group]
+        outcome = (u >= edges[0]).view(np.uint8)
+        outcome += u >= edges[1]
+        outcome += u >= edges[2]
+        clicked = outcome < 3
+        slot_parts.append(slots[clicked])
+        outcome_parts.append(outcome[clicked])
+        if random_bit:
+            n_doubles = int(np.count_nonzero(outcome == 2))
+            coin_parts.append(rng.integers(0, 2, size=n_doubles, dtype=np.uint8))
+    slots, bits = np.concatenate(slot_parts), np.concatenate(outcome_parts)
     double = bits == 2
-    if cfg.double_click_policy is DoubleClickPolicy.DISCARD:
+    if not random_bit:
         single = ~double
         return BobView(n, packed_basis, slots[single], bits[single], slots[:0], int(np.count_nonzero(double)))
-    bits[double] = rng.integers(0, 2, size=int(np.count_nonzero(double)), dtype=np.uint8)
+    bits[double] = np.concatenate(coin_parts)
     return BobView(n, packed_basis, slots, bits, slots[double])
 
 

@@ -320,37 +320,41 @@ def simulate_transmitter(cfg: ExperimentConfig) -> AliceView:
 
 
 def simulate_quantum_phase(cfg: ExperimentConfig) -> QuantumPhaseResult:
-    """Deterministic quantum phase from the three role seeds.
+    """Deterministic quantum phase from the three role seeds, one call per
+    stream.
 
-    Alice's view is `simulate_transmitter`'s. Then, per `chunk_slices`
-    chunk, Bob's bases and his clicks (the channel stream, see the
-    `detection` module docstring) are drawn, one call each, giving the
-    chunk's `BobView`; `BobView.concatenate` joins them into the session's
-    view. Bob's bases are one fair bit a slot, drawn already packed: the
-    chunk's (m + 7) // 8 `uniform_bytes` bytes, slot by slot from each
-    byte's top bit, with the pad bits of a short last chunk cleared. A full
-    chunk draws 2^14 PCG64 words, so chunk k of Bob's stream starts at
-    `advance(k * 2^14)`. Each stream has its own generator, so a run of n
-    slots is a prefix of any longer run with the same seeds.
+    Alice's view is `simulate_transmitter`'s. Bob's bases are one fair bit a
+    slot, drawn already packed: (n + 7) // 8 `uniform_bytes` bytes from his
+    seed, slot by slot from each byte's top bit, with the pad bits after
+    slot n cleared. One `simulate_detection` call then draws his clicks (the
+    channel stream, chunk by chunk, see the `detection` module docstring),
+    giving the session's `BobView`. A 2^20-slot chunk is 2^17 PCG64 words of
+    Alice's stream and 2^14 of Bob's, so chunk k of hers starts at
+    `advance(k * 2^17)` and of his at `advance(k * 2^14)`.
+
+    Each stream has its own generator. The words and bases of a run of n
+    slots are the first n of any longer run with the same seeds; its clicks
+    are only up to the last whole 2^20-slot chunk, since the candidates of a
+    chunk are a binomial draw over its length, so the clicks of a short last
+    chunk change when the run grows.
 
     The basis match fraction is counted on packed bytes: per chunk, the set
     bits of Alice's packed bases XOR Bob's are the mismatched slots.
     """
     n = cfg.n_pulses
     alice_view = simulate_transmitter(cfg)
-    bob_rng, channel_rng = (np.random.default_rng(seed) for seed in (cfg.seed_bob, cfg.seed_channel))
-    eta, class_means = cfg.eta, cfg.source.class_means
-    chunks, n_differ = [], 0
+    bob_basis = uniform_bytes(np.random.default_rng(cfg.seed_bob), (n + 7) // 8)
+    bob_basis[-1] &= 0xFF << (-n % 8) & 0xFF  # clear the pad bits after slot n
+    bob_view = simulate_detection(
+        alice_view, bob_basis, cfg.source.class_means, cfg.eta, cfg.detector, cfg.misalignment_rad,
+        np.random.default_rng(cfg.seed_channel),
+    )
+    n_differ = 0
     for lo, hi in chunk_slices(n):
-        pulses, m = alice_view.at(slice(lo, hi)), hi - lo
-        bob_basis = uniform_bytes(bob_rng, (m + 7) // 8)
-        bob_basis[-1] &= 0xFF << (-m % 8) & 0xFF  # clear the pad bits after slot m
-        chunks.append(simulate_detection(
-            pulses, bob_basis, class_means, eta, cfg.detector, cfg.misalignment_rad, channel_rng
-        ))
         # Alice's basis is bit 1 of her word; both pads are clear
-        n_differ += int(np.count_nonzero(np.unpackbits(np.packbits(pulses.word & 2) ^ bob_basis)))
-    return QuantumPhaseResult(alice_view, BobView.concatenate(chunks), (n - n_differ) / n)
+        alice_basis = np.packbits(alice_view.word[lo:hi] & 2)
+        n_differ += int(np.count_nonzero(np.unpackbits(alice_basis ^ bob_basis[lo >> 3 : (hi + 7) >> 3])))
+    return QuantumPhaseResult(alice_view, bob_view, (n - n_differ) / n)
 
 
 # ---------------------------------------------------------------------------

@@ -633,8 +633,6 @@ class AliceSession(_Session):
         self._hello_sent = False
         self._responder: CascadeResponder | None = None
         self._sample_seed = 0
-        self._clicked_slots = np.zeros(0, dtype=np.int64)
-        self._matched_slots = np.zeros(0, dtype=np.int64)
 
     def start(self) -> list[Frame]:
         if self.phase is not Phase.IDLE or self._hello_sent:
@@ -652,17 +650,16 @@ class AliceSession(_Session):
         if not _ascending_in_range(slots, self.n_slots):
             return self._abort(AbortReason.INTERNAL, "clicked slot list not strictly ascending in range")
         self.n_clicked = len(slots)
-        self._clicked_slots = slots
         clicked = self.view.at(slots)
         matched_mask = clicked.basis == bases
-        self._matched_slots = slots[matched_mask]
-        self.n_matched = len(self._matched_slots)
+        matched_slots = slots[matched_mask]
+        self.n_matched = len(matched_slots)
         self._tally_classes(clicked.kind, clicked.kind[matched_mask], clicked.bit[matched_mask])
         self.emitted_per_class = self.view.class_totals()
         empty = self._empty_class()
         if empty is not None:
             return self._abort(AbortReason.INTERNAL, f"no emitted pulses in class {empty.name}")
-        sift_ack = self._emit(FrameType.SIFT_ACK, self._matched_slots)
+        sift_ack = self._emit(FrameType.SIFT_ACK, matched_slots)
         reveal = self._emit(
             FrameType.INTENSITY_REVEAL,
             *(self.emitted_per_class[v] for v in (StateClass.SIGNAL, StateClass.DECOY, StateClass.VACUUM)),

@@ -10,17 +10,16 @@ b0 is the most significant bit of the word, so signal:decoy:vacuum occur in
 an exact 8:4:4 = 2:1:1 ratio and the four states are equiprobable. This is
 the only class mix: a config sets the class means, not the mix. The word
 is the top nibble of one uniform byte per slot, `uniform_bytes(rng, n) >> 4`.
-That is the same stream as `integers(0, 16, uint8)` at the cost of a
-full-range draw: numpy draws a bounded uint8 by Lemire's multiply-shift,
+From a fresh generator that is the stream of `integers(0, 16, uint8)`, at
+the cost of a full-range draw: numpy draws a bounded uint8 by Lemire's multiply-shift,
 which for a power-of-two range never rejects and keeps the top bits of one
-stream byte. `uniform_bytes` returns the stream of `integers(0, 256, uint8)`
-but reads it as whole 64-bit PCG64 outputs, see its docstring, and
-`tests/test_source.py` pins both equivalences. The receiver's bases are
-drawn the same way, one fair bit a slot: the bits of one `uniform_bytes`
-byte for each 8 slots (`harness.simulate_quantum_phase`). Photon
-number per pulse is Poisson with the class mean (`SourceConfig.class_means`);
-clicks are drawn from the class means by `detection.simulate_detection`, see
-its module docstring.
+stream byte. `uniform_bytes` reads the stream of `integers(0, 256, uint8)`
+as whole 64-bit PCG64 outputs, see its docstring, and `tests/test_source.py`
+pins both equivalences. The receiver's bases are drawn the same way, one
+fair bit a slot: the bits of one `uniform_bytes` byte for each 8 slots
+(`harness.simulate_quantum_phase`). Photon number per pulse is Poisson
+with the class mean (`SourceConfig.class_means`); clicks are drawn from the
+class means by `detection.simulate_detection`, see its module docstring.
 
 `AliceView` is the one per-slot column type of the transmitter, and it
 stores one byte per slot: the 4-bit word. Class, polarization, basis and bit
@@ -144,48 +143,36 @@ _CHUNK = 1 << 20
 def chunk_slices(n: int):
     """(lo, hi) bounds of consecutive 2^20-slot slices covering n slots.
 
-    Per-slot streams drawn chunk by chunk in this order (the transmitter's
-    in one call, the same stream) keep equal seeds bit-identical for any n.
+    The channel stream is drawn chunk by chunk in this order
+    (`detection.simulate_detection`). The per-slot streams are drawn in one
+    call each, the same stream as drawn a chunk at a time, since a chunk is
+    a whole number of PCG64 words.
     """
     for lo in range(0, n, _CHUNK):
         yield lo, min(lo + _CHUNK, n)
 
 
 def uniform_bytes(rng: np.random.Generator, count: int) -> np.ndarray:
-    """`rng.integers(0, 256, size=count, dtype=np.uint8)`, the same values,
-    leaving `rng.bit_generator.state` as that call would, drawn as raw PCG64
-    words instead of byte by byte.
+    """The next `count` bytes of `rng`'s stream: the little-endian bytes of
+    its next ceil(count / 8) raw PCG64 outputs (`random_raw`), cut to
+    `count`, as a view on those words on a little-endian host.
 
-    numpy's full-range uint8 draw takes each byte from a 32-bit output,
-    lowest byte first, and PCG64's 32-bit output is the low half, then the
-    high half, of one 64-bit output, whose high half it buffers
-    (`has_uint32`, `uinteger`). So the stream is the little-endian bytes of
-    `random_raw`, after the first 4 bytes if a half-word is buffered. Those
-    and a tail of fewer than 8 bytes come from `integers` itself, and after
-    a whole last word the buffer is set to its high half, so the buffer ends
-    as it would. With no buffered half-word and a multiple of 8 bytes, the
-    result is the `random_raw` buffer itself, not a copy.
+    From a fresh generator these are the values of
+    `rng.integers(0, 256, size=count, dtype=np.uint8)`: numpy's full-range
+    uint8 draw takes each byte from a 32-bit output, lowest byte first, and
+    PCG64's 32-bit output is the low half, then the high half, of one 64-bit
+    output. Only the end state differs: this consumes whole words, so a
+    stream drawn in chunks of whole words is the stream drawn in one call,
+    and chunk k of c words starts at `rng.bit_generator.advance(k * c)`.
 
     Raises TypeError for any bit generator but PCG64 (`default_rng`'s).
     """
     bitgen = rng.bit_generator
     if not isinstance(bitgen, np.random.PCG64):
         raise TypeError(f"uniform_bytes needs a PCG64 generator, got {type(bitgen).__name__}")
-    buffered = bitgen.state["has_uint32"]
-    head = rng.integers(0, 256, size=min(count, 4) if buffered else 0, dtype=np.uint8)
-    n_words, n_tail = divmod(count - len(head), 8)
-    raw = bitgen.random_raw(n_words)
-    if n_words and not n_tail:
-        # `integers` would have buffered, then read, the last word's high half
-        state = bitgen.state
-        state["uinteger"] = int(raw[-1]) >> 32
-        bitgen.state = state
+    raw = bitgen.random_raw(-(-count // 8))
     # little-endian bytes: a view on little-endian hosts, a swapped copy elsewhere
-    bulk = raw.astype("<u8", copy=False).view(np.uint8)
-    if not len(head) and not n_tail:
-        return bulk
-    tail = rng.integers(0, 256, size=n_tail, dtype=np.uint8)
-    return np.concatenate((head, bulk, tail))
+    return raw.astype("<u8", copy=False).view(np.uint8)[:count]
 
 
 def generate_pulse_train(

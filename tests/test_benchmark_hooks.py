@@ -43,8 +43,8 @@ def test_tank_session_with_low_qber_hint_completes():
 
 
 def test_tracer_sees_every_chunk_of_the_quantum_phase():
-    """The quantum phase calls the source once and detection once per
-    chunk, and each endpoint sizes its key through estimate_bounds,
+    """The quantum phase calls the source once and detection once for all
+    its chunks, and each endpoint sizes its key through estimate_bounds,
     secure_key_rate and toeplitz_hash, all at the module names the tracer
     wraps; code holding the library's own functions would leave these counts
     short. Over TCP both endpoints draw Alice's stream, and only the
@@ -58,6 +58,7 @@ def test_tracer_sees_every_chunk_of_the_quantum_phase():
             totals = session_totals(tracer.spans)[session]
             assert totals["source.pulses"] == draws * record.n_pulses
             assert totals["detection.slots"] == record.n_pulses
+            assert sum(s.name == "detection" and s.session == session for s in tracer.spans) == 1
             assert totals["detection.clicks"] == record.clicks
             analysis_spans = sum(s.name == "analysis" and s.session == session for s in tracer.spans)
             assert analysis_spans == 4

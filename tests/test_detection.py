@@ -13,7 +13,7 @@ from uwqkd.detection import (
     expected_qber,
     simulate_detection,
 )
-from uwqkd.source import AliceView, SourceConfig, StateClass, generate_pulse_train
+from uwqkd.source import AliceView, SourceConfig, StateClass, chunk_slices, generate_pulse_train
 from views import multi_click, words
 
 
@@ -198,50 +198,36 @@ def test_detection_view_keeps_bob_basis():
 
 
 @pytest.mark.parametrize("policy", list(DoubleClickPolicy))
-def test_concatenate_matches_the_joined_columns(policy):
-    """Two chunk views joined equal the view built from their full-length
-    columns laid end to end: slots and doubles offset by the first chunk's
-    length, the discarded doubles summed."""
+def test_one_call_is_its_chunk_calls_joined(policy):
+    """One call over a full chunk and a short one equals a call per chunk on
+    one generator, joined: slots and doubles offset by the first chunk's
+    length, the discarded doubles summed, every dtype kept."""
     sizes = (1 << 20, 4099)
-    train = generate_pulse_train(BRIGHT, sum(sizes))
-    bob_basis = np.random.default_rng(44).integers(0, 2, size=sum(sizes), dtype=np.uint8)
+    n = sum(sizes)
+    train = generate_pulse_train(BRIGHT, n)
+    packed = np.packbits(np.random.default_rng(44).integers(0, 2, size=n, dtype=np.uint8))
     cfg = DetectorConfig(dark_count_prob_per_gate=1e-3, double_click_policy=policy)
+    whole = simulate_detection(train, packed, MEANS, 0.05, cfg, 0.1, np.random.default_rng(45))
     rng = np.random.default_rng(45)
     chunks = [
-        simulate_detection(train.at(slice(lo, hi)), np.packbits(bob_basis[lo:hi]), MEANS, 0.05, cfg, 0.1, rng)
-        for lo, hi in ((0, sizes[0]), (sizes[0], sum(sizes)))
+        simulate_detection(train.at(slice(lo, hi)), packed[lo // 8 : -(-hi // 8)], MEANS, 0.05, cfg, 0.1, rng)
+        for lo, hi in ((0, sizes[0]), (sizes[0], n))
     ]
-    joined = BobView.concatenate(chunks)
-    clicked = np.concatenate([chunk.clicked for chunk in chunks])
-    multi = np.concatenate([multi_click(chunk) for chunk in chunks])
-    bit = np.concatenate([chunk.bit for chunk in chunks])
-    expected = BobView(
-        sum(sizes),
-        np.packbits(np.concatenate([chunk.basis for chunk in chunks])),
-        np.flatnonzero(clicked),
-        bit[clicked],
-        np.flatnonzero(multi),
-        sum(chunk.discarded_doubles for chunk in chunks),
-    )
-    assert len(joined) == len(expected)
-    for column in ("packed_basis", "slots", "bits", "multi_slots"):
-        assert np.array_equal(getattr(joined, column), getattr(expected, column)), column
-        assert getattr(joined, column).dtype == getattr(expected, column).dtype, column
-    assert joined.discarded_doubles == expected.discarded_doubles
-    assert np.array_equal(joined.basis, bob_basis)
+    expected = {
+        "packed_basis": np.concatenate([chunk.packed_basis for chunk in chunks]),
+        "slots": np.concatenate([chunks[0].slots, chunks[1].slots + sizes[0]]),
+        "bits": np.concatenate([chunk.bits for chunk in chunks]),
+        "multi_slots": np.concatenate([chunks[0].multi_slots, chunks[1].multi_slots + sizes[0]]),
+    }
+    assert len(whole) == n
+    for column, values in expected.items():
+        assert np.array_equal(getattr(whole, column), values), column
+        assert getattr(whole, column).dtype == values.dtype, column
+    assert whole.discarded_doubles == sum(chunk.discarded_doubles for chunk in chunks)
     if policy is DoubleClickPolicy.RANDOM_BIT:
         assert all(len(chunk.multi_slots) for chunk in chunks)
     else:
         assert all(chunk.discarded_doubles for chunk in chunks)
-
-
-def test_concatenate_needs_whole_bytes_before_the_last_chunk():
-    def view(n):
-        return BobView(n, np.zeros((n + 7) // 8, np.uint8), np.array([n - 1]), np.ones(1, np.uint8))
-
-    assert len(BobView.concatenate([view(16), view(8), view(3)])) == 27
-    with pytest.raises(ValueError):
-        BobView.concatenate([view(16), view(12), view(8)])
 
 
 def test_perfect_channel_reproduces_key_bits():
@@ -405,22 +391,27 @@ def test_outcome_table_rows(eta, p_dark, theta):
 
 @pytest.mark.parametrize("policy", list(DoubleClickPolicy))
 def test_draw_order(bright_slots, policy):
-    """One call leaves the generator where the documented draws leave it:
-    the binomial count at p_max, the candidates, one uniform per candidate,
-    then one coin per double under RANDOM_BIT."""
+    """One call leaves the generator where the documented draws leave it,
+    chunk by chunk: the binomial count at p_max over the chunk, the
+    candidates, one uniform per candidate, then one coin per double of the
+    chunk under RANDOM_BIT."""
     eta, p_dark, theta = 0.9, 1e-3, 0.12
     cfg = DetectorConfig(dark_count_prob_per_gate=p_dark, double_click_policy=policy)
     rng = np.random.default_rng(68)
     train, bob_basis = bright_slots
     view = simulate_detection(train, np.packbits(bob_basis), MEANS, eta, cfg, theta, rng)
-    n_doubles = len(view.multi_slots) + view.discarded_doubles
-    assert n_doubles > 0
+    assert len(view.multi_slots) + view.discarded_doubles > 0
     reference = np.random.default_rng(68)
-    k = reference.binomial(ORACLE_SLOTS, _outcome_table(MEANS, eta, p_dark, theta)[:, 2].max())
-    reference.choice(ORACLE_SLOTS, size=k, replace=False, shuffle=False)
-    reference.random(k)
-    if policy is DoubleClickPolicy.RANDOM_BIT:
-        reference.integers(0, 2, size=n_doubles, dtype=np.uint8)
+    p_max = _outcome_table(MEANS, eta, p_dark, theta)[:, 2].max()
+    chunks = list(chunk_slices(ORACLE_SLOTS))
+    assert len(chunks) == 2
+    for lo, hi in chunks:
+        k = reference.binomial(hi - lo, p_max)
+        reference.choice(hi - lo, size=k, replace=False, shuffle=False)
+        reference.random(k)
+        if policy is DoubleClickPolicy.RANDOM_BIT:
+            n_doubles = np.count_nonzero((lo <= view.multi_slots) & (view.multi_slots < hi))
+            reference.integers(0, 2, size=n_doubles, dtype=np.uint8)
     assert rng.bit_generator.state == reference.bit_generator.state
 
 

@@ -387,9 +387,9 @@ def _tank_variant(**changes) -> ExperimentConfig:
 
 
 def test_quantum_phase_extends_a_shorter_run():
-    """Every stream draws in slot order (the words in one call, the rest
-    chunk by chunk), so a run one chunk long is the first chunk of a longer
-    run from the same seeds."""
+    """Every stream draws in slot order (the words and bases in one call
+    each, the clicks chunk by chunk), so a run one chunk long is the first
+    chunk of a longer run from the same seeds."""
     short, long = (
         simulate_quantum_phase(_tank_variant(n_pulses=n)) for n in (1 << 20, (1 << 20) + 4096)
     )
@@ -400,18 +400,48 @@ def test_quantum_phase_extends_a_shorter_run():
             assert np.array_equal(getattr(getattr(long, view), column)[: 1 << 20], values), (view, column)
 
 
+def test_clicks_of_a_short_last_chunk_are_no_prefix():
+    """Words and bases of a run of n slots are the first n of a longer run
+    at any n, but its clicks only up to its last whole chunk: a chunk's
+    candidates are a binomial draw over its length, so the clicks of a short
+    last chunk change when the run grows (12 against 8 clicks in these 4097
+    slots of the tank link)."""
+    short, long = (simulate_quantum_phase(_tank_variant(n_pulses=n)) for n in (4097, 8193))
+    assert np.array_equal(long.alice_view.word[:4097], short.alice_view.word)
+    assert np.array_equal(long.bob_view.basis[:4097], short.bob_view.basis)
+    first_slots = long.bob_view.slots[long.bob_view.slots < 4097]
+    assert (len(short.bob_view.slots), len(first_slots)) == (12, 8)
+
+
+def test_chunk_k_of_each_slot_stream_starts_at_its_advance():
+    """A 2^20-slot chunk is 2^17 PCG64 words of Alice's stream and 2^14 of
+    Bob's, so chunk k of either, drawn after advancing k whole chunks,
+    equals that slice of the run's one-call draw, the short last chunk
+    included."""
+    n = 3 * (1 << 20) + 4099
+    cfg = _tank_variant(n_pulses=n)
+    res = simulate_quantum_phase(cfg)
+    for k, (lo, hi) in enumerate(chunk_slices(n)):
+        alice, bob = (np.random.default_rng(seed) for seed in (cfg.seed_alice, cfg.seed_bob))
+        alice.bit_generator.advance(k << 17)
+        bob.bit_generator.advance(k << 14)
+        assert np.array_equal(uniform_bytes(alice, hi - lo) >> 4, res.alice_view.word[lo:hi]), k
+        packed = uniform_bytes(bob, (hi - lo + 7) // 8)
+        packed[-1] &= 0xFF << (lo - hi) % 8 & 0xFF
+        assert np.array_equal(packed, res.bob_view.packed_basis[lo >> 3 : (hi + 7) >> 3]), k
+
+
 @pytest.mark.parametrize("n", [(1 << 20) + 4099, 1 << 20, 1001])
 def test_bob_bases_are_packed_uniform_bytes(n):
-    """Bob's packed bases are, chunk by chunk, the (m + 7) // 8 bytes
-    `uniform_bytes` draws from his seed, with the pad bits after the last
-    slot cleared, so they are `np.packbits` of his per-slot bases. The match
+    """Bob's packed bases are the (n + 7) // 8 bytes one `uniform_bytes`
+    call draws from his seed, with the pad bits after the last slot
+    cleared, so they are `np.packbits` of his per-slot bases. The match
     fraction counted on packed bytes equals the dense per-slot comparison,
     on an unaligned tail and on runs of whole and part bytes."""
     cfg = _tank_variant(n_pulses=n)
     res = simulate_quantum_phase(cfg)
     view = res.bob_view
-    rng = np.random.default_rng(cfg.seed_bob)
-    expected = np.concatenate([uniform_bytes(rng, (hi - lo + 7) // 8) for lo, hi in chunk_slices(n)])
+    expected = uniform_bytes(np.random.default_rng(cfg.seed_bob), (n + 7) // 8)
     expected[-1] &= 0xFF << (-n % 8) & 0xFF
     assert np.array_equal(view.packed_basis, expected)
     assert np.array_equal(view.packed_basis, np.packbits(view.basis))
@@ -1125,6 +1155,7 @@ def test_cli_calibrate_needs_two_anchors(tmp_path, capsys):
     for calibration, key in (
         ({"anchors": [{"total_loss_db": 30.0, "value": 8e-4}, good]}, "calibration.anchors[0].kind"),
         ({"anchors": [pair[0], {**good, "kind": "e_muu"}]}, "calibration.anchors[1].kind"),
+        ({"anchors": [{**pair[0], "total_loss_db": -1.0}, good]}, "calibration.anchors[0].total_loss_db"),
         ({"anchors": [5, good]}, "calibration.anchors[0]"),
         ({"anchors": 5}, "calibration.anchors"),
         ({"anchors": [{**pair[0], "valu": 8.105e-4}, good]}, "calibration.anchors[0].valu"),

@@ -147,11 +147,11 @@ def test_train_different_seeds_differ():
 
 def test_train_draws_per_slot_in_one_batch():
     """One word per slot, in one batch, and nothing else: the stream ends
-    where these draws alone leave it."""
+    where ceil(n / 8) whole PCG64 words leave it."""
     n = (2 << 20) + 5
     rng, reference = np.random.default_rng(8), np.random.default_rng(8)
     generate_pulse_train(SourceConfig(), n, rng)
-    reference.integers(0, 16, size=n, dtype=np.uint8)
+    reference.bit_generator.advance(-(-n // 8))
     assert rng.bit_generator.state == reference.bit_generator.state
 
 
@@ -173,27 +173,33 @@ def test_full_range_byte_top_bits_are_the_bounded_draw():
 
 
 def test_uniform_bytes_is_the_full_range_draw():
-    """`uniform_bytes` gives `integers(0, 256, uint8)`'s values and leaves
-    the generator's state as it would, call after call: odd sizes leave a
-    buffered half-word, so later calls start both with and without one."""
-    sizes = (*range(10), 1023, 4097, (1 << 20) + 3, 7, 8, 12, 1 << 20)
-    fast, reference = np.random.default_rng(31), np.random.default_rng(31)
-    buffered = set()
-    for n in sizes:
-        buffered.add(fast.bit_generator.state["has_uint32"])
-        drawn = uniform_bytes(fast, n)
+    """From a fresh generator, `uniform_bytes` gives `integers(0, 256,
+    uint8)`'s values, whole words and a part word alike; if this fails, a
+    numpy release changed its full-range uint8 draw."""
+    for n in (*range(10), 1023, 4097, (1 << 20) + 3, 1 << 20):
+        drawn = uniform_bytes(np.random.default_rng(31), n)
         assert drawn.dtype == np.uint8
-        assert np.array_equal(drawn, reference.integers(0, 256, size=n, dtype=np.uint8)), n
-        assert fast.bit_generator.state == reference.bit_generator.state, n
-    assert buffered == {0, 1}
+        assert np.array_equal(drawn, np.random.default_rng(31).integers(0, 256, size=n, dtype=np.uint8)), n
 
 
-def test_uniform_bytes_aligned_draw_is_the_raw_buffer():
-    """With no buffered half-word, a multiple of 8 bytes is the raw words'
+def test_uniform_bytes_consumes_whole_words():
+    """Each call leaves the generator where a twin stands after advancing
+    ceil(count / 8) PCG64 words, call after call, so the next call starts on
+    a whole word whatever the count before it."""
+    rng, twin = np.random.default_rng(32), np.random.default_rng(32)
+    for count in (0, 1, 7, 8, 9, (1 << 20) + 3):
+        uniform_bytes(rng, count)
+        twin.bit_generator.advance(-(-count // 8))
+        assert rng.bit_generator.state == twin.bit_generator.state, count
+
+
+@pytest.mark.parametrize("count", [1 << 20, (1 << 20) + 3])
+def test_uniform_bytes_is_a_view_of_the_raw_words(count):
+    """Whole words or a part word at the end, the bytes are the raw words'
     own buffer, not a copy."""
-    drawn = uniform_bytes(np.random.default_rng(2), 1 << 20)
+    drawn = uniform_bytes(np.random.default_rng(2), count)
     assert drawn.base is not None and drawn.base.dtype == np.uint64
-    assert drawn.base.size == (1 << 20) // 8
+    assert drawn.base.size == -(-count // 8)
 
 
 def test_uniform_bytes_needs_pcg64():
@@ -203,12 +209,11 @@ def test_uniform_bytes_needs_pcg64():
 
 def test_train_follows_word_table():
     """Each slot's class and polarization are the table entry for the word
-    drawn from the same seed, across consecutive odd-sized calls."""
+    `integers(0, 16, uint8)` draws from the same seed, at odd sizes."""
     cfg = SourceConfig(rng_seed=0)
-    rng, reference = np.random.default_rng(cfg.rng_seed), np.random.default_rng(cfg.rng_seed)
     for n in (4097, 1023):
-        train = generate_pulse_train(cfg, n, rng)
-        words = reference.integers(0, 16, size=n, dtype=np.uint8)
+        train = generate_pulse_train(cfg, n)
+        words = np.random.default_rng(cfg.rng_seed).integers(0, 16, size=n, dtype=np.uint8)
         assert len(train) == n
         assert np.array_equal(train.kind, WORD_CLASS[words])
         assert np.array_equal(train.polarization, words & 3)
