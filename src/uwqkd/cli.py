@@ -15,19 +15,8 @@ import sys
 from pathlib import Path
 
 from .analysis import Anchor, anchor_kind, anchor_loss_db, calibrate, sweep_to_csv
-from .harness import (
-    ConfigError,
-    ExperimentConfig,
-    _Section,
-    config_from_dict,
-    connect,
-    override_seeds,
-    read_config,
-    run_experiment,
-    run_sweep,
-    serve,
-    tomography_report,
-)
+from .config import ConfigError, ExperimentConfig, _Section, config_from_dict, override_seeds, read_config
+from .harness import connect, run_experiment, run_sweep, serve, tomography_report
 
 EXIT_OK = 0
 EXIT_ABORT = 2

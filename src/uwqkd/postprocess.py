@@ -33,6 +33,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .config import MIN_KEY_BITS
+
 
 class ReconciliationFailed(RuntimeError):
     """Cascade exceeded its parity budget or was fed an inconsistent transcript."""
@@ -85,7 +87,6 @@ def key_hash_64(bits: np.ndarray) -> int:
 # ---------------------------------------------------------------------------
 # Cascade
 
-MIN_KEY_BITS = 64
 _PARITY_BUDGET_FACTOR = 8  # hard loop guard; observed usage stays under 4n
 
 

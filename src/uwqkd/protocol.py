@@ -37,9 +37,7 @@ bits are fully disclosed for exact estimation, never used as key.
 
 from __future__ import annotations
 
-import math
 import struct
-import threading
 import zlib
 from dataclasses import dataclass
 from enum import Enum, IntEnum
@@ -54,7 +52,6 @@ from .analysis import (
     secure_key_rate,
 )
 from .postprocess import (
-    MIN_KEY_BITS,
     CascadeCorrector,
     CascadeResponder,
     KeyLengthDecision,
@@ -64,6 +61,7 @@ from .postprocess import (
     generate_pa_seed,
     toeplitz_hash,
 )
+from .config import ProtocolOptions
 from .detection import BobView, _ascending_in_range
 from .source import AliceView, StateClass
 
@@ -293,35 +291,6 @@ class IncomingFrame:
 @dataclass(frozen=True)
 class Timeout:
     """The driver gave up waiting for the peer; the session aborts."""
-
-
-@dataclass(frozen=True)
-class ProtocolOptions:
-    mu: float = 0.8
-    nu: float = 0.1
-    sample_fraction: float = 0.1
-    q: float = 0.5
-    error_correction_efficiency: float = 1.16
-    repetition_rate_hz: float = 20e6
-    n_cascade_passes: int = 4
-    min_key_bits: int = 64
-    timeout_s: float = 30.0
-
-    def __post_init__(self) -> None:
-        if not 0.0 < self.sample_fraction < 1.0:
-            raise ValueError("sample fraction must be in (0, 1)")
-        if not 0.0 < self.q <= 1.0:
-            raise ValueError("sifting factor q must be in (0, 1]")
-        if not 1.0 <= self.error_correction_efficiency < math.inf:
-            raise ValueError("error correction efficiency must be finite and >= 1")
-        if not 1 <= self.n_cascade_passes <= 128:
-            # pass indices travel as one byte, and a retried Cascade runs twice as many
-            raise ValueError("reconciliation passes must be in [1, 128]")
-        if self.min_key_bits < MIN_KEY_BITS:
-            raise ValueError(f"min_key_bits must be >= {MIN_KEY_BITS}, Cascade's shortest key")
-        if not 0.0 < self.timeout_s <= threading.TIMEOUT_MAX:
-            # sockets and locks refuse a longer wait
-            raise ValueError(f"timeout must be in (0, {threading.TIMEOUT_MAX:.0f}] s")
 
 
 @dataclass

@@ -33,6 +33,7 @@ in one call, the same stream as one `chunk_slices` chunk at a time, since
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 from enum import IntEnum
 
@@ -43,6 +44,20 @@ class StateClass(IntEnum):
     VACUUM = 0
     DECOY = 1
     SIGNAL = 2
+
+
+# the largest mean whose e^mean is a finite float; the decoy bounds take e^mu
+_MAX_MEAN = math.log(sys.float_info.max)
+
+
+def check_means(mu: float, nu: float) -> None:
+    """Raise ValueError unless the signal and decoy means hold mu > nu > 0
+    and e^mu is a finite float (mu at most about 709.78, which excludes inf
+    and nan)."""
+    if not _MAX_MEAN >= mu > nu >= 0.0:
+        raise ValueError(f"require {_MAX_MEAN:.2f} >= mu > nu >= 0, so that e^mu is a finite float")
+    if nu == 0.0:
+        raise ValueError("decoy mean must be > 0 (vacuum is its own class)")
 
 
 @dataclass(frozen=True)
@@ -56,10 +71,7 @@ class SourceConfig:
     rng_seed: int = 0
 
     def __post_init__(self) -> None:
-        if not self.mu > self.nu >= 0.0:
-            raise ValueError("require mu > nu >= 0")
-        if self.nu == 0.0:
-            raise ValueError("decoy mean must be > 0 (vacuum is its own class)")
+        check_means(self.mu, self.nu)
         if not 0.0 < self.repetition_rate_hz < math.inf:
             raise ValueError("repetition rate must be finite and > 0")
 

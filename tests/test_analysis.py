@@ -1,3 +1,4 @@
+import json
 import math
 import os
 import subprocess
@@ -7,6 +8,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import uwqkd
 from uwqkd.analysis import (
     Anchor,
     CalibrationResult,
@@ -286,14 +288,39 @@ def test_anchor_validation():
         Anchor(-1.0, "q_mu", 0.1)
 
 
+# Run in a fresh interpreter: build the tank config, note what that loaded
+# beyond numpy's own imports, then resolve every public name.
+LIGHT_PATH_PROBE = """
+import json, sys
+import numpy
+before = set(sys.modules)
+from uwqkd import config_from_dict, override_seeds
+with open(sys.argv[1]) as fh:
+    override_seeds(config_from_dict(json.load(fh)), 7)
+loaded = sorted(set(sys.modules) - before)
+import uwqkd
+for name in uwqkd.__all__:
+    getattr(uwqkd, name)
+print(json.dumps({"config": loaded, "scipy": [m for m in sys.modules if m.split(".")[0] == "scipy"]}))
+"""
+
+
 def test_import_does_not_load_scipy():
-    # scipy serves calibrate() alone; sessions, demos and the CLI start without it
-    src = Path(__file__).resolve().parents[1] / "src"
+    # scipy serves calibrate() alone; sessions, demos and the CLI start without
+    # it. Building a config loads neither the sessions, Cascade, the analysis
+    # nor sockets and hashing: each endpoint process starts with one.
+    root = Path(__file__).resolve().parents[1]
     env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
-    probe = "import sys, uwqkd; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(root / "src"), env.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-c", probe], env=env, capture_output=True, text=True, timeout=60
+        [sys.executable, "-c", LIGHT_PATH_PROBE, str(root / "configs" / "tank_run.json")],
+        env=env, capture_output=True, text=True, timeout=60,
     )
     assert proc.returncode == 0, proc.stderr[-2000:]
-    assert proc.stdout.strip() == "[]"
+    loaded = json.loads(proc.stdout)
+    assert loaded["scipy"] == []
+    heavy = [f"uwqkd.{m}" for m in ("harness", "protocol", "postprocess", "analysis", "polarization", "transport")]
+    assert not set(loaded["config"]) & {*heavy, "socket", "hashlib"}, loaded["config"]
+    assert "uwqkd.config" in loaded["config"]
+    # in this process too, every name of the package's table resolves
+    assert [name for name in uwqkd.__all__ if not hasattr(uwqkd, name)] == []

@@ -265,6 +265,26 @@ def test_config_bad_value_raises(mutate):
         config_from_dict(data)
 
 
+@pytest.mark.parametrize(
+    "mu", [math.inf, json.loads("1e400"), 710.0, 1e6], ids=["inf", "json_1e400", "710", "1e6"]
+)
+def test_config_rejects_a_signal_mean_whose_exponential_overflows(mu):
+    """The decoy bounds take e^mu. These means once passed validation and
+    then raised out of the transmitter's step() after Cascade: inf as a NaN
+    key length, 1e6 as an OverflowError in estimate_bounds."""
+    data = base_dict()
+    data["source"]["mu"] = mu
+    with pytest.raises(ConfigError, match=r"e\^mu"):
+        config_from_dict(data)
+
+
+def test_config_takes_a_large_finite_signal_mean():
+    data = base_dict()
+    data["source"]["mu"] = 709.0  # e^709 is still a finite float
+    cfg = config_from_dict(data)
+    assert cfg.source.mu == cfg.protocol.mu == 709.0
+
+
 def test_config_integer_error_names_the_key():
     data = base_dict()
     data["seeds"]["channel"] = 2.5

@@ -1,4 +1,5 @@
 import hashlib
+import math
 import struct
 import zlib
 
@@ -18,7 +19,6 @@ from uwqkd.protocol import (
     FrameType,
     IncomingFrame,
     Phase,
-    ProtocolOptions,
     Timeout,
     UnknownFrameTypeError,
     decode_frame,
@@ -26,6 +26,7 @@ from uwqkd.protocol import (
     encode_frame,
     encode_payload,
 )
+from uwqkd.config import ProtocolOptions
 from uwqkd.detection import BobView
 from uwqkd.source import AliceView
 from views import words
@@ -575,3 +576,7 @@ def test_protocol_options_validation():
         ProtocolOptions(min_key_bits=63)  # Cascade refuses keys under 64 bits
     with pytest.raises(ValueError):
         ProtocolOptions(timeout_s=0.0)
+    # the options hold their own copy of the intensities, under the source's rule
+    for mu in (math.inf, math.nan, 710.0):
+        with pytest.raises(ValueError, match=r"e\^mu"):
+            ProtocolOptions(mu=mu)
