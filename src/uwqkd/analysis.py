@@ -23,6 +23,7 @@ import numpy as np
 from .channel import ReceiverLoss, loss_db, transmittance
 from .detection import expected_gain, expected_qber
 from .postprocess import binary_entropy
+from .source import check_means
 
 
 @dataclass(frozen=True)
@@ -43,16 +44,10 @@ class DecoyStatistics:
     flags: tuple[str, ...] = ()
 
     def __post_init__(self) -> None:
-        for name in ("q_mu", "q_nu", "y0"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
+        check_means(self.mu, self.nu)
+        for name in ("q_mu", "q_nu", "y0", "e_mu", "e_nu"):
+            if not 0.0 <= getattr(self, name) <= 1.0:
                 raise ValueError(f"{name} must be in [0, 1]")
-        for name in ("e_mu", "e_nu"):
-            v = getattr(self, name)
-            if not 0.0 <= v <= 1.0:
-                raise ValueError(f"{name} must be in [0, 1]")
-        if not self.mu > self.nu > 0.0:
-            raise ValueError("require mu > nu > 0")
         if self.q_mu < self.q_nu and "gain_ordering" not in self.flags:
             object.__setattr__(self, "flags", self.flags + ("gain_ordering",))
 

@@ -162,10 +162,9 @@ def _build_report(
     peer_error_counters: dict | None,
     duration_s: float,
 ) -> RunReport:
-    res = session.result
     aborted = session.phase is Phase.ABORTED
-    rate = res.rate_report
-    key_bits = res.final_key
+    rate = session.rate_report
+    key_bits = session.final_key
     realized_bps = len(key_bits) * cfg.source.repetition_rate_hz / cfg.n_pulses
     rate_dict = None
     if rate is not None:
@@ -196,35 +195,35 @@ def _build_report(
         # the transmitter (quantum None) knows only the clicks Bob reported
         quantum={
             "basis_match_fraction": quantum.basis_match_fraction if quantum else None,
-            "n_clicks": len(quantum.bob_view.slots) if quantum else res.n_clicked,
+            "n_clicks": len(quantum.bob_view.slots) if quantum else session.n_clicked,
             "n_multi_clicks": len(quantum.bob_view.multi_slots) if quantum else None,
             "discarded_doubles": quantum.bob_view.discarded_doubles if quantum else None,
             "total_loss_db": cfg.total_loss_db,
             "eta": cfg.eta,
         },
-        statistics=_stats_dict(res.statistics),
-        bounds=_bounds_dict(res.bounds),
+        statistics=_stats_dict(session.statistics),
+        bounds=_bounds_dict(session.bounds),
         rate=rate_dict,
         reconciliation={
-            "qber_sample": res.qber_sample,
-            "qber_hint": res.qber_hint,
-            "leaked_bits": res.leaked_bits,
-            "parity_bits": res.parity_bits,
-            "corrections": res.corrections,
-            "residual_check": res.residual_check,
-            "n_clicked": res.n_clicked,
-            "n_matched": res.n_matched,
-            "n_matched_signal": res.n_matched_signal,
-            "n_sampled": res.n_sampled,
+            "qber_sample": session.qber_sample,
+            "qber_hint": session.qber_hint,
+            "leaked_bits": session.leaked_bits,
+            "parity_bits": session.parity_bits,
+            "corrections": session.corrections,
+            "residual_check": session.residual_check,
+            "n_clicked": session.n_clicked,
+            "n_matched": session.n_matched,
+            "n_matched_signal": session.n_matched_signal,
+            "n_sampled": session.n_sampled,
         },
         key={
             "length": int(len(key_bits)),
             "sha256": hashlib.sha256(np.packbits(key_bits).tobytes()).hexdigest(),
-            "no_key": res.no_key,
-            "capped": bool(res.decision.capped) if res.decision else False,
+            "no_key": session.no_key,
+            "capped": bool(session.decision.capped) if session.decision else False,
             "realized_rate_bps": realized_bps,
         },
-        flags=list(res.flags),
+        flags=list(dict.fromkeys(session.flags)),
         error_counters=counters,
         duration_s=duration_s,
     )

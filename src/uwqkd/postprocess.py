@@ -9,8 +9,11 @@ still leaves errors when the sampled QBER hint is far too low: the blocks are
 then too large for four passes. So the first digest mismatch starts a second
 round of as many fresh passes, block sizes again from the first pass's, and
 then a second digest; only a second mismatch fails the reconciliation.
-Both sides derive from one party, which owns the layouts, the second round
-and the ledger of parity bits and digests under one 8n parity budget.
+Both sides derive from one party, which owns the layouts, the second round,
+Cascade's outcome (the corrections, the residual digest check) and the
+ledger of parity bits and digests under one 8n parity budget; a parity is
+counted only once it is within that budget, so the ledger never exceeds it.
+A session holds one party and reads that outcome off it in place.
 Every parity either side computes, of a whole block or of a search range
 [lo, hi), is read off one array, the prefix sums mod 2 of the pass's permuted
 key: pref[hi] ^ pref[lo].
@@ -142,9 +145,10 @@ def _block_parities(pref: np.ndarray, block_size: int) -> np.ndarray:
 
 class _CascadeParty:
     """What the two sides of Cascade share: the key (a copy), the pass
-    layouts, the second round, each pass's prefix parities, and one ledger
-    of what was disclosed (parity bits and 64-bit digests) under one parity
-    budget."""
+    layouts, the second round, each pass's prefix parities, the outcome
+    (corrections, and the residual check: None until the last digest is in)
+    and one ledger of what was disclosed (parity bits and 64-bit digests)
+    under one parity budget."""
 
     def __init__(self, key: np.ndarray, qber_hint: float, seed: int, n_passes: int = 4):
         self.key = np.array(key, dtype=np.uint8)
@@ -157,6 +161,8 @@ class _CascadeParty:
         self._prefixes: dict[int, np.ndarray] = {}  # by pass, until the key changes
         self.parity_bits = 0
         self.digests = 0
+        self.corrections = 0
+        self.residual_check: bool | None = None
 
     def _prefix(self, p: int) -> np.ndarray:
         pref = self._prefixes.get(p)
@@ -165,15 +171,18 @@ class _CascadeParty:
         return pref
 
     def _disclose(self, n_parities: int) -> None:
-        self.parity_bits += n_parities
-        if self.parity_bits > _PARITY_BUDGET_FACTOR * self.n:
+        """Count parities within the budget; past it, count none and fail."""
+        if self.parity_bits + n_parities > _PARITY_BUDGET_FACTOR * self.n:
             raise ReconciliationFailed("parity disclosure budget exhausted")
+        self.parity_bits += n_parities
 
     def _compare_digests(self, match: bool) -> bool:
         """Count one digest. The first mismatch adds a second round of
-        passes, block sizes again from the first pass's; True if it did."""
+        passes, block sizes again from the first pass's; True if it did.
+        Otherwise that digest was the last, and residual_check is its match."""
         self.digests += 1
         if match or self.digests > 1:
+            self.residual_check = bool(match)
             return False
         self.layouts += _layouts(self.n, self._k1, self._seed, self.n_passes, self.n_passes)
         return True
@@ -206,6 +215,7 @@ class CascadeResponder(_CascadeParty):
             self._disclose(len(answers))
             return ("range_reply", answers)
         if kind == "verify":
+            self.corrections = int(msg[2])
             mine = key_hash_64(self.key)
             self._compare_digests(msg[1] == mine)
             return ("verify_result", msg[1] == mine, mine)
@@ -227,9 +237,6 @@ class CascadeCorrector(_CascadeParty):
         super().__init__(key, qber_hint, seed, n_passes)
         self._mismatch: list[np.ndarray] = []  # per begun pass: remote ^ own block parities
         self.searches: list[_Search] = []
-        self.corrections = 0
-        self.residual_check: bool | None = None
-        self.finished = False
 
     def _flip(self, real_pos: int) -> None:
         self.key[real_pos] ^= 1
@@ -246,7 +253,7 @@ class CascadeCorrector(_CascadeParty):
 
     def on_reply(self, msg: tuple):
         """Consume the responder's reply; return the next message or None."""
-        if self.finished:
+        if self.residual_check is not None:
             raise ReconciliationFailed("reconciliation already finished")
         kind = msg[0]
         if kind == "pass_parities":
@@ -263,9 +270,7 @@ class CascadeCorrector(_CascadeParty):
             self._consume_range_reply(np.asarray(msg[1], dtype=np.uint8))
             self._disclose(len(msg[1]))
         elif kind == "verify_result":
-            if not self._compare_digests(bool(msg[1])):
-                self.residual_check = bool(msg[1])
-                self.finished = True
+            if not self._compare_digests(msg[1]):
                 return None
         else:
             raise ReconciliationFailed(f"unexpected reconciliation reply {kind!r}")

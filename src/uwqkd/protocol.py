@@ -33,6 +33,13 @@ encode_payload and decode_payload are its only writer and reader.
 Sampled signal bits are the only signal-class key material ever put on the
 wire; they are removed from the key on both sides. Decoy and vacuum class
 bits are fully disclosed for exact estimation, never used as key.
+
+Each session holds one Cascade party, `cascade`: the transmitter's
+responder or the receiver's corrector. The party owns Cascade's outcome
+(corrections, the residual digest check) and the ledger of disclosed parity
+bits and digests; the session reads them in place, as 0 or None when Cascade
+was skipped, and both sides end reconciliation on one path once the last
+digest is in.
 """
 
 from __future__ import annotations
@@ -293,25 +300,8 @@ class Timeout:
     """The driver gave up waiting for the peer; the session aborts."""
 
 
-@dataclass
-class SessionResult:
-    final_key: np.ndarray
-    no_key: bool
-    statistics: DecoyStatistics | None
-    bounds: SinglePhotonBounds | None
-    rate_report: KeyRateReport | None
-    decision: KeyLengthDecision | None
-    qber_sample: float | None
-    qber_hint: float | None
-    leaked_bits: int
-    corrections: int
-    parity_bits: int
-    residual_check: bool | None
-    n_clicked: int
-    n_matched: int
-    n_matched_signal: int
-    n_sampled: int
-    flags: tuple[str, ...]
+# aborts that each count once in error_counters, under the reason's lower-case name
+_COUNTED_ABORTS = (AbortReason.SEQUENCE_GAP, AbortReason.PHASE_VIOLATION, AbortReason.TIMEOUT)
 
 
 class _Session:
@@ -353,10 +343,7 @@ class _Session:
         self.qber_hint: float | None = None
         self.cascade_seed = 0
         self.remaining_key = np.zeros(0, dtype=np.uint8)
-        self.corrections = 0
-        self.parity_bits = 0
-        self.leaked_bits = 0
-        self.residual_check: bool | None = None
+        self.cascade: CascadeResponder | CascadeCorrector | None = None
         self.statistics: DecoyStatistics | None = None
         self.bounds: SinglePhotonBounds | None = None
         self.rate_report: KeyRateReport | None = None
@@ -375,6 +362,8 @@ class _Session:
         return self._emit(FrameType.RECON_MSG, RECON_KINDS.index(msg[0]), *msg[1:])
 
     def _abort(self, reason: AbortReason, message: str, *, notify: bool = True) -> list[Frame]:
+        if reason in _COUNTED_ABORTS:
+            self.error_counters[reason.name.lower()] += 1
         self.phase = Phase.ABORTED
         self.abort_reason = reason
         self.abort_message = message
@@ -388,7 +377,6 @@ class _Session:
         if self.phase in (Phase.DONE, Phase.ABORTED):
             return []
         if isinstance(event, Timeout):
-            self.error_counters["timeout"] += 1
             return self._abort(AbortReason.TIMEOUT, "no progress before timeout")
         if isinstance(event, IncomingFrame):
             try:
@@ -403,7 +391,6 @@ class _Session:
                 self.error_counters["unknown_type"] += 1
                 return []
             if frame.sequence != self.next_recv_seq:
-                self.error_counters["sequence_gap"] += 1
                 return self._abort(
                     AbortReason.SEQUENCE_GAP,
                     f"expected sequence {self.next_recv_seq}, got {frame.sequence}",
@@ -418,7 +405,10 @@ class _Session:
                 return []
             handler = self._HANDLERS.get((frame.frame_type, self.phase))
             if handler is None:
-                return self._violation(frame)
+                return self._abort(
+                    AbortReason.PHASE_VIOLATION,
+                    f"{frame.frame_type.name} not valid in phase {self.phase.value}",
+                )
             sent = self.next_send_seq
             try:
                 return handler(self, *decode_payload(frame.frame_type, frame.payload))
@@ -435,27 +425,42 @@ class _Session:
             return self._abort(AbortReason.INTERNAL, problem)
         raise TypeError(f"unknown event {event!r}")
 
-    def _violation(self, frame: Frame) -> list[Frame]:
-        self.error_counters["phase_violation"] += 1
-        return self._abort(
-            AbortReason.PHASE_VIOLATION,
-            f"{frame.frame_type.name} not valid in phase {self.phase.value}",
-        )
+    # -- what the session knows, read in place -----------------------------
+
+    @property
+    def n_matched_signal(self) -> int:
+        return len(self.matched_signal_bits)
+
+    @property
+    def n_sampled(self) -> int:
+        return len(self.sample_positions)
+
+    @property
+    def qber_sample(self) -> float | None:
+        return self.sample_errors / self.n_sampled if self.n_sampled else None
+
+    # Cascade's outcome and ledger, off the session's party: 0 or None when skipped
+    corrections = property(lambda self: 0 if self.cascade is None else self.cascade.corrections)
+    parity_bits = property(lambda self: 0 if self.cascade is None else self.cascade.parity_bits)
+    leaked_bits = property(lambda self: 0 if self.cascade is None else self.cascade.leaked_bits)
+    residual_check = property(lambda self: None if self.cascade is None else self.cascade.residual_check)
+
+    @property
+    def result(self) -> _Session:
+        """The session itself: its outcome is read off its attributes."""
+        return self
 
     # -- shared estimation logic --------------------------------------------
 
-    def _n_sampled(self, n_matched_signal: int) -> int:
-        if n_matched_signal == 0:
-            return 0
-        k = int(np.floor(self.options.sample_fraction * n_matched_signal + 0.5))
-        return max(1, min(k, n_matched_signal))
-
-    def _sample_selection(self, sample_seed: int, n_matched_signal: int) -> np.ndarray:
-        k = self._n_sampled(n_matched_signal)
-        if k == 0:
+    def _sample_selection(self, sample_seed: int) -> np.ndarray:
+        """Sorted positions of the sampled matched signal bits: the sample
+        fraction of them, rounded half up, and at least one."""
+        n = self.n_matched_signal
+        if n == 0:
             return np.zeros(0, dtype=np.int64)
+        k = max(1, min(int(np.floor(self.options.sample_fraction * n + 0.5)), n))
         rng = np.random.default_rng(sample_seed)
-        return np.sort(rng.choice(n_matched_signal, size=k, replace=False)).astype(np.int64)
+        return np.sort(rng.choice(n, size=k, replace=False)).astype(np.int64)
 
     def _empty_class(self) -> StateClass | None:
         """A class with no emitted pulses, if any: its gain would divide by zero."""
@@ -481,13 +486,13 @@ class _Session:
     def _tally_sample(self, signal: np.ndarray, decoy: np.ndarray, vacuum: np.ndarray) -> bool:
         """Count errors against the peer's disclosure, drop the sample from the
         key and set the Cascade hint; False if the peer's sizes differ from ours."""
-        sizes = (len(self.sample_positions), len(self.matched_decoy_bits), len(self.matched_vacuum_bits))
+        sizes = (self.n_sampled, len(self.matched_decoy_bits), len(self.matched_vacuum_bits))
         if (len(signal), len(decoy), len(vacuum)) != sizes:
             return False
         self.sample_errors = int(np.sum(self.matched_signal_bits[self.sample_positions] ^ signal))
         self.decoy_errors = int(np.sum(self.matched_decoy_bits ^ decoy))
         self.remaining_key = np.delete(self.matched_signal_bits, self.sample_positions)
-        self.qber_hint = float(min(0.25, (self.sample_errors + 1) / (len(self.sample_positions) + 2)))
+        self.qber_hint = float(min(0.25, (self.sample_errors + 1) / (self.n_sampled + 2)))
         return True
 
     def _skip_reconciliation(self) -> bool:
@@ -498,12 +503,23 @@ class _Session:
         self._finish()
         return True
 
+    def _end_reconciliation(self) -> list[Frame]:
+        """Once Cascade's last digest is in: flag a second round, abort on
+        a failed check, or take the corrected key and finish."""
+        if self.cascade.digests > 1:
+            self.flags.append("reconciliation_retried")
+        if not self.residual_check:
+            return self._abort(AbortReason.VERIFY_FAILED, "reconciliation digest mismatch")
+        self.remaining_key = self.cascade.key
+        self._finish()
+        return []
+
     def _finish(self) -> None:
         """Estimate, size the final key and move to AMPLIFICATION.
 
         Reached once Cascade has verified, or with residual_check still None
         when reconciliation was skipped; a skipped session keeps no key."""
-        n_signal_matched = len(self.matched_signal_bits)
+        n_signal_matched = self.n_matched_signal
         flags = []
         if n_signal_matched > 0:
             e_mu = (self.sample_errors + self.corrections) / n_signal_matched
@@ -559,30 +575,6 @@ class _Session:
             self.flags.append("no_key")
         self.phase = Phase.DONE
 
-    @property
-    def result(self) -> SessionResult:
-        n_sample = len(self.sample_positions)
-        qber_sample = self.sample_errors / n_sample if n_sample else None
-        return SessionResult(
-            final_key=self.final_key,
-            no_key=self.no_key,
-            statistics=self.statistics,
-            bounds=self.bounds,
-            rate_report=self.rate_report,
-            decision=self.decision,
-            qber_sample=qber_sample,
-            qber_hint=self.qber_hint,
-            leaked_bits=self.leaked_bits,
-            corrections=self.corrections,
-            parity_bits=self.parity_bits,
-            residual_check=self.residual_check,
-            n_clicked=self.n_clicked,
-            n_matched=self.n_matched,
-            n_matched_signal=len(self.matched_signal_bits),
-            n_sampled=n_sample,
-            flags=tuple(dict.fromkeys(self.flags)),
-        )
-
 
 class AliceSession(_Session):
     """Transmitter endpoint: reference key holder and protocol initiator."""
@@ -600,7 +592,6 @@ class AliceSession(_Session):
         self.view = view
         self.coin_rng = coin_rng
         self._hello_sent = False
-        self._responder: CascadeResponder | None = None
         self._sample_seed = 0
 
     def start(self) -> list[Frame]:
@@ -639,7 +630,7 @@ class AliceSession(_Session):
         request = self._emit(
             FrameType.QBER_SAMPLE, 0, self._sample_seed, self.cascade_seed, self.options.sample_fraction
         )
-        self.sample_positions = self._sample_selection(self._sample_seed, len(self.matched_signal_bits))
+        self.sample_positions = self._sample_selection(self._sample_seed)
         self.phase = Phase.ESTIMATION
         return [sift_ack, reveal, request]
 
@@ -651,31 +642,18 @@ class AliceSession(_Session):
         reply = self._sample_disclosure(2)
         if self._skip_reconciliation():
             return [reply] + self._send_pa_seed()
-        self._responder = CascadeResponder(
+        self.cascade = CascadeResponder(
             self.remaining_key, self.qber_hint, self.cascade_seed, self.options.n_cascade_passes
         )
         self.phase = Phase.RECONCILIATION
         return [reply]
 
     def _handle_recon(self, subkind: int, *values) -> list[Frame]:
-        msg = (RECON_KINDS[subkind], *values)
-        if msg[0] == "verify":
-            self.corrections = int(msg[2])
-        reply = self._responder.on_message(msg)
-        self.parity_bits = self._responder.parity_bits
-        frames = [self._emit_recon(reply)]
-        if reply[0] == "verify_result":
-            self.leaked_bits = self._responder.leaked_bits
-            if not reply[1]:
-                if self._responder.digests == 1:  # the corrector starts a second round
-                    self.flags.append("reconciliation_retried")
-                    return frames
-                self.residual_check = False
-                return frames + self._abort(AbortReason.VERIFY_FAILED, "reconciliation digest mismatch")
-            self.residual_check = True
-            self._finish()
-            frames += self._send_pa_seed()
-        return frames
+        frames = [self._emit_recon(self.cascade.on_message((RECON_KINDS[subkind], *values)))]
+        if self.residual_check is None:
+            return frames
+        frames += self._end_reconciliation()
+        return frames if self.phase is Phase.ABORTED else frames + self._send_pa_seed()
 
     def _send_pa_seed(self) -> list[Frame]:
         n = len(self.remaining_key)
@@ -706,7 +684,6 @@ class BobSession(_Session):
     ):
         super().__init__(options, config_digest, len(view))
         self.view = view
-        self._corrector: CascadeCorrector | None = None
         self._clicked_slots = view.slots
         self._matched_positions = np.zeros(0, dtype=np.int64)  # into clicked list
 
@@ -763,35 +740,23 @@ class BobSession(_Session):
             if not abs(fraction - self.options.sample_fraction) <= 1e-12:  # NaN fails too
                 return self._abort(AbortReason.CONFIG_MISMATCH, "sample fraction differs from shared options")
             self.cascade_seed = cascade_seed
-            self.sample_positions = self._sample_selection(sample_seed, len(self.matched_signal_bits))
+            self.sample_positions = self._sample_selection(sample_seed)
             return [self._sample_disclosure(1)]
         if subkind == 2:
             if not self._tally_sample(*values):
                 return self._abort(AbortReason.LENGTH_MISMATCH, "sample echo sizes differ")
             if self._skip_reconciliation():
                 return []
-            self._corrector = CascadeCorrector(
+            self.cascade = CascadeCorrector(
                 self.remaining_key, self.qber_hint, self.cascade_seed, self.options.n_cascade_passes
             )
             self.phase = Phase.RECONCILIATION
-            return [self._emit_recon(self._corrector.start())]
+            return [self._emit_recon(self.cascade.start())]
         return self._abort(AbortReason.PHASE_VIOLATION, "unexpected sample subkind")
 
     def _handle_recon(self, subkind: int, *values) -> list[Frame]:
-        nxt = self._corrector.on_reply((RECON_KINDS[subkind], *values))
-        self.parity_bits = self._corrector.parity_bits
-        if nxt is not None:
-            return [self._emit_recon(nxt)]
-        self.corrections = self._corrector.corrections
-        self.leaked_bits = self._corrector.leaked_bits
-        self.residual_check = self._corrector.residual_check
-        if self._corrector.digests > 1:
-            self.flags.append("reconciliation_retried")
-        if not self.residual_check:
-            return self._abort(AbortReason.VERIFY_FAILED, "reconciliation digest mismatch")
-        self.remaining_key = self._corrector.key
-        self._finish()
-        return []
+        nxt = self.cascade.on_reply((RECON_KINDS[subkind], *values))
+        return self._end_reconciliation() if nxt is None else [self._emit_recon(nxt)]
 
     def _handle_pa_seed(self, m: int, n: int, flags: int, seed_bits: np.ndarray) -> list[Frame]:
         if n != len(self.remaining_key):

@@ -132,6 +132,12 @@ def test_decoy_statistics_validation_and_ordering_flag():
         DecoyStatistics(q_mu=1.2, e_mu=0.0, q_nu=0.1, e_nu=0.0, y0=0.0)
     with pytest.raises(ValueError):
         DecoyStatistics(q_mu=0.1, e_mu=0.0, q_nu=0.1, e_nu=0.0, y0=0.0, mu=0.1, nu=0.8)
+    # the source's rule for the means: e^mu must be a finite float, or
+    # estimate_bounds would overflow
+    with pytest.raises(ValueError, match=r"e\^mu"):
+        DecoyStatistics(q_mu=0.1, e_mu=0.01, q_nu=0.01, e_nu=0.01, y0=0.0, mu=800.0)
+    with pytest.raises(ValueError, match=r"e\^mu"):
+        expected_statistics(1e-5, 0.1, math.inf, 0.1, 0.01)
     flagged = DecoyStatistics(q_mu=1e-3, e_mu=0.0, q_nu=2e-3, e_nu=0.0, y0=0.0)
     assert "gain_ordering" in flagged.flags
     assert ROW1.flags == ()

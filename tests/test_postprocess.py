@@ -176,8 +176,9 @@ def test_cascade_rejects_wrong_parity_count():
 
 def test_cascade_parity_budget_guards_both_sides():
     """Past 8 n parity bits either side gives up: the responder once the
-    range queries it answered cross the budget, the corrector once the
-    replies it consumed do."""
+    range queries it is asked would cross the budget, the corrector once the
+    replies it consumes would. Neither counts the parities it refused, so
+    both ledgers stop at the budget."""
     key, _ = _keys_with_errors(1024, 0, seed=7)
     responder = CascadeResponder(key, 0.02, seed=1)
     for _ in range(8):
@@ -199,7 +200,7 @@ def test_cascade_parity_budget_guards_both_sides():
     with pytest.raises(ReconciliationFailed, match="budget"):
         for _ in range(8 * 1024):
             msg = corrector.on_reply(lying_reply(msg))
-    assert corrector.parity_bits > 8 * 1024
+    assert corrector.parity_bits == 8 * 1024  # the refused reply is not counted
 
 
 def test_cascade_hint_domain():

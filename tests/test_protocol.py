@@ -244,20 +244,29 @@ def pump(alice, bob, *, drop=None, mangle=None):
     return alice, bob
 
 
+def rewrite(frame_type, edit):
+    """A pump mangle that replaces each frame_type payload by edit(payload), CRC redone."""
+    def mangle(data):
+        frame = decode_frame(data)
+        if frame.frame_type is not frame_type:
+            return data
+        return encode_frame(Frame(frame.frame_type, frame.sequence, edit(frame.payload)))
+    return mangle
+
+
 def test_full_session_reaches_done_with_equal_keys():
     alice, bob = make_sessions(n=4096, seed=5)
     pump(alice, bob)
     assert alice.phase is Phase.DONE
     assert bob.phase is Phase.DONE
-    ra, rb = alice.result, bob.result
-    assert ra.residual_check is True and rb.residual_check is True
-    assert np.array_equal(ra.final_key, rb.final_key)
-    assert len(ra.final_key) == ra.decision.length > 0
-    assert ra.statistics == rb.statistics
-    assert ra.bounds == rb.bounds
-    assert ra.leaked_bits == rb.leaked_bits
-    assert ra.corrections == rb.corrections
-    assert ra.n_matched == rb.n_matched
+    assert alice.residual_check is True and bob.residual_check is True
+    assert np.array_equal(alice.final_key, bob.final_key)
+    assert len(alice.final_key) == alice.decision.length > 0
+    assert alice.statistics == bob.statistics
+    assert alice.bounds == bob.bounds
+    assert alice.leaked_bits == bob.leaked_bits
+    assert alice.corrections == bob.corrections
+    assert alice.n_matched == bob.n_matched
 
 
 def test_session_statistics_match_ground_truth():
@@ -266,24 +275,24 @@ def test_session_statistics_match_ground_truth():
     va = alice.view
     vb = bob.view
     pump(alice, bob)
-    stats = alice.result.statistics
+    stats = alice.statistics
     clicked = vb.clicked
     for variant, gain in ((2, stats.q_mu), (1, stats.q_nu), (0, stats.y0)):
         emitted = int((va.kind == variant).sum())
         clicks = int((clicked & (va.kind == variant)).sum())
         assert gain == pytest.approx(clicks / emitted, rel=1e-12)
     matched = clicked & (va.basis == vb.basis)
-    assert alice.result.n_clicked == bob.result.n_clicked == int(clicked.sum())
-    assert alice.result.n_matched == bob.result.n_matched == int(matched.sum())
+    assert alice.n_clicked == bob.n_clicked == int(clicked.sum())
+    assert alice.n_matched == bob.n_matched == int(matched.sum())
     # decoy QBER: errors over matched decoy clicks, fully disclosed
     decoy = matched & (va.kind == 1)
     decoy_errors = int((va.bit[decoy] != vb.bit[decoy]).sum())
     assert decoy_errors > 0
     assert stats.e_nu == pytest.approx(decoy_errors / int(decoy.sum()), rel=1e-12)
     # sampled QBER should sit near the seeded 2% error rate
-    assert alice.result.qber_sample == pytest.approx(0.02, abs=0.03)
+    assert alice.qber_sample == pytest.approx(0.02, abs=0.03)
     # the corrected remainder excludes the disclosed sample
-    assert len(alice.remaining_key) == alice.result.n_matched_signal - alice.result.n_sampled
+    assert len(alice.remaining_key) == alice.n_matched_signal - alice.n_sampled
 
 
 def test_sample_tally_counts_errors_exactly():
@@ -300,7 +309,7 @@ def test_sample_tally_counts_errors_exactly():
         assert side.decoy_errors == alice.decoy_errors
         n = len(alice.sample_positions)
         assert side.qber_hint == min(0.25, (side.sample_errors + 1) / (n + 2))
-        assert side.result.qber_sample == pytest.approx(side.sample_errors / n, rel=1e-12)
+        assert side.qber_sample == pytest.approx(side.sample_errors / n, rel=1e-12)
     assert alice.sample_errors > 0
 
 
@@ -360,6 +369,30 @@ def test_out_of_phase_frame_aborts():
     assert out and decode_frame(encode_frame(out[0])).frame_type is FrameType.ABORT
 
 
+def _sample_subkind(old, new):
+    """A QBER_SAMPLE edit turning subkind old into new; both share a layout."""
+    return lambda payload: bytes([new]) + payload[1:] if payload[0] == old else payload
+
+
+@pytest.mark.parametrize(
+    "mangle, role, message",
+    [
+        (rewrite(FrameType.QBER_SAMPLE, _sample_subkind(1, 2)), "alice", "expected receiver sample"),
+        (rewrite(FrameType.QBER_SAMPLE, _sample_subkind(2, 1)), "bob", "unexpected sample subkind"),
+        (rewrite(FrameType.SYNC_HELLO, lambda payload: b"\x05" + payload[1:]), "bob", "unexpected hello role"),
+    ],
+    ids=["receiver_sample_as_echo", "echo_as_receiver_sample", "hello_role_5"],
+)
+def test_handler_phase_violations_are_counted(mangle, role, message):
+    """A frame valid in its phase but with the wrong role or subkind is a
+    phase violation, counted once like an out-of-phase frame."""
+    alice, bob = pump(*make_sessions(), mangle=mangle)
+    side = {"alice": alice, "bob": bob}[role]
+    assert side.abort_reason is AbortReason.PHASE_VIOLATION
+    assert message in side.abort_message
+    assert side.error_counters["phase_violation"] == 1
+
+
 def test_timeout_aborts():
     _, bob = make_sessions()
     out = bob.step(Timeout())
@@ -386,20 +419,10 @@ def test_short_key_skips_reconciliation():
     pump(alice, bob)
     assert alice.phase is Phase.DONE
     assert bob.phase is Phase.DONE
-    assert alice.result.no_key and bob.result.no_key
-    assert len(alice.result.final_key) == 0
-    assert "insufficient_key_bits" in alice.result.flags
-    assert alice.result.residual_check is None
-
-
-def rewrite(frame_type, edit):
-    """A pump mangle that replaces each frame_type payload by edit(payload), CRC redone."""
-    def mangle(data):
-        frame = decode_frame(data)
-        if frame.frame_type is not frame_type:
-            return data
-        return encode_frame(Frame(frame.frame_type, frame.sequence, edit(frame.payload)))
-    return mangle
+    assert alice.no_key and bob.no_key
+    assert len(alice.final_key) == 0
+    assert "insufficient_key_bits" in alice.flags
+    assert alice.residual_check is None
 
 
 def test_session_without_decoy_clicks_flags_it():
@@ -411,10 +434,10 @@ def test_session_without_decoy_clicks_flags_it():
     bob = BobSession(vb, options, DIGEST)
     pump(alice, bob)
     assert alice.phase is Phase.DONE and bob.phase is Phase.DONE
-    for result in (alice.result, bob.result):
-        assert result.statistics.q_nu == 0.0
-        assert result.statistics.e_nu == 0.0
-        assert "no_matched_clicks_decoy" in result.flags
+    for side in (alice, bob):
+        assert side.statistics.q_nu == 0.0
+        assert side.statistics.e_nu == 0.0
+        assert "no_matched_clicks_decoy" in side.flags
 
 
 def test_class_never_emitted_aborts_transmitter():
@@ -502,21 +525,63 @@ def test_receiver_checks_peer_fields(mangle, reason, message):
     assert message in bob.abort_message
 
 
+def _flood(values):
+    values[1] = [(0, 0, 1)] * (8 * 4096 + 1)  # more than 8 n for any key of these 4096 slots
+
+
+def _range_outside_key(values):
+    values[1] = [(0, 0, 0xFFFFFFFF)]
+
+
+def _drop_pass_parity(values):
+    values[2] = values[2][:-1]
+
+
+def _wrong_digest(values):
+    values[1] ^= 1
+
+
+def recon_edit(kind, edit):
+    return edit_values(FrameType.RECON_MSG, edit, RECON_KINDS.index(kind))
+
+
 def test_range_query_flood_aborts_transmitter():
     """A receiver asking for more range parities than the 8 n budget makes
     the transmitter abort INTERNAL, answering none of them; step() does not
     raise."""
-    def flood(values):
-        values[1] = [(0, 0, 1)] * (8 * 4096 + 1)  # more than 8 n for any key of these 4096 slots
-
     alice, bob = make_sessions()
-    pump(alice, bob, mangle=edit_values(FrameType.RECON_MSG, flood, RECON_KINDS.index("range_query")))
+    pump(alice, bob, mangle=recon_edit("range_query", _flood))
     assert alice.phase is Phase.ABORTED
     assert alice.abort_reason is AbortReason.INTERNAL
     assert alice.abort_message == "reconciliation broke down: parity disclosure budget exhausted"
-    assert alice.result.parity_bits <= 8 * len(alice.remaining_key)
+    assert alice.parity_bits <= 8 * len(alice.remaining_key)
     assert bob.phase is Phase.ABORTED
     assert bob.abort_reason is AbortReason.PEER_ABORT
+
+
+@pytest.mark.parametrize(
+    "mangle, reasons",
+    [
+        (None, (None, None)),
+        (recon_edit("verify", _wrong_digest), (AbortReason.VERIFY_FAILED, AbortReason.VERIFY_FAILED)),
+        (recon_edit("range_query", _flood), (AbortReason.INTERNAL, AbortReason.PEER_ABORT)),
+        (recon_edit("pass_parities", _drop_pass_parity), (AbortReason.PEER_ABORT, AbortReason.INTERNAL)),
+        (recon_edit("range_query", _range_outside_key), (AbortReason.INTERNAL, AbortReason.PEER_ABORT)),
+    ],
+    ids=["done", "verify_failed", "range_flood", "short_pass_parities", "range_outside_key"],
+)
+def test_ledger_holds_on_every_exit_from_cascade(mangle, reasons):
+    """However Cascade ends, each endpoint's leak counts every parity bit and
+    digest it disclosed or read, within the 8 n budget; where both sides saw
+    the whole transcript their ledgers agree."""
+    alice, bob = pump(*make_sessions(), mangle=mangle)
+    assert (alice.abort_reason, bob.abort_reason) == reasons
+    assert alice.parity_bits > 0  # every exit is inside Cascade
+    for side in (alice, bob):
+        assert side.leaked_bits == side.parity_bits + 64 * side.cascade.digests
+        assert side.parity_bits <= 8 * len(side.remaining_key)
+    if reasons[0] in (None, AbortReason.VERIFY_FAILED):
+        assert (alice.parity_bits, alice.leaked_bits) == (bob.parity_bits, bob.leaked_bits)
 
 
 @pytest.mark.parametrize("payload", [b"", struct.pack(">BH", 0xFF, 0)])
