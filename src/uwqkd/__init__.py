@@ -19,7 +19,7 @@ _NAMES = {
     ),
     "channel": (
         "DB_PER_NEPER", "JERLOV_COEFFICIENTS", "ReceiverLoss", "WaterChannel", "distance_for_loss",
-        "end_to_end_transmittance", "jerlov_coefficient", "loss_db", "transmittance",
+        "jerlov_coefficient", "loss_db", "transmittance",
     ),
     "config": (
         "ConfigError", "ExperimentConfig", "ProtocolOptions", "config_from_dict", "load_config",

@@ -94,10 +94,6 @@ class WaterChannel:
     def loss_db(self) -> float:
         return loss_db(self.attenuation_coefficient, self.length_m)
 
-    @property
-    def transmittance(self) -> float:
-        return transmittance(self.loss_db)
-
 
 @dataclass(frozen=True)
 class ReceiverLoss:
@@ -120,8 +116,3 @@ class ReceiverLoss:
     @property
     def total_db(self) -> float:
         return self.optics_loss_db + 10.0 * math.log10(1.0 / self.detector_efficiency)
-
-
-def end_to_end_transmittance(channel: WaterChannel, receiver: ReceiverLoss) -> float:
-    """Probability that a photon at the source aperture yields a click chance."""
-    return transmittance(channel.loss_db + receiver.total_db)

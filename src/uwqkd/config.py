@@ -20,7 +20,7 @@ import threading
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from .channel import ReceiverLoss, WaterChannel, end_to_end_transmittance
+from .channel import ReceiverLoss, WaterChannel, transmittance
 from .detection import DetectorConfig, DoubleClickPolicy
 from .source import SourceConfig, check_means
 
@@ -101,7 +101,8 @@ class ExperimentConfig:
 
     @property
     def eta(self) -> float:
-        return end_to_end_transmittance(self.channel, self.receiver)
+        """Probability that a photon at the source aperture yields a click chance."""
+        return transmittance(self.total_loss_db)
 
     def to_dict(self) -> dict:
         return {

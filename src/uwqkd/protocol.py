@@ -18,11 +18,11 @@ Message flow:
     Bob   SYNC_HELLO        his reply; the digests must match
     Bob   BASIS_REVEAL      clicked slot indices + measurement bases, in the
                             same step as his reply
-    Alice SIFT_ACK          which of those slots had matching bases
-    Alice INTENSITY_REVEAL  class of every clicked slot + per-class totals
-    Alice QBER_SAMPLE(0)    sample/cascade seeds and the sample fraction
-    Bob   QBER_SAMPLE(1)    his bits: sampled signal, all matched decoy/vacuum
-    Alice QBER_SAMPLE(2)    her bits for the same slots
+    Alice SIFT_ACK          per-class totals, sample/cascade seeds, the sample
+                            fraction, and per click its class byte and a
+                            match bit (the bases agreed)
+    Bob   QBER_SAMPLE       his bits: sampled signal, all matched decoy/vacuum
+    Alice QBER_SAMPLE       her bits for the same slots
     both  RECON_MSG ...     Cascade (Bob corrects toward Alice's key)
     Alice PA_SEED           Toeplitz seed and final length
     both  Done
@@ -80,7 +80,6 @@ _MIN_FRAME = 1 + 4 + 3 + 4
 class FrameType(IntEnum):
     SYNC_HELLO = 0x01
     BASIS_REVEAL = 0x02
-    INTENSITY_REVEAL = 0x03
     SIFT_ACK = 0x04
     QBER_SAMPLE = 0x05
     RECON_MSG = 0x06
@@ -156,28 +155,26 @@ def decode_frame(data: bytes) -> Frame:
 # padded to a whole byte), ">u4" (slot indices, read as int64), "u1" (bytes)
 # or _QUERY (Cascade range queries, read as a list of tuples); count is the
 # earlier field holding its length, which the encoder fills in, or a function
-# of the fields before it. QBER_SAMPLE and RECON_MSG payloads open with a
-# subkind byte that picks the layout.
+# of the fields before it. RECON_MSG payloads open with a subkind byte that
+# picks the layout; a QBER_SAMPLE's sender role tells Bob's disclosure from
+# Alice's echo.
 
 _QUERY = np.dtype([("pass_index", "u1"), ("lo", ">u4"), ("hi", ">u4")])  # 9 bytes, as >BII
-_SAMPLE_DISCLOSURE = (  # sampled signal bits, all matched decoy and vacuum bits
-    ("subkind", ">B"),
-    ("n_signal", ">I"), ("signal", "bits", "n_signal"),
-    ("n_decoy", ">I"), ("decoy", "bits", "n_decoy"),
-    ("n_vacuum", ">I"), ("vacuum", "bits", "n_vacuum"),
-)
 PAYLOAD_LAYOUTS = {
     FrameType.SYNC_HELLO: (("role", ">B"), ("digest", ">16s"), ("n_slots", ">Q")),
     FrameType.BASIS_REVEAL: (("n", ">I"), ("slots", ">u4", "n"), ("bases", "bits", "n")),
-    FrameType.SIFT_ACK: (("n", ">I"), ("slots", ">u4", "n")),
-    FrameType.INTENSITY_REVEAL: (
-        ("n_signal", ">Q"), ("n_decoy", ">Q"), ("n_vacuum", ">Q"), ("n", ">I"), ("kinds", "u1", "n"),
+    # per click of the BASIS_REVEAL, in its order: class byte and match bit
+    FrameType.SIFT_ACK: (
+        ("n_signal", ">Q"), ("n_decoy", ">Q"), ("n_vacuum", ">Q"),
+        ("sample_seed", ">Q"), ("cascade_seed", ">Q"), ("fraction", ">d"),
+        ("n", ">I"), ("kinds", "u1", "n"), ("matched", "bits", "n"),
     ),
-    (FrameType.QBER_SAMPLE, 0): (
-        ("subkind", ">B"), ("sample_seed", ">Q"), ("cascade_seed", ">Q"), ("fraction", ">d"),
+    # sampled signal bits, all matched decoy and vacuum bits
+    FrameType.QBER_SAMPLE: (
+        ("n_signal", ">I"), ("signal", "bits", "n_signal"),
+        ("n_decoy", ">I"), ("decoy", "bits", "n_decoy"),
+        ("n_vacuum", ">I"), ("vacuum", "bits", "n_vacuum"),
     ),
-    (FrameType.QBER_SAMPLE, 1): _SAMPLE_DISCLOSURE,
-    (FrameType.QBER_SAMPLE, 2): _SAMPLE_DISCLOSURE,
     # RECON_MSG subkind i carries Cascade's message RECON_KINDS[i]
     (FrameType.RECON_MSG, 0): (("subkind", ">B"), ("pass_index", ">B")),
     (FrameType.RECON_MSG, 1): (
@@ -194,7 +191,7 @@ PAYLOAD_LAYOUTS = {
     FrameType.ABORT: (("reason", ">B"), ("length", ">H"), ("message", "u1", "length")),
 }
 RECON_KINDS = ("pass_begin", "pass_parities", "range_query", "range_reply", "verify", "verify_result")
-_SUBKINDED = (FrameType.QBER_SAMPLE, FrameType.RECON_MSG)
+_SUBKINDED = (FrameType.RECON_MSG,)
 # the fields a caller passes and gets back: all but the filled-in counts
 _VALUES = {
     key: tuple(f[0] for f in layout if f[0] not in {c[2] for c in layout if len(c) == 3})
@@ -223,7 +220,7 @@ def _read_array(kind, data, count: int):
 
 def encode_payload(frame_type: FrameType, *values) -> bytes:
     """The payload holding `values` in the order of their layout's fields,
-    counts left out; a QBER_SAMPLE or RECON_MSG subkind comes first."""
+    counts left out; a RECON_MSG subkind comes first."""
     key = (frame_type, values[0]) if frame_type in _SUBKINDED else frame_type
     layout = PAYLOAD_LAYOUTS[key]
     fields = dict(zip(_VALUES[key], values, strict=True))
@@ -476,12 +473,10 @@ class _Session:
         self.matched_decoy_bits = matched_bits[matched_kind == StateClass.DECOY].copy()
         self.matched_vacuum_bits = matched_bits[matched_kind == StateClass.VACUUM].copy()
 
-    def _sample_disclosure(self, subkind: int) -> Frame:
+    def _sample_disclosure(self) -> Frame:
         """This side's sampled signal bits and all its matched decoy and vacuum bits."""
         signal = self.matched_signal_bits[self.sample_positions]
-        return self._emit(
-            FrameType.QBER_SAMPLE, subkind, signal, self.matched_decoy_bits, self.matched_vacuum_bits
-        )
+        return self._emit(FrameType.QBER_SAMPLE, signal, self.matched_decoy_bits, self.matched_vacuum_bits)
 
     def _tally_sample(self, signal: np.ndarray, decoy: np.ndarray, vacuum: np.ndarray) -> bool:
         """Count errors against the peer's disclosure, drop the sample from the
@@ -592,7 +587,6 @@ class AliceSession(_Session):
         self.view = view
         self.coin_rng = coin_rng
         self._hello_sent = False
-        self._sample_seed = 0
 
     def start(self) -> list[Frame]:
         if self.phase is not Phase.IDLE or self._hello_sent:
@@ -611,35 +605,27 @@ class AliceSession(_Session):
             return self._abort(AbortReason.INTERNAL, "clicked slot list not strictly ascending in range")
         self.n_clicked = len(slots)
         clicked = self.view.at(slots)
-        matched_mask = clicked.basis == bases
-        matched_slots = slots[matched_mask]
-        self.n_matched = len(matched_slots)
-        self._tally_classes(clicked.kind, clicked.kind[matched_mask], clicked.bit[matched_mask])
+        matched = clicked.basis == bases
+        self.n_matched = int(np.count_nonzero(matched))
+        self._tally_classes(clicked.kind, clicked.kind[matched], clicked.bit[matched])
         self.emitted_per_class = self.view.class_totals()
         empty = self._empty_class()
         if empty is not None:
             return self._abort(AbortReason.INTERNAL, f"no emitted pulses in class {empty.name}")
-        sift_ack = self._emit(FrameType.SIFT_ACK, matched_slots)
-        reveal = self._emit(
-            FrameType.INTENSITY_REVEAL,
-            *(self.emitted_per_class[v] for v in (StateClass.SIGNAL, StateClass.DECOY, StateClass.VACUUM)),
-            clicked.kind,
-        )
-        self._sample_seed = int(self.coin_rng.integers(0, 2**63))
+        sample_seed = int(self.coin_rng.integers(0, 2**63))
         self.cascade_seed = int(self.coin_rng.integers(0, 2**63))
-        request = self._emit(
-            FrameType.QBER_SAMPLE, 0, self._sample_seed, self.cascade_seed, self.options.sample_fraction
-        )
-        self.sample_positions = self._sample_selection(self._sample_seed)
+        self.sample_positions = self._sample_selection(sample_seed)
         self.phase = Phase.ESTIMATION
-        return [sift_ack, reveal, request]
+        return [self._emit(
+            FrameType.SIFT_ACK,
+            *(self.emitted_per_class[v] for v in (StateClass.SIGNAL, StateClass.DECOY, StateClass.VACUUM)),
+            sample_seed, self.cascade_seed, self.options.sample_fraction, clicked.kind, matched,
+        )]
 
-    def _handle_sample_bits(self, subkind: int, *disclosure) -> list[Frame]:
-        if subkind != 1:
-            return self._abort(AbortReason.PHASE_VIOLATION, "expected receiver sample disclosure")
+    def _handle_sample_bits(self, *disclosure) -> list[Frame]:
         if not self._tally_sample(*disclosure):
             return self._abort(AbortReason.LENGTH_MISMATCH, "sample disclosure sizes differ from sift result")
-        reply = self._sample_disclosure(2)
+        reply = self._sample_disclosure()
         if self._skip_reconciliation():
             return [reply] + self._send_pa_seed()
         self.cascade = CascadeResponder(
@@ -684,8 +670,6 @@ class BobSession(_Session):
     ):
         super().__init__(options, config_digest, len(view))
         self.view = view
-        self._clicked_slots = view.slots
-        self._matched_positions = np.zeros(0, dtype=np.int64)  # into clicked list
 
     def _handle_hello(self, role: int, digest: bytes, n_slots: int) -> list[Frame]:
         if role != 0:
@@ -693,30 +677,19 @@ class BobSession(_Session):
         if digest != self.config_digest or n_slots != self.n_slots:
             return self._abort(AbortReason.CONFIG_MISMATCH, "peer configuration digest differs")
         self.phase = Phase.SIFTING
-        slots = self._clicked_slots
+        slots = self.view.slots
         self.n_clicked = len(slots)
         return [
             self._emit(FrameType.SYNC_HELLO, 1, self.config_digest, self.n_slots),
             self._emit(FrameType.BASIS_REVEAL, slots, self.view.basis_at(slots)),
         ]
 
-    def _handle_sift_ack(self, matched_slots: np.ndarray) -> list[Frame]:
-        if not _ascending_in_range(matched_slots, self.n_slots):
-            return self._abort(AbortReason.INTERNAL, "matched slot list not strictly ascending in range")
-        positions = np.searchsorted(self._clicked_slots, matched_slots)
-        if np.any(positions >= len(self._clicked_slots)) or np.any(
-            self._clicked_slots[np.minimum(positions, len(self._clicked_slots) - 1)] != matched_slots
-        ):
-            return self._abort(AbortReason.INTERNAL, "matched slots are not a subset of clicked slots")
-        self._matched_positions = positions.astype(np.int64)
-        self.n_matched = len(matched_slots)
-        return []
-
-    def _handle_intensity_reveal(
-        self, n_signal: int, n_decoy: int, n_vacuum: int, kinds: np.ndarray
+    def _handle_sift_ack(
+        self, n_signal: int, n_decoy: int, n_vacuum: int, sample_seed: int, cascade_seed: int,
+        fraction: float, kinds: np.ndarray, matched: np.ndarray,
     ) -> list[Frame]:
-        if len(kinds) != len(self._clicked_slots):
-            return self._abort(AbortReason.LENGTH_MISMATCH, "intensity reveal size differs from clicks")
+        if len(kinds) != self.n_clicked:
+            return self._abort(AbortReason.LENGTH_MISMATCH, "sift reply size differs from clicks")
         if np.any(kinds >= len(StateClass)):
             raise FrameDecodeError("class byte out of range")
         if n_signal + n_decoy + n_vacuum != self.n_slots:
@@ -729,30 +702,26 @@ class BobSession(_Session):
         empty = self._empty_class()
         if empty is not None:
             return self._abort(AbortReason.INTERNAL, f"no emitted pulses in class {empty.name}")
-        matched_bits = self.view.bits[self._matched_positions]
-        self._tally_classes(kinds, kinds[self._matched_positions], matched_bits)
+        if not abs(fraction - self.options.sample_fraction) <= 1e-12:  # NaN fails too
+            return self._abort(AbortReason.CONFIG_MISMATCH, "sample fraction differs from shared options")
+        matched = matched.view(bool)
+        self.n_matched = int(np.count_nonzero(matched))
+        self._tally_classes(kinds, kinds[matched], self.view.bits[matched])
+        self.cascade_seed = cascade_seed
+        self.sample_positions = self._sample_selection(sample_seed)
         self.phase = Phase.ESTIMATION
-        return []
+        return [self._sample_disclosure()]
 
-    def _handle_qber_sample(self, subkind: int, *values) -> list[Frame]:
-        if subkind == 0:
-            sample_seed, cascade_seed, fraction = values
-            if not abs(fraction - self.options.sample_fraction) <= 1e-12:  # NaN fails too
-                return self._abort(AbortReason.CONFIG_MISMATCH, "sample fraction differs from shared options")
-            self.cascade_seed = cascade_seed
-            self.sample_positions = self._sample_selection(sample_seed)
-            return [self._sample_disclosure(1)]
-        if subkind == 2:
-            if not self._tally_sample(*values):
-                return self._abort(AbortReason.LENGTH_MISMATCH, "sample echo sizes differ")
-            if self._skip_reconciliation():
-                return []
-            self.cascade = CascadeCorrector(
-                self.remaining_key, self.qber_hint, self.cascade_seed, self.options.n_cascade_passes
-            )
-            self.phase = Phase.RECONCILIATION
-            return [self._emit_recon(self.cascade.start())]
-        return self._abort(AbortReason.PHASE_VIOLATION, "unexpected sample subkind")
+    def _handle_sample_echo(self, *echo) -> list[Frame]:
+        if not self._tally_sample(*echo):
+            return self._abort(AbortReason.LENGTH_MISMATCH, "sample echo sizes differ")
+        if self._skip_reconciliation():
+            return []
+        self.cascade = CascadeCorrector(
+            self.remaining_key, self.qber_hint, self.cascade_seed, self.options.n_cascade_passes
+        )
+        self.phase = Phase.RECONCILIATION
+        return [self._emit_recon(self.cascade.start())]
 
     def _handle_recon(self, subkind: int, *values) -> list[Frame]:
         nxt = self.cascade.on_reply((RECON_KINDS[subkind], *values))
@@ -777,8 +746,7 @@ class BobSession(_Session):
     _HANDLERS = {
         (FrameType.SYNC_HELLO, Phase.IDLE): _handle_hello,
         (FrameType.SIFT_ACK, Phase.SIFTING): _handle_sift_ack,
-        (FrameType.INTENSITY_REVEAL, Phase.SIFTING): _handle_intensity_reveal,
-        (FrameType.QBER_SAMPLE, Phase.ESTIMATION): _handle_qber_sample,
+        (FrameType.QBER_SAMPLE, Phase.ESTIMATION): _handle_sample_echo,
         (FrameType.RECON_MSG, Phase.RECONCILIATION): _handle_recon,
         (FrameType.PA_SEED, Phase.AMPLIFICATION): _handle_pa_seed,
     }

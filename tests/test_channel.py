@@ -9,11 +9,11 @@ from uwqkd.channel import (
     ReceiverLoss,
     WaterChannel,
     distance_for_loss,
-    end_to_end_transmittance,
     jerlov_coefficient,
     loss_db,
     transmittance,
 )
+from uwqkd.config import config_from_dict
 
 # Measured tank points: attenuation coefficient (1/m) over a 2.4 m path and
 # the link loss reported for each concentration.
@@ -101,7 +101,7 @@ def test_water_channel_properties():
     assert ch.attenuation_coefficient == 0.018
     assert ch.preset_tag == "JerlovI"
     assert ch.loss_db == pytest.approx(16.338, abs=0.001)
-    assert ch.transmittance == pytest.approx(math.exp(-0.018 * 209.0), rel=1e-12)
+    assert transmittance(ch.loss_db) == pytest.approx(math.exp(-0.018 * 209.0), rel=1e-12)
     with pytest.raises(ValueError):
         WaterChannel(-0.1, 5.0)
 
@@ -122,9 +122,16 @@ def test_receiver_loss_budget():
 
 
 def test_end_to_end_transmittance_combines_losses():
-    ch = WaterChannel.jerlov("I", 277.589)
-    rx = ReceiverLoss()
-    eta = end_to_end_transmittance(ch, rx)
-    assert eta == pytest.approx(transmittance(ch.loss_db) * transmittance(rx.total_db), rel=1e-12)
+    cfg = config_from_dict({
+        "n_pulses": 1000,
+        "seeds": {"alice": 1, "bob": 2, "channel": 3},
+        "source": {"mu": 0.8, "nu": 0.1, "repetition_rate_hz": 20e6},
+        "channel": {"jerlov_type": "I", "length_m": 277.589},
+        "receiver": {"optics_loss_db": 4.1, "detector_efficiency": 0.2},
+        "detector": {"dark_count_prob_per_gate": 2e-5},
+        "misalignment_deg": 0.0,
+    })
+    ch, rx = cfg.channel, cfg.receiver
+    assert cfg.eta == pytest.approx(transmittance(ch.loss_db) * transmittance(rx.total_db), rel=1e-12)
     # 21.7 dB channel + 11.09 dB receiver = 32.8 dB total
-    assert ch.loss_db + rx.total_db == pytest.approx(32.79, abs=0.01)
+    assert cfg.total_loss_db == pytest.approx(32.79, abs=0.01)
