@@ -391,16 +391,35 @@ def test_out_of_phase_frame_aborts():
     assert out and decode_frame(encode_frame(out[0])).frame_type is FrameType.ABORT
 
 
+def retype(frame_type, new_type):
+    """A pump mangle that delivers each frame_type frame as new_type, sequence kept."""
+    def mangle(data):
+        frame = decode_frame(data)
+        if frame.frame_type is not frame_type:
+            return data
+        return encode_frame(Frame(new_type, frame.sequence, frame.payload))
+    return mangle
+
+
 @pytest.mark.parametrize(
     "mangle, role, message",
     [
         (rewrite(FrameType.SYNC_HELLO, lambda payload: b"\x05" + payload[1:]), "bob", "unexpected hello role"),
+        (retype(FrameType.SIFT_ACK, FrameType.QBER_SAMPLE), "bob", "QBER_SAMPLE not valid in phase sifting"),
+        (retype(FrameType.RECON_MSG, FrameType.QBER_SAMPLE), "alice",
+         "QBER_SAMPLE not valid in phase reconciliation"),
+        (retype(FrameType.QBER_SAMPLE, FrameType.SIFT_ACK), "alice", "SIFT_ACK not valid in phase estimation"),
+        (retype(FrameType.SIFT_ACK, FrameType.BASIS_REVEAL), "bob", "BASIS_REVEAL not valid in phase sifting"),
     ],
-    ids=["hello_role_5"],
+    ids=["hello_role_5", "sample_before_sift_ack", "sample_after_echo", "sift_ack_to_alice",
+         "basis_reveal_to_bob"],
 )
 def test_handler_phase_violations_are_counted(mangle, role, message):
-    """A frame valid in its phase but with the wrong role is a phase
-    violation, counted once like an out-of-phase frame."""
+    """A frame valid in its phase but with the wrong role, or a frame its
+    receiver's role and phase do not take, is a phase violation, counted once
+    like an out-of-phase frame. QBER_SAMPLE has no subkind, so the phase
+    alone keeps Bob's disclosure and Alice's echo apart: a sample reaching
+    Bob before SIFT_ACK, or Alice after her echo, is refused."""
     alice, bob = pump(*make_sessions(), mangle=mangle)
     side = {"alice": alice, "bob": bob}[role]
     assert side.abort_reason is AbortReason.PHASE_VIOLATION
@@ -508,6 +527,15 @@ def _drop_last_click(values):
     values[6], values[7] = values[6][:-1], values[7][:-1]
 
 
+def _add_a_click(values):
+    values[6] = np.append(values[6], np.uint8(0))
+    values[7] = np.append(values[7], np.uint8(0))
+
+
+def _signal_total_plus_one(values):
+    values[0] += 1
+
+
 def _flip_capped_flag(values):
     values[2] ^= 1
 
@@ -520,14 +548,17 @@ def _flip_capped_flag(values):
         (edit_values(FrameType.SIFT_ACK, _nan_fraction), AbortReason.CONFIG_MISMATCH, "fraction"),
         (edit_values(FrameType.PA_SEED, _flip_capped_flag), AbortReason.LENGTH_MISMATCH, "flags"),
         (edit_values(FrameType.SIFT_ACK, _drop_last_click), AbortReason.LENGTH_MISMATCH, "clicks"),
+        (edit_values(FrameType.SIFT_ACK, _add_a_click), AbortReason.LENGTH_MISMATCH, "clicks"),
+        (edit_values(FrameType.SIFT_ACK, _signal_total_plus_one), AbortReason.LENGTH_MISMATCH, "all slots"),
     ],
-    ids=["vacuum_echo", "class_byte", "nan_fraction", "pa_flags", "sift_short"],
+    ids=["vacuum_echo", "class_byte", "nan_fraction", "pa_flags", "sift_short", "sift_long", "sift_totals"],
 )
 def test_receiver_checks_peer_fields(mangle, reason, message):
     """Bob aborts, naming the field, when one of Alice's fields disagrees with
     his own state: her sample echo's sizes, a class byte above 2, the sample
-    fraction, the key-length flags of PA_SEED, or a sift reply that does not
-    hold one class byte and one match bit per click of his."""
+    fraction, the key-length flags of PA_SEED, a sift reply that does not
+    hold one class byte and one match bit per click of his, or per-class
+    totals that do not add up to his slot count."""
     alice, bob = make_sessions()
     pump(alice, bob, mangle=mangle, mangled=("bob",))
     assert bob.phase is Phase.ABORTED
