@@ -1128,6 +1128,25 @@ def test_cli_sweep(tmp_path, capsys):
     capsys.readouterr()
 
 
+SWEEP_DIGESTS = {
+    "sweep_jerlov_I.csv": "a4f8e463c3ea0921fc1f7ab0963756bbf63265c892021786844589a2f4731ed4",
+    "sweep_jerlov_II.csv": "01b188e0bfde82b6fca6852cf858107aa82be07372b42154d9b72632bb0e8ae3",
+    "sweep_jerlov_III.csv": "178495d064832105f8ca187ce48703938467fa354dfc3a3a0d3f8402680bbd09",
+    "sweep.json": "c8d8914d50e334f7548ceb697e272658973afc56f6685a3ef3e684df76304d85",
+}
+
+
+def test_cli_sweep_outputs_pinned(tmp_path, capsys):
+    """The shipped ocean sweep, as CSV and as JSON, hashes to fixed digests:
+    any change to the analytic link model shows here to the last bit."""
+    config = str(CONFIGS / "ocean_sweep.json")
+    for fmt in ("csv", "json"):
+        assert main(["sweep", "--config", config, "--out", str(tmp_path), "--format", fmt]) == EXIT_OK
+    capsys.readouterr()
+    digests = {name: hashlib.sha256((tmp_path / name).read_bytes()).hexdigest() for name in SWEEP_DIGESTS}
+    assert digests == SWEEP_DIGESTS
+
+
 def test_cli_sweep_requires_section(tmp_path, capsys):
     code = main(["sweep", "--config", str(_write_config(tmp_path, base_dict()))])
     assert code == EXIT_VALIDATION
