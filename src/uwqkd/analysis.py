@@ -16,7 +16,7 @@ from __future__ import annotations
 import csv
 import io
 import math
-from dataclasses import dataclass
+from dataclasses import astuple, dataclass
 
 import numpy as np
 
@@ -108,15 +108,13 @@ class KeyRateReport:
 
 def secure_key_rate(
     stats: DecoyStatistics,
-    bounds: SinglePhotonBounds | None = None,
+    bounds: SinglePhotonBounds,
     *,
     q: float = 0.5,
     error_correction_efficiency: float = 1.16,
     repetition_rate_hz: float = 20e6,
 ) -> KeyRateReport:
     """Per-slot secure rate and its per-second equivalent, clamped at zero."""
-    if bounds is None:
-        bounds = estimate_bounds(stats)
     if not 0.0 < q <= 1.0:
         raise ValueError("sifting factor q must be in (0, 1]")
     if error_correction_efficiency < 1.0:
@@ -168,22 +166,20 @@ class SweepPoint:
     r_bps: float
 
     def csv_row(self) -> list[str]:
-        return [
-            repr(float(v))
-            for v in (
-                self.distance_m,
-                self.loss_db,
-                self.q_mu,
-                self.e_mu,
-                self.q_nu,
-                self.e_nu,
-                self.y1_lower,
-                self.q1,
-                self.e1_upper,
-                self.r_per_pulse,
-                self.r_bps,
-            )
-        ]
+        return [repr(float(v)) for v in astuple(self)]
+
+
+def _model_point(
+    total_loss_db: float, y0: float, e_detector: float, mu: float, nu: float,
+    q: float, error_correction_efficiency: float, repetition_rate_hz: float,
+) -> tuple[DecoyStatistics, SinglePhotonBounds, KeyRateReport]:
+    """The analytic link at one total loss (channel + receiver, dB): expected statistics,
+    their decoy bounds and the key rate. The sweep and the calibration both read it here."""
+    stats = expected_statistics(y0, transmittance(total_loss_db), mu, nu, e_detector)
+    bounds = estimate_bounds(stats)
+    rate = secure_key_rate(stats, bounds, q=q, error_correction_efficiency=error_correction_efficiency,
+                           repetition_rate_hz=repetition_rate_hz)
+    return stats, bounds, rate
 
 
 def sweep_distance(
@@ -204,15 +200,9 @@ def sweep_distance(
     points = []
     for d in distances_m:
         channel_db = loss_db(attenuation_coefficient, float(d))
-        eta = transmittance(channel_db + receiver.total_db)
-        stats = expected_statistics(y0, eta, mu, nu, e_detector)
-        bounds = estimate_bounds(stats)
-        report = secure_key_rate(
-            stats,
-            bounds,
-            q=q,
-            error_correction_efficiency=error_correction_efficiency,
-            repetition_rate_hz=repetition_rate_hz,
+        stats, bounds, report = _model_point(
+            channel_db + receiver.total_db, y0, e_detector, mu, nu, q,
+            error_correction_efficiency, repetition_rate_hz,
         )
         points.append(
             SweepPoint(
@@ -290,12 +280,9 @@ class CalibrationResult:
 
 
 def _anchor_prediction(anchor: Anchor, y0: float, e_d: float, mu: float, nu: float, q: float, f: float) -> float:
-    eta = transmittance(anchor.total_loss_db)
-    stats = expected_statistics(y0, eta, mu, nu, e_d)
-    if anchor.kind == "r_per_pulse":
-        return secure_key_rate(stats, q=q, error_correction_efficiency=f).r_per_pulse
-    # the other kinds are DecoyStatistics fields
-    return getattr(stats, anchor.kind)
+    # the one rate kind is per pulse, so any clock serves; the other kinds are DecoyStatistics fields
+    stats, _, rate = _model_point(anchor.total_loss_db, y0, e_d, mu, nu, q, f, 1.0)
+    return rate.r_per_pulse if anchor.kind == "r_per_pulse" else getattr(stats, anchor.kind)
 
 
 def calibrate(
@@ -362,33 +349,13 @@ def calibrate(
 
 
 def cutoff_distance(
-    attenuation_coefficient: float,
-    *,
-    receiver: ReceiverLoss | None = None,
-    y0: float,
-    e_detector: float,
-    rate_floor_per_pulse: float,
-    mu: float = 0.8,
-    nu: float = 0.1,
-    q: float = 0.5,
-    error_correction_efficiency: float = 1.16,
-    d_max_m: float = 2000.0,
+    attenuation_coefficient: float, *, rate_floor_per_pulse: float, d_max_m: float = 2000.0, **link
 ) -> float:
-    """Distance where the analytic R drops to the floor (bisection; R monotone)."""
+    """Distance where the analytic R drops to the floor (bisection; R monotone). link
+    holds `sweep_distance`'s keywords; one it does not take is its TypeError."""
 
     def rate_at(d: float) -> float:
-        pts = sweep_distance(
-            attenuation_coefficient,
-            [d],
-            receiver=receiver,
-            y0=y0,
-            e_detector=e_detector,
-            mu=mu,
-            nu=nu,
-            q=q,
-            error_correction_efficiency=error_correction_efficiency,
-        )
-        return pts[0].r_per_pulse
+        return sweep_distance(attenuation_coefficient, [d], **link)[0].r_per_pulse
 
     lo, hi = 0.0, d_max_m
     if rate_at(lo) <= rate_floor_per_pulse:

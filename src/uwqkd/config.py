@@ -154,8 +154,9 @@ def _require(mapping: dict, key: str, context: str):
 def _cast(value, cast, key: str):
     """cast(value), or a ConfigError naming the key. A cast `[item]` takes a
     JSON array and casts each entry (named `key[i]`), and `_Section` gives a
-    sub-section; an int key takes only a whole number, so a fraction or a
-    bool is an error, not a value int() truncates."""
+    sub-section. No key takes a bool, so true or false is an error, not the 1
+    or 0 that float() or int() would read; an int key takes only a whole
+    number, so a fraction is an error, not a value int() truncates."""
     if isinstance(cast, list):
         if not isinstance(value, list):
             raise ConfigError(f"config key {key} must be a JSON array")
@@ -163,7 +164,9 @@ def _cast(value, cast, key: str):
     if cast is _Section:
         return _Section(value, key)
     try:
-        if cast is int and (isinstance(value, bool) or not float(value).is_integer()):
+        if isinstance(value, bool):
+            raise ValueError(f"must not be a boolean, got {value!r}")
+        if cast is int and not float(value).is_integer():
             raise ValueError(f"must be an integer, got {value!r}")
         return cast(value)
     except (TypeError, ValueError, OverflowError) as exc:

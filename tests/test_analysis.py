@@ -249,6 +249,10 @@ def test_cutoff_distance_brackets_floor():
     assert cutoff_distance(0.018, rate_floor_per_pulse=1.0, **kw) == 0.0
     with pytest.raises(ValueError):
         cutoff_distance(0.018, rate_floor_per_pulse=1e-12, d_max_m=10.0, **kw)
+    # every keyword of sweep_distance passes through, and only those
+    assert cutoff_distance(0.018, rate_floor_per_pulse=floor, repetition_rate_hz=1e6, **kw) == d
+    with pytest.raises(TypeError, match="repetition_rate"):
+        cutoff_distance(0.018, rate_floor_per_pulse=floor, repetition_rate=1e6, **kw)
 
 
 def test_calibrate_roundtrip():
@@ -257,7 +261,7 @@ def test_calibrate_roundtrip():
     def model(db, kind):
         stats = expected_statistics(y0_true, transmittance(db), 0.8, 0.1, e_d_true)
         if kind == "r_per_pulse":
-            return secure_key_rate(stats).r_per_pulse
+            return secure_key_rate(stats, estimate_bounds(stats)).r_per_pulse
         return getattr(stats, kind)
     anchors = [
         Anchor(30.0, "r_per_pulse", model(30.0, "r_per_pulse")),

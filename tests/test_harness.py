@@ -247,6 +247,9 @@ def test_config_missing_key_raises(mutate):
         lambda d: d["seeds"].__setitem__("alice", 1.9),
         lambda d: d.setdefault("protocol", {}).__setitem__("n_cascade_passes", 4.6),
         lambda d: d.setdefault("protocol", {}).__setitem__("min_key_bits", 100.5),
+        # float() read true as 1.0 and false as 0.0
+        lambda d: d["source"].__setitem__("mu", True),
+        lambda d: d.__setitem__("misalignment_deg", False),
     ],
     ids=[
         "n_pulses", "n_pulses_u32", "mu_type", "nu_order", "length",
@@ -255,7 +258,7 @@ def test_config_missing_key_raises(mutate):
         "optics_nan", "misalignment_nan", "rate_inf", "rate_nan", "timeout_nan",
         "timeout_inf", "q_zero", "q_above_one", "efficiency_below_one",
         "n_pulses_fraction", "n_pulses_bool", "seed_fraction", "cascade_passes_fraction",
-        "min_key_bits_fraction",
+        "min_key_bits_fraction", "mu_bool", "misalignment_bool",
     ],
 )
 def test_config_bad_value_raises(mutate):
@@ -1154,6 +1157,7 @@ def test_cli_sweep_requires_section(tmp_path, capsys):
     for sweep, key in (
         ({"distances_m": 5}, "sweep.distances_m"),
         ({"distances_m": [10.0, "far"]}, "sweep.distances_m[1]"),
+        ({"distances_m": [True, 50]}, "sweep.distances_m[0]"),  # not a sweep from 1.0 m
         ({"distances_m": [10.0], "jerlov_type": ["III"]}, "sweep.jerlov_type"),
         ({"distances_m": [10.0], "y0": None}, "sweep.y0"),  # leave it out for the default
         ([10.0], "config key sweep must be a JSON object"),
@@ -1195,6 +1199,7 @@ def test_cli_calibrate_needs_two_anchors(tmp_path, capsys):
         ({"anchors": [{"total_loss_db": 30.0, "value": 8e-4}, good]}, "calibration.anchors[0].kind"),
         ({"anchors": [pair[0], {**good, "kind": "e_muu"}]}, "calibration.anchors[1].kind"),
         ({"anchors": [{**pair[0], "total_loss_db": -1.0}, good]}, "calibration.anchors[0].total_loss_db"),
+        ({"anchors": [pair[0], {**good, "value": True}]}, "calibration.anchors[1].value"),
         ({"anchors": [5, good]}, "calibration.anchors[0]"),
         ({"anchors": 5}, "calibration.anchors"),
         ({"anchors": [{**pair[0], "valu": 8.105e-4}, good]}, "calibration.anchors[0].valu"),
