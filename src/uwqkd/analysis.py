@@ -246,7 +246,9 @@ def anchor_kind(kind: str) -> str:
 
 
 def anchor_loss_db(total_loss_db) -> float:
-    """total_loss_db as a float if it is a loss >= 0 dB, else a ValueError."""
+    """total_loss_db as a float if it is a number, a loss >= 0 dB, else a ValueError."""
+    if isinstance(total_loss_db, str):
+        raise ValueError(f"total loss must be a number, got the string {total_loss_db!r}")
     loss = float(total_loss_db)
     if not loss >= 0.0:
         raise ValueError("total loss must be >= 0 dB")
@@ -364,6 +366,8 @@ def cutoff_distance(
         raise ValueError("rate floor not reached inside the search interval")
     for _ in range(200):
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):  # lo and hi are adjacent floats: every later step would repeat this one
+            return mid
         if rate_at(mid) > rate_floor_per_pulse:
             lo = mid
         else:

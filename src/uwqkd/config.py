@@ -90,6 +90,9 @@ class ExperimentConfig:
             # the digest lists only the source's values, so a mismatch would
             # estimate with the wrong intensities on both agreeing endpoints
             raise ConfigError("protocol mu, nu and repetition rate must equal the source's")
+        if s.rng_seed != self.seed_alice:
+            # the transmitter draws its pulses from seed_alice, so another source seed would go unused
+            raise ConfigError("source rng_seed must equal seed_alice")
 
     @property
     def misalignment_rad(self) -> float:
@@ -154,9 +157,9 @@ def _require(mapping: dict, key: str, context: str):
 def _cast(value, cast, key: str):
     """cast(value), or a ConfigError naming the key. A cast `[item]` takes a
     JSON array and casts each entry (named `key[i]`), and `_Section` gives a
-    sub-section. No key takes a bool, so true or false is an error, not the 1
-    or 0 that float() or int() would read; an int key takes only a whole
-    number, so a fraction is an error, not a value int() truncates."""
+    sub-section. No key takes a bool (float() or int() would read 1 or 0), a
+    number key takes no string (not even one float() reads), and an int key
+    takes only a whole number (not a fraction that int() truncates)."""
     if isinstance(cast, list):
         if not isinstance(value, list):
             raise ConfigError(f"config key {key} must be a JSON array")
@@ -166,6 +169,8 @@ def _cast(value, cast, key: str):
     try:
         if isinstance(value, bool):
             raise ValueError(f"must not be a boolean, got {value!r}")
+        if isinstance(value, str) and cast in (int, float):
+            raise ValueError(f"must be a JSON number, got the string {value!r}")
         if cast is int and not float(value).is_integer():
             raise ValueError(f"must be an integer, got {value!r}")
         return cast(value)

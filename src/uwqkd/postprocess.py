@@ -132,10 +132,6 @@ def _parity_prefix(key: np.ndarray, lay: _PassLayout) -> np.ndarray:
     return pref
 
 
-def _range_parity(pref: np.ndarray, lo: int, hi: int) -> int:
-    return int(pref[hi] ^ pref[lo])
-
-
 def _block_parities(pref: np.ndarray, block_size: int) -> np.ndarray:
     """Parity of every block of one pass, the last one possibly short."""
     n = len(pref) - 1
@@ -201,7 +197,7 @@ class CascadeResponder(_CascadeParty):
             pref = self._prefix(p)
             if not 0 <= lo < hi <= self.n:
                 raise ReconciliationFailed(f"bad parity range [{lo}, {hi})")
-            yield _range_parity(pref, lo, hi)
+            yield int(pref[hi] ^ pref[lo])
 
     def on_message(self, msg: tuple) -> tuple:
         kind = msg[0]
@@ -222,21 +218,21 @@ class CascadeResponder(_CascadeParty):
         raise ReconciliationFailed(f"unexpected reconciliation message {kind!r}")
 
 
-@dataclass
-class _Search:
-    pass_index: int
-    lo: int
-    hi: int
-    prefix: np.ndarray  # the pass's prefix parities
+def _expect(reply, kind: str) -> tuple:
+    """reply itself if it is a tuple of the kind the last message asked for."""
+    if not (isinstance(reply, tuple) and reply and isinstance(reply[0], str) and reply[0] == kind):
+        raise ReconciliationFailed(f"unexpected reconciliation reply, expected {kind!r}")
+    return reply
 
 
 class CascadeCorrector(_CascadeParty):
-    """Noisy-key side of Cascade. Emits one message, consumes one reply."""
+    """Noisy-key side of Cascade: one generator yields each message and takes
+    the reply at that yield, in protocol order; a reply of another kind fails."""
 
     def __init__(self, key: np.ndarray, qber_hint: float, seed: int, n_passes: int = 4):
         super().__init__(key, qber_hint, seed, n_passes)
         self._mismatch: list[np.ndarray] = []  # per begun pass: remote ^ own block parities
-        self.searches: list[_Search] = []
+        self._run = None  # the _messages generator, once started
 
     def _flip(self, real_pos: int) -> None:
         self.key[real_pos] ^= 1
@@ -245,65 +241,57 @@ class CascadeCorrector(_CascadeParty):
         for lay, mismatch in zip(self.layouts, self._mismatch):
             mismatch[int(lay.inverse[real_pos]) // lay.block_size] ^= 1
 
-    def _pending(self) -> list[_Search]:
-        return [s for s in self.searches if s.hi - s.lo > 1]
-
     def start(self) -> tuple:
-        return ("pass_begin", 0)
+        if self._run is not None:
+            raise ReconciliationFailed("reconciliation already started")
+        self._run = self._messages()
+        return next(self._run)
 
     def on_reply(self, msg: tuple):
-        """Consume the responder's reply; return the next message or None."""
-        if self.residual_check is not None:
-            raise ReconciliationFailed("reconciliation already finished")
-        kind = msg[0]
-        if kind == "pass_parities":
-            p = msg[1]
-            if p != len(self._mismatch):
-                raise ReconciliationFailed("pass parities out of order")
-            remote = np.asarray(msg[2], dtype=np.uint8)
-            mine = _block_parities(self._prefix(p), self.layouts[p].block_size)
-            if len(remote) != len(mine):
-                raise ReconciliationFailed("pass parity count mismatch")
-            self._mismatch.append(remote ^ mine)
-            self._disclose(len(remote))
-        elif kind == "range_reply":
-            self._consume_range_reply(np.asarray(msg[1], dtype=np.uint8))
-            self._disclose(len(msg[1]))
-        elif kind == "verify_result":
-            if not self._compare_digests(msg[1]):
-                return None
-        else:
-            raise ReconciliationFailed(f"unexpected reconciliation reply {kind!r}")
-        return self._next_action()
+        """Consume the responder's reply; return the next message, or None once Cascade is over."""
+        if self._run is None or self._run.gi_frame is None:  # not started, or over
+            raise ReconciliationFailed("reconciliation not running")
+        try:
+            return self._run.send(msg)
+        except StopIteration:
+            return None
 
-    def _next_action(self) -> tuple:
-        pending = self._pending()
-        if pending:
-            return ("range_query", [(s.pass_index, s.lo, (s.lo + s.hi) // 2) for s in pending])
-        # all searches done: apply flips, then look for new mismatches
-        for pos in {self.layouts[s.pass_index].permutation[s.lo] for s in self.searches}:
-            self._flip(int(pos))
-        self.searches = []
-        for p, mismatch in enumerate(self._mismatch):
-            blocks = np.flatnonzero(mismatch)
-            if len(blocks):
-                size, pref = self.layouts[p].block_size, self._prefix(p)
-                self.searches = [_Search(p, int(b) * size, min((int(b) + 1) * size, self.n), pref) for b in blocks]
-                return self._next_action()
-        if len(self._mismatch) < len(self.layouts):
-            return ("pass_begin", len(self._mismatch))
-        return ("verify", key_hash_64(self.key), self.corrections)
+    def close(self) -> None:
+        """End a Cascade cut short: a suspended generator holds this corrector."""
+        if self._run is not None:
+            self._run.close()
 
-    def _consume_range_reply(self, answers: np.ndarray) -> None:
-        pending = self._pending()
-        if len(answers) != len(pending):
-            raise ReconciliationFailed("range reply length mismatch")
-        for s, remote_left in zip(pending, answers):
-            mid = (s.lo + s.hi) // 2
-            if int(remote_left) != _range_parity(s.prefix, s.lo, mid):
-                s.hi = mid
-            else:
-                s.lo = mid
+    def _messages(self):
+        """Cascade's messages; it ends with `return`, so a finished run holds nothing."""
+        while True:
+            for p in range(len(self._mismatch), len(self.layouts)):
+                reply = _expect((yield ("pass_begin", p)), "pass_parities")
+                remote = np.asarray(reply[2], dtype=np.uint8)
+                mine = _block_parities(self._prefix(p), self.layouts[p].block_size)
+                if reply[1] != p or len(remote) != len(mine):
+                    raise ReconciliationFailed(f"pass parities are not the {len(mine)} of pass {p}")
+                self._disclose(len(remote))
+                self._mismatch.append(remote ^ mine)
+                while mismatched := [q for q, m in enumerate(self._mismatch) if m.any()]:
+                    q = mismatched[0]  # search the lowest such pass; one range query a level
+                    lay, pref = self.layouts[q], self._prefix(q)
+                    lo = np.flatnonzero(self._mismatch[q]) * lay.block_size  # [lo, hi): one per block
+                    hi = np.minimum(lo + lay.block_size, self.n)
+                    while (open_ := np.flatnonzero(hi - lo > 1)).size:
+                        mid = (lo[open_] + hi[open_]) // 2
+                        query = list(zip([q] * len(open_), lo[open_].tolist(), mid.tolist()))
+                        reply = _expect((yield ("range_query", query)), "range_reply")
+                        if len(reply[1]) != len(open_):
+                            raise ReconciliationFailed("range reply length mismatch")
+                        self._disclose(len(open_))
+                        left = np.asarray(reply[1], dtype=np.uint8) != pref[mid] ^ pref[lo[open_]]
+                        hi[open_[left]] = mid[left]  # the error is left of mid
+                        lo[open_[~left]] = mid[~left]
+                    for pos in lay.permutation[lo].tolist():
+                        self._flip(pos)
+            reply = _expect((yield ("verify", key_hash_64(self.key), self.corrections)), "verify_result")
+            if not self._compare_digests(reply[1]):
+                return
 
 
 # ---------------------------------------------------------------------------

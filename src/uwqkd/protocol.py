@@ -365,6 +365,8 @@ class _Session:
         self.abort_reason = reason
         self.abort_message = message
         self.no_key = True
+        if isinstance(self.cascade, CascadeCorrector):
+            self.cascade.close()  # a Cascade cut short: its generator holds the corrector
         if not notify:
             return []
         return [self._emit(FrameType.ABORT, int(reason), np.frombuffer(message.encode(), np.uint8))]

@@ -255,6 +255,33 @@ def test_cutoff_distance_brackets_floor():
         cutoff_distance(0.018, rate_floor_per_pulse=floor, repetition_rate=1e6, **kw)
 
 
+@pytest.mark.parametrize(
+    "coefficient, floor, link",
+    [
+        (0.018, 1e-5, dict(y0=1e-5, e_detector=0.012)),
+        (jerlov_coefficient("I"), 1e-5, dict(receiver=ReceiverLoss(), y0=2.578e-5, e_detector=0.01223, mu=0.7)),
+        (0.13, 1e-7, dict(y0=3e-5, e_detector=0.02)),
+        (1.569, 1e-6, dict(y0=1e-6, e_detector=0.005, mu=0.5, nu=0.05)),
+    ],
+)
+def test_cutoff_distance_stops_once_the_interval_stands_still(monkeypatch, coefficient, floor, link):
+    """Once the midpoint equals lo or hi, every further bisection step repeats
+    it: the search returns that float, the one 200 steps end on, after far
+    fewer model evaluations."""
+
+    def rate_at(d):
+        return sweep_distance(coefficient, [d], **link)[0].r_per_pulse
+
+    lo, hi = 0.0, 2000.0
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        lo, hi = (mid, hi) if rate_at(mid) > floor else (lo, mid)
+    calls = []
+    monkeypatch.setattr(uwqkd.analysis, "sweep_distance", lambda *a, **k: calls.append(a) or sweep_distance(*a, **k))
+    assert cutoff_distance(coefficient, rate_floor_per_pulse=floor, **link) == 0.5 * (lo + hi)
+    assert 0 < len(calls) <= 64
+
+
 def test_calibrate_roundtrip():
     """Anchors generated from known parameters fit back to those parameters."""
     y0_true, e_d_true = 3e-5, 0.012

@@ -250,6 +250,9 @@ def test_config_missing_key_raises(mutate):
         # float() read true as 1.0 and false as 0.0
         lambda d: d["source"].__setitem__("mu", True),
         lambda d: d.__setitem__("misalignment_deg", False),
+        # float() and int() read a numeric string, so a quoted number loaded
+        lambda d: d["source"].__setitem__("mu", "0.8"),
+        lambda d: d.__setitem__("n_pulses", "4000000"),
     ],
     ids=[
         "n_pulses", "n_pulses_u32", "mu_type", "nu_order", "length",
@@ -258,7 +261,7 @@ def test_config_missing_key_raises(mutate):
         "optics_nan", "misalignment_nan", "rate_inf", "rate_nan", "timeout_nan",
         "timeout_inf", "q_zero", "q_above_one", "efficiency_below_one",
         "n_pulses_fraction", "n_pulses_bool", "seed_fraction", "cascade_passes_fraction",
-        "min_key_bits_fraction", "mu_bool", "misalignment_bool",
+        "min_key_bits_fraction", "mu_bool", "misalignment_bool", "mu_string", "n_pulses_string",
     ],
 )
 def test_config_bad_value_raises(mutate):
@@ -345,6 +348,16 @@ def test_protocol_must_match_source(base_cfg, field):
     value = getattr(base_cfg.protocol, field) * 0.5
     with pytest.raises(ConfigError, match="source"):
         dataclasses.replace(base_cfg, protocol=dataclasses.replace(base_cfg.protocol, **{field: value}))
+
+
+def test_source_seed_must_match_seed_alice(base_cfg):
+    """The transmitter draws its pulses from seed_alice, so a source rng_seed
+    that differs would be a setting the run ignores."""
+    with pytest.raises(ConfigError, match="rng_seed"):
+        dataclasses.replace(base_cfg, source=dataclasses.replace(base_cfg.source, rng_seed=999))
+    with pytest.raises(ConfigError, match="rng_seed"):
+        dataclasses.replace(base_cfg, seed_alice=base_cfg.seed_alice + 1)
+    assert override_seeds(base_cfg, 999).source.rng_seed == 999
 
 
 def test_digest_stable_and_sensitive(base_cfg):
@@ -1158,6 +1171,7 @@ def test_cli_sweep_requires_section(tmp_path, capsys):
         ({"distances_m": 5}, "sweep.distances_m"),
         ({"distances_m": [10.0, "far"]}, "sweep.distances_m[1]"),
         ({"distances_m": [True, 50]}, "sweep.distances_m[0]"),  # not a sweep from 1.0 m
+        ({"distances_m": ["50", 100]}, "sweep.distances_m[0]"),  # a number, not a string float() reads
         ({"distances_m": [10.0], "jerlov_type": ["III"]}, "sweep.jerlov_type"),
         ({"distances_m": [10.0], "y0": None}, "sweep.y0"),  # leave it out for the default
         ([10.0], "config key sweep must be a JSON object"),
@@ -1199,6 +1213,7 @@ def test_cli_calibrate_needs_two_anchors(tmp_path, capsys):
         ({"anchors": [{"total_loss_db": 30.0, "value": 8e-4}, good]}, "calibration.anchors[0].kind"),
         ({"anchors": [pair[0], {**good, "kind": "e_muu"}]}, "calibration.anchors[1].kind"),
         ({"anchors": [{**pair[0], "total_loss_db": -1.0}, good]}, "calibration.anchors[0].total_loss_db"),
+        ({"anchors": [{**pair[0], "total_loss_db": "30"}, good]}, "calibration.anchors[0].total_loss_db"),
         ({"anchors": [pair[0], {**good, "value": True}]}, "calibration.anchors[1].value"),
         ({"anchors": [5, good]}, "calibration.anchors[0]"),
         ({"anchors": 5}, "calibration.anchors"),

@@ -11,7 +11,6 @@ from uwqkd.postprocess import (
     _block_parities,
     _layouts,
     _parity_prefix,
-    _range_parity,
     binary_entropy,
     final_key_length,
     generate_pa_seed,
@@ -89,7 +88,7 @@ def test_parities_read_off_the_prefix_match_direct_sums(n, block_size):
     assert _block_parities(pref, size).tolist() == direct
     for lo, hi in rng.integers(0, n + 1, size=(200, 2)):
         lo, hi = sorted((int(lo), int(hi)))
-        assert _range_parity(pref, lo, hi) == permuted[lo:hi].sum() & 1
+        assert pref[hi] ^ pref[lo] == permuted[lo:hi].sum() & 1
 
 
 def test_cascade_error_free_key():
@@ -172,6 +171,32 @@ def test_cascade_rejects_wrong_parity_count():
     kind, p, parities = responder.on_message(corrector.start())
     with pytest.raises(ReconciliationFailed):
         corrector.on_reply((kind, p, parities[:-1]))
+
+
+@pytest.mark.parametrize("ask", [("pass_begin", 1), ("verify", 0, 0)])
+def test_corrector_takes_only_the_reply_it_asked_for(ask):
+    """While a range reply is due, another kind of reply fails and counts
+    nothing: no digest, no second round, no parities. So do a second start
+    and a reply before the first message, after a failure or after the end."""
+    reference, noisy = _keys_with_errors(1024, 10, seed=7)
+    corrector = CascadeCorrector(noisy, 0.02, seed=1)
+    responder = CascadeResponder(reference, 0.02, seed=1)
+    reply = CascadeResponder(reference, 0.02, seed=1).on_message(ask)  # well formed, but out of turn
+    msg = corrector.start()
+    while msg[0] != "range_query":
+        msg = corrector.on_reply(responder.on_message(msg))
+    counted = corrector.parity_bits
+    with pytest.raises(ReconciliationFailed, match="unexpected reconciliation reply"):
+        corrector.on_reply(reply)
+    assert (corrector.parity_bits, corrector.digests, len(corrector.layouts)) == (counted, 0, 4)
+    with pytest.raises(ReconciliationFailed, match="already started"):
+        corrector.start()
+    with pytest.raises(ReconciliationFailed, match="not running"):
+        corrector.on_reply(responder.on_message(msg))
+
+    for corrector in (CascadeCorrector(noisy, 0.02, seed=1), _cascade(noisy, reference, 0.02, seed=1)[0]):
+        with pytest.raises(ReconciliationFailed, match="not running"):
+            corrector.on_reply(reply)
 
 
 def test_cascade_parity_budget_guards_both_sides():

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import math
 import struct
+import weakref
 import zlib
 
 import numpy as np
@@ -623,6 +625,32 @@ def test_ledger_holds_on_every_exit_from_cascade(mangle, reasons):
         assert side.parity_bits <= 8 * len(side.remaining_key)
     if reasons[0] in (None, AbortReason.VERIFY_FAILED):
         assert (alice.parity_bits, alice.leaked_bits) == (bob.parity_bits, bob.leaked_bits)
+
+
+def test_no_cycle_keeps_a_corrector_alive():
+    """The corrector's suspended generator refers back to the corrector. A
+    Cascade that ends returns from it, and an abort mid-Cascade closes it, so
+    with the cyclic collector off the corrector is freed with its session."""
+    gc.disable()
+    try:
+        alice, bob = pump(*make_sessions())
+        assert bob.phase is Phase.DONE
+        corrector = weakref.ref(bob.cascade)
+        del alice, bob
+        assert corrector() is None
+
+        alice, bob = make_sessions()
+        to_bob = [encode_frame(f) for f in alice.start()]
+        while bob.cascade is None:  # up to Bob's pass_begin and Alice's parities
+            to_alice = [encode_frame(f) for data in to_bob for f in bob.step(IncomingFrame(data))]
+            to_bob = [encode_frame(f) for data in to_alice for f in alice.step(IncomingFrame(data))]
+        assert bob.phase is Phase.RECONCILIATION
+        bob.step(Timeout())
+        corrector = weakref.ref(bob.cascade)
+        del alice, bob
+        assert corrector() is None
+    finally:
+        gc.enable()
 
 
 @pytest.mark.parametrize("payload", [b"", struct.pack(">BH", 0xFF, 0)])
