@@ -3,7 +3,8 @@
 Cascade runs over four passes with block halving searches. The corrector
 (holder of the noisy key) drives; the responder (holder of the reference key)
 only ever answers parity questions about fixed ranges of its own key, plus a
-64-bit digest comparison after the last pass. A correction found in pass p
+comparison of 64-bit digests (BLAKE2b-64 of the key) after the last pass,
+whose reply carries only the match bit. A correction found in pass p
 re-checks the containing blocks of every earlier pass (backtracking). That
 still leaves errors when the sampled QBER hint is far too low: the blocks are
 then too large for four passes. So the first digest mismatch starts a second
@@ -13,7 +14,10 @@ Both sides derive from one party, which owns the layouts, the second round,
 Cascade's outcome (the corrections, the residual digest check) and the
 ledger of parity bits and digests under one 8n parity budget; a parity is
 counted only once it is within that budget, so the ledger never exceeds it.
-A session holds one party and reads that outcome off it in place.
+A session holds one party and reads that outcome off it in place. Each
+party takes a message only of the kind it expects, with that kind's fields
+and a pass index of a laid-out pass; anything else fails. A search level is
+one range query: one pass index and two index columns, answered in one gather.
 Every parity either side computes, of a whole block or of a search range
 [lo, hi), is read off one array, the prefix sums mod 2 of the pass's permuted
 key: pref[hi] ^ pref[lo].
@@ -30,7 +34,9 @@ window is recomputed exactly with an integer convolution.
 
 from __future__ import annotations
 
+import hashlib
 import math
+import operator
 import struct
 from dataclasses import dataclass
 
@@ -54,43 +60,18 @@ def binary_entropy(x):
     return float(h) if np.isscalar(x) or np.ndim(x) == 0 else h
 
 
-# ---------------------------------------------------------------------------
-# 64-bit polynomial digest (table-driven CRC-64, poly 0x42F0E1EBA9EA3693).
-
-_CRC64_POLY = 0x42F0E1EBA9EA3693
-_MASK64 = (1 << 64) - 1
-
-
-def _build_crc64_table() -> list[int]:
-    table = []
-    for byte in range(256):
-        crc = byte << 56
-        for _ in range(8):
-            if crc & (1 << 63):
-                crc = ((crc << 1) ^ _CRC64_POLY) & _MASK64
-            else:
-                crc = (crc << 1) & _MASK64
-        table.append(crc)
-    return table
-
-
-_CRC64_TABLE = _build_crc64_table()
-
-
 def key_hash_64(bits: np.ndarray) -> int:
-    """Degree-64 polynomial digest of a bit string; bit length is mixed in."""
+    """64-bit BLAKE2b digest of a bit string's packed bits and its bit length."""
     bits = np.asarray(bits, dtype=np.uint8)
     data = np.packbits(bits).tobytes() + struct.pack(">Q", len(bits))
-    crc = 0
-    for b in data:
-        crc = (_CRC64_TABLE[((crc >> 56) ^ b) & 0xFF] ^ (crc << 8)) & _MASK64
-    return crc
+    return int.from_bytes(hashlib.blake2b(data, digest_size=8).digest(), "big")
 
 
 # ---------------------------------------------------------------------------
 # Cascade
 
 _PARITY_BUDGET_FACTOR = 8  # hard loop guard; observed usage stays under 4n
+_MASK64 = (1 << 64) - 1
 
 
 def _initial_block_size(qber_hint: float) -> int:
@@ -139,6 +120,22 @@ def _block_parities(pref: np.ndarray, block_size: int) -> np.ndarray:
     return edges[1:] ^ edges[:-1]
 
 
+def _column(dtype):
+    """A converter of a message field to a 1-D array of dtype: a scalar fails in len, 2-D in reshape."""
+    return lambda values: np.asarray(values, dtype=dtype).reshape(len(values))
+
+
+# each Cascade message's fields after its kind, as converters; a pass index
+# opens those of the _PASS_INDEXED kinds
+_BITS, _INDICES = _column(np.uint8), _column(np.int64)
+_FIELDS = {
+    "pass_begin": (operator.index,), "pass_parities": (operator.index, _BITS),
+    "range_query": (operator.index, _INDICES, _INDICES), "range_reply": (_BITS,),
+    "verify": (operator.index, operator.index), "verify_result": (bool,),
+}
+_PASS_INDEXED = ("pass_begin", "pass_parities", "range_query")
+
+
 class _CascadeParty:
     """What the two sides of Cascade share: the key (a copy), the pass
     layouts, the second round, each pass's prefix parities, the outcome
@@ -166,6 +163,22 @@ class _CascadeParty:
             pref = self._prefixes[p] = _parity_prefix(self.key, self.layouts[p])
         return pref
 
+    def _expect(self, msg, *kinds: str) -> tuple:
+        """msg with its fields converted, if it is a tuple of one of `kinds` with
+        that kind's fields and a laid-out pass index; else ReconciliationFailed."""
+        if not (isinstance(msg, tuple) and msg and isinstance(msg[0], str) and msg[0] in kinds):
+            raise ReconciliationFailed(f"unexpected reconciliation message, expected {' or '.join(kinds)}")
+        kind, fields = msg[0], _FIELDS[msg[0]]
+        if len(msg) != 1 + len(fields):
+            raise ReconciliationFailed(f"{kind} has {len(msg) - 1} fields, not {len(fields)}")
+        try:
+            msg = (kind, *(convert(value) for convert, value in zip(fields, msg[1:])))
+        except (TypeError, ValueError, OverflowError) as exc:
+            raise ReconciliationFailed(f"malformed {kind}: {exc}") from None
+        if kind in _PASS_INDEXED and not 0 <= msg[1] < len(self.layouts):
+            raise ReconciliationFailed(f"{kind} names pass {msg[1]} of {len(self.layouts)}")
+        return msg
+
     def _disclose(self, n_parities: int) -> None:
         """Count parities within the budget; past it, count none and fail."""
         if self.parity_bits + n_parities > _PARITY_BUDGET_FACTOR * self.n:
@@ -191,38 +204,24 @@ class _CascadeParty:
 class CascadeResponder(_CascadeParty):
     """Reference-key side of Cascade: answers parity questions, never mutates."""
 
-    def _answers(self, queries):
-        """The parity of each queried range, in order; a range outside the key fails."""
-        for p, lo, hi in queries:
-            pref = self._prefix(p)
-            if not 0 <= lo < hi <= self.n:
-                raise ReconciliationFailed(f"bad parity range [{lo}, {hi})")
-            yield int(pref[hi] ^ pref[lo])
-
     def on_message(self, msg: tuple) -> tuple:
-        kind = msg[0]
+        kind, *fields = self._expect(msg, "pass_begin", "range_query", "verify")
         if kind == "pass_begin":
-            p = msg[1]
+            (p,) = fields
             parities = _block_parities(self._prefix(p), self.layouts[p].block_size)
             self._disclose(len(parities))
             return ("pass_parities", p, parities)
-        if kind == "range_query":
-            answers = np.fromiter(self._answers(msg[1]), dtype=np.uint8, count=len(msg[1]))
-            self._disclose(len(answers))
-            return ("range_reply", answers)
-        if kind == "verify":
-            self.corrections = int(msg[2])
-            mine = key_hash_64(self.key)
-            self._compare_digests(msg[1] == mine)
-            return ("verify_result", msg[1] == mine, mine)
-        raise ReconciliationFailed(f"unexpected reconciliation message {kind!r}")
-
-
-def _expect(reply, kind: str) -> tuple:
-    """reply itself if it is a tuple of the kind the last message asked for."""
-    if not (isinstance(reply, tuple) and reply and isinstance(reply[0], str) and reply[0] == kind):
-        raise ReconciliationFailed(f"unexpected reconciliation reply, expected {kind!r}")
-    return reply
+        if kind == "range_query":  # one pass's ranges [lo, hi), answered in one gather
+            p, lo, hi = fields
+            if len(lo) != len(hi) or not np.all((0 <= lo) & (lo < hi) & (hi <= self.n)):
+                raise ReconciliationFailed("range query bounds unpaired or outside the key")
+            self._disclose(len(lo))
+            pref = self._prefix(p)
+            return ("range_reply", pref[hi] ^ pref[lo])
+        digest, self.corrections = fields
+        match = digest == key_hash_64(self.key)
+        self._compare_digests(match)
+        return ("verify_result", match)
 
 
 class CascadeCorrector(_CascadeParty):
@@ -265,10 +264,9 @@ class CascadeCorrector(_CascadeParty):
         """Cascade's messages; it ends with `return`, so a finished run holds nothing."""
         while True:
             for p in range(len(self._mismatch), len(self.layouts)):
-                reply = _expect((yield ("pass_begin", p)), "pass_parities")
-                remote = np.asarray(reply[2], dtype=np.uint8)
+                _, p_remote, remote = self._expect((yield ("pass_begin", p)), "pass_parities")
                 mine = _block_parities(self._prefix(p), self.layouts[p].block_size)
-                if reply[1] != p or len(remote) != len(mine):
+                if p_remote != p or len(remote) != len(mine):
                     raise ReconciliationFailed(f"pass parities are not the {len(mine)} of pass {p}")
                 self._disclose(len(remote))
                 self._mismatch.append(remote ^ mine)
@@ -279,18 +277,18 @@ class CascadeCorrector(_CascadeParty):
                     hi = np.minimum(lo + lay.block_size, self.n)
                     while (open_ := np.flatnonzero(hi - lo > 1)).size:
                         mid = (lo[open_] + hi[open_]) // 2
-                        query = list(zip([q] * len(open_), lo[open_].tolist(), mid.tolist()))
-                        reply = _expect((yield ("range_query", query)), "range_reply")
-                        if len(reply[1]) != len(open_):
+                        _, remote = self._expect((yield ("range_query", q, lo[open_], mid)), "range_reply")
+                        if len(remote) != len(open_):
                             raise ReconciliationFailed("range reply length mismatch")
                         self._disclose(len(open_))
-                        left = np.asarray(reply[1], dtype=np.uint8) != pref[mid] ^ pref[lo[open_]]
+                        left = remote != pref[mid] ^ pref[lo[open_]]
                         hi[open_[left]] = mid[left]  # the error is left of mid
                         lo[open_[~left]] = mid[~left]
                     for pos in lay.permutation[lo].tolist():
                         self._flip(pos)
-            reply = _expect((yield ("verify", key_hash_64(self.key), self.corrections)), "verify_result")
-            if not self._compare_digests(reply[1]):
+            verdict = yield ("verify", key_hash_64(self.key), self.corrections)
+            _, match = self._expect(verdict, "verify_result")
+            if not self._compare_digests(match):
                 return
 
 

@@ -23,7 +23,8 @@ Message flow:
                             match bit (the bases agreed)
     Bob   QBER_SAMPLE       his bits: sampled signal, all matched decoy/vacuum
     Alice QBER_SAMPLE       her bits for the same slots
-    both  RECON_MSG ...     Cascade (Bob corrects toward Alice's key)
+    both  RECON_MSG ...     Cascade (Bob corrects toward Alice's key); a range
+                            query is one pass index and two index columns
     Alice PA_SEED           Toeplitz seed and final length
     both  Done
 
@@ -74,7 +75,8 @@ from .source import AliceView, StateClass
 
 MAX_PAYLOAD = (1 << 24) - 1
 _HEADER = struct.Struct(">BI")  # tag, sequence; then 3 length bytes
-_MIN_FRAME = 1 + 4 + 3 + 4
+HEADER_SIZE = 1 + 4 + 3
+_MIN_FRAME = HEADER_SIZE + 4
 
 
 class FrameType(IntEnum):
@@ -129,12 +131,16 @@ def encode_frame(frame: Frame) -> bytes:
     return body + struct.pack(">I", zlib.crc32(body))
 
 
+def bytes_after_header(header: bytes) -> int:
+    """How many bytes follow a frame's HEADER_SIZE-byte header: payload and CRC."""
+    return int.from_bytes(header[5:HEADER_SIZE], "big") + 4
+
+
 def decode_frame(data: bytes) -> Frame:
     if len(data) < _MIN_FRAME:
         raise FrameTruncatedError(f"frame needs at least {_MIN_FRAME} bytes, got {len(data)}")
     tag, sequence = _HEADER.unpack_from(data)
-    length = int.from_bytes(data[5:8], "big")
-    total = _MIN_FRAME + length
+    total = HEADER_SIZE + bytes_after_header(data)
     if len(data) != total:
         raise FrameTruncatedError(f"frame declares {total} bytes, got {len(data)}")
     (crc,) = struct.unpack_from(">I", data, total - 4)
@@ -144,7 +150,7 @@ def decode_frame(data: bytes) -> Frame:
         frame_type = FrameType(tag)
     except ValueError:
         raise UnknownFrameTypeError(f"unknown frame type 0x{tag:02x}") from None
-    return Frame(frame_type, sequence, data[8 : total - 4])
+    return Frame(frame_type, sequence, data[HEADER_SIZE : total - 4])
 
 
 # ---------------------------------------------------------------------------
@@ -152,14 +158,13 @@ def decode_frame(data: bytes) -> Frame:
 #
 # A layout is an ordered tuple of fields. A scalar is (name, big-endian struct
 # code). An array is (name, kind, count): kind is "bits" (packed MSB first,
-# padded to a whole byte), ">u4" (slot indices, read as int64), "u1" (bytes)
-# or _QUERY (Cascade range queries, read as a list of tuples); count is the
-# earlier field holding its length, which the encoder fills in, or a function
-# of the fields before it. RECON_MSG payloads open with a subkind byte that
-# picks the layout; a QBER_SAMPLE's sender role tells Bob's disclosure from
-# Alice's echo.
+# padded to a whole byte), ">u4" (slot or key indices, read as int64) or "u1"
+# (bytes); count is the earlier field holding its length, which the encoder
+# fills in (arrays that share it must be as long), or a function of the fields
+# before it. RECON_MSG payloads open with a subkind byte that picks the
+# layout; a Cascade range query is one pass index and two index columns, lo
+# and hi. A QBER_SAMPLE's sender role tells Bob's disclosure from Alice's echo.
 
-_QUERY = np.dtype([("pass_index", "u1"), ("lo", ">u4"), ("hi", ">u4")])  # 9 bytes, as >BII
 PAYLOAD_LAYOUTS = {
     FrameType.SYNC_HELLO: (("role", ">B"), ("digest", ">16s"), ("n_slots", ">Q")),
     FrameType.BASIS_REVEAL: (("n", ">I"), ("slots", ">u4", "n"), ("bases", "bits", "n")),
@@ -180,10 +185,12 @@ PAYLOAD_LAYOUTS = {
     (FrameType.RECON_MSG, 1): (
         ("subkind", ">B"), ("pass_index", ">B"), ("n", ">I"), ("parities", "bits", "n"),
     ),
-    (FrameType.RECON_MSG, 2): (("subkind", ">B"), ("n", ">I"), ("queries", _QUERY, "n")),
+    (FrameType.RECON_MSG, 2): (
+        ("subkind", ">B"), ("pass_index", ">B"), ("n", ">I"), ("lo", ">u4", "n"), ("hi", ">u4", "n"),
+    ),
     (FrameType.RECON_MSG, 3): (("subkind", ">B"), ("n", ">I"), ("parities", "bits", "n")),
     (FrameType.RECON_MSG, 4): (("subkind", ">B"), ("digest", ">Q"), ("corrections", ">I")),
-    (FrameType.RECON_MSG, 5): (("subkind", ">B"), ("ok", ">?"), ("digest", ">Q")),
+    (FrameType.RECON_MSG, 5): (("subkind", ">B"), ("ok", ">?")),
     FrameType.PA_SEED: (
         ("m", ">I"), ("n", ">I"), ("flags", ">B"),
         ("seed", "bits", lambda fields: max(fields["n"] + fields["m"] - 1, 0)),
@@ -191,7 +198,6 @@ PAYLOAD_LAYOUTS = {
     FrameType.ABORT: (("reason", ">B"), ("length", ">H"), ("message", "u1", "length")),
 }
 RECON_KINDS = ("pass_begin", "pass_parities", "range_query", "range_reply", "verify", "verify_result")
-_SUBKINDED = (FrameType.RECON_MSG,)
 # the fields a caller passes and gets back: all but the filled-in counts
 _VALUES = {
     key: tuple(f[0] for f in layout if f[0] not in {c[2] for c in layout if len(c) == 3})
@@ -213,20 +219,21 @@ def _read_array(kind, data, count: int):
     if kind == "bits":
         return np.unpackbits(np.frombuffer(data, dtype=np.uint8), count=count)
     values = np.frombuffer(data, dtype=kind)
-    if kind is _QUERY:
-        return values.tolist()
     return values.astype(np.int64) if kind == ">u4" else values
 
 
 def encode_payload(frame_type: FrameType, *values) -> bytes:
     """The payload holding `values` in the order of their layout's fields,
-    counts left out; a RECON_MSG subkind comes first."""
-    key = (frame_type, values[0]) if frame_type in _SUBKINDED else frame_type
+    counts left out; a RECON_MSG subkind comes first. ValueError if arrays
+    that share a count differ in length."""
+    key = (frame_type, values[0]) if frame_type is FrameType.RECON_MSG else frame_type
     layout = PAYLOAD_LAYOUTS[key]
     fields = dict(zip(_VALUES[key], values, strict=True))
     for name, _, *count in layout:
         if count and isinstance(count[0], str):
-            fields[count[0]] = len(fields[name])
+            n = len(fields[name])
+            if fields.setdefault(count[0], n) != n:
+                raise ValueError(f"{frame_type.name} field {name} has {n} values, not {fields[count[0]]}")
     return b"".join(
         _write_array(kind, fields[name]) if count else struct.pack(kind, fields[name])
         for name, kind, *count in layout
@@ -237,7 +244,7 @@ def decode_payload(frame_type: FrameType, payload: bytes) -> tuple:
     """The values encode_payload took; FrameDecodeError unless the payload is
     exactly one of the frame type's layouts."""
     key = frame_type
-    if frame_type in _SUBKINDED:
+    if frame_type is FrameType.RECON_MSG:
         if not payload:
             raise FrameDecodeError(f"empty {frame_type.name} payload")
         key = (frame_type, payload[0])
@@ -315,14 +322,9 @@ class _Session:
         self.phase = Phase.IDLE
         self.next_send_seq = 0
         self.next_recv_seq = 0
-        self.error_counters = {
-            "crc": 0,
-            "truncated": 0,
-            "unknown_type": 0,
-            "sequence_gap": 0,
-            "phase_violation": 0,
-            "timeout": 0,
-        }
+        self.error_counters = dict.fromkeys(
+            ("crc", "truncated", "unknown_type", *(r.name.lower() for r in _COUNTED_ABORTS)), 0
+        )
         self.abort_reason: AbortReason | None = None
         self.abort_message = ""
         self.flags: list[str] = []

@@ -22,7 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .protocol import Frame, IncomingFrame, Phase, Timeout, encode_frame
+from .protocol import HEADER_SIZE, Frame, IncomingFrame, Phase, Timeout, bytes_after_header, encode_frame
 
 _TERMINAL = (Phase.DONE, Phase.ABORTED)
 MAX_DELIVERIES = 1_000_000  # a pump that delivers more frames than this has looped
@@ -134,11 +134,10 @@ def _read_exact(sock: socket.socket, n: int, deadline: float) -> bytes | None:
 
 def read_frame_bytes(sock: socket.socket, deadline: float) -> bytes | None:
     """Read one length-delimited frame off a stream; None on clean EOF."""
-    header = _read_exact(sock, 8, deadline)
+    header = _read_exact(sock, HEADER_SIZE, deadline)
     if header is None:
         return None
-    length = int.from_bytes(header[5:8], "big")
-    rest = _read_exact(sock, length + 4, deadline)
+    rest = _read_exact(sock, bytes_after_header(header), deadline)
     if rest is None:
         raise ConnectionError("peer closed mid-frame")
     return header + rest

@@ -659,7 +659,7 @@ def test_transcript_written_and_replayable(tmp_path, base_cfg, base_report):
         decode_frame(e.data)
     # the wire bytes of the whole session, in transcript order
     assert hashlib.sha256(b"".join(e.data for e in entries)).hexdigest() == (
-        "b2457f762a3302d64ed77fad3f81378055bf3b2dc9f222ed920ae610d9585b3b"
+        "77add1c62eeab115422cc399dd0a53ca5173bef11cb45d7571d7fdacd66b3d0e"
     )
     # save/load is lossless
     copy_path = tmp_path / "copy.jsonl"

@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -54,24 +55,14 @@ def test_key_hash_is_sensitive():
     assert key_hash_64(bits[:999]) != h
 
 
-def test_key_hash_matches_bitwise_crc():
-    """Table-driven digest agrees with a direct bit-by-bit evaluation."""
-    poly = 0x42F0E1EBA9EA3693
-    mask = (1 << 64) - 1
-
-    def reference(data: bytes) -> int:
-        crc = 0
-        for byte in data:
-            crc ^= byte << 56
-            for _ in range(8):
-                crc = ((crc << 1) ^ poly) & mask if crc & (1 << 63) else (crc << 1) & mask
-        return crc
-
+def test_key_hash_is_blake2b_64():
+    """The digest is BLAKE2b-64, big-endian, of the packed bits followed by
+    the bit length as 8 big-endian bytes."""
     rng = np.random.default_rng(3)
     for n in (0, 1, 7, 64, 129):
         bits = rng.integers(0, 2, size=n, dtype=np.uint8)
         data = np.packbits(bits).tobytes() + n.to_bytes(8, "big")
-        assert key_hash_64(bits) == reference(data)
+        assert key_hash_64(bits) == int(hashlib.blake2b(data, digest_size=8).hexdigest(), 16)
 
 
 @pytest.mark.parametrize("n, block_size", [(1024, 37), (1000, 8), (64, 64), (100, 200)])
@@ -186,7 +177,7 @@ def test_corrector_takes_only_the_reply_it_asked_for(ask):
     while msg[0] != "range_query":
         msg = corrector.on_reply(responder.on_message(msg))
     counted = corrector.parity_bits
-    with pytest.raises(ReconciliationFailed, match="unexpected reconciliation reply"):
+    with pytest.raises(ReconciliationFailed, match="unexpected reconciliation message"):
         corrector.on_reply(reply)
     assert (corrector.parity_bits, corrector.digests, len(corrector.layouts)) == (counted, 0, 4)
     with pytest.raises(ReconciliationFailed, match="already started"):
@@ -207,10 +198,10 @@ def test_cascade_parity_budget_guards_both_sides():
     key, _ = _keys_with_errors(1024, 0, seed=7)
     responder = CascadeResponder(key, 0.02, seed=1)
     for _ in range(8):
-        responder.on_message(("range_query", [(0, 0, 1)] * 1024))
+        responder.on_message(("range_query", 0, [0] * 1024, [1] * 1024))
     assert responder.parity_bits == 8 * 1024
     with pytest.raises(ReconciliationFailed, match="budget"):
-        responder.on_message(("range_query", [(0, 0, 1)]))
+        responder.on_message(("range_query", 0, [0], [1]))
 
     corrector = CascadeCorrector(key, 0.02, seed=1)
 
@@ -226,6 +217,80 @@ def test_cascade_parity_budget_guards_both_sides():
         for _ in range(8 * 1024):
             msg = corrector.on_reply(lying_reply(msg))
     assert corrector.parity_bits == 8 * 1024  # the refused reply is not counted
+
+
+def test_responder_answers_a_level_in_one_gather():
+    """Each answer to a range query is the parity of the named pass's
+    permuted key over that range [lo, hi), in the order of the ranges."""
+    key, _ = _keys_with_errors(1024, 0, seed=5)
+    responder = CascadeResponder(key, 0.02, seed=4)
+    rng = np.random.default_rng(6)
+    for p in range(4):
+        permuted = key[responder.layouts[p].permutation].astype(np.int64)
+        lo = rng.integers(0, 1024, size=300)
+        hi = lo + 1 + rng.integers(0, 1024 - lo)  # in (lo, 1024]
+        kind, answers = responder.on_message(("range_query", p, lo, hi))
+        assert kind == "range_reply" and answers.dtype == np.uint8
+        assert answers.tolist() == [permuted[a:b].sum() & 1 for a, b in zip(lo, hi)]
+    assert responder.parity_bits == 4 * 300
+
+
+def _party(state):
+    """A responder, a corrector awaiting its first pass parities, or one
+    awaiting a range reply; and the call that takes its next message."""
+    reference, noisy = _keys_with_errors(1024, 10, seed=7)
+    responder = CascadeResponder(reference, 0.02, seed=1)
+    if state == "responder":
+        return responder, responder.on_message
+    corrector = CascadeCorrector(noisy, 0.02, seed=1)
+    msg = corrector.start()
+    while state == "searching" and msg[0] != "range_query":
+        msg = corrector.on_reply(responder.on_message(msg))
+    return corrector, corrector.on_reply
+
+
+@pytest.mark.parametrize(
+    "state, msg",
+    [
+        ("responder", ("pass_begin", 9)),
+        ("responder", ("pass_begin", -1)),
+        ("responder", ("pass_begin", 1.0)),
+        ("responder", ("pass_begin",)),
+        ("responder", ("verify", 1)),
+        ("responder", ("verify", None, 0)),
+        ("responder", ("range_query", [(0, 0, 1)])),
+        ("responder", ("range_query", 4, [0], [1])),
+        ("responder", ("range_query", 0, [0, 1], [1])),
+        ("responder", ("range_query", 0, [2], [1])),
+        ("responder", ("range_query", 0, [0], [1025])),
+        ("responder", ("range_query", 0, [-1], [1])),
+        ("responder", ("range_query", 0, [[0, 1]], [[1, 2]])),
+        ("responder", ("range_query", 0, 0, 1)),
+        ("responder", ("range_reply", [0])),
+        ("responder", "pass_begin"),
+        ("responder", ()),
+        ("corrector", ("pass_parities",)),
+        ("corrector", ("pass_parities", 0, None)),
+        ("corrector", ("pass_parities", 0, [[0, 1]])),
+        ("corrector", ("pass_parities", None, [0])),
+        ("corrector", ("pass_parities", 9, [0])),
+        ("corrector", ("pass_parities", 0, [0] * 3)),
+        ("searching", ("range_reply",)),
+        ("searching", ("range_reply", None)),
+        ("searching", ("range_reply", 1)),
+        ("searching", ("range_reply", [0, 1], [1])),
+    ],
+)
+def test_cascade_parties_refuse_malformed_messages(state, msg):
+    """A message of a kind the party does not take now, of another arity,
+    with a field of the wrong type or shape, naming a pass that is not laid
+    out, or with a range outside the key fails with ReconciliationFailed and
+    counts nothing."""
+    party, take = _party(state)
+    counted = party.parity_bits
+    with pytest.raises(ReconciliationFailed):
+        take(msg)
+    assert (party.parity_bits, party.digests) == (counted, 0)
 
 
 def test_cascade_hint_domain():

@@ -120,10 +120,10 @@ def test_every_single_bit_flip_is_detected():
 @pytest.mark.parametrize("msg", [
     ("pass_begin", 2),
     ("pass_parities", 1, np.array([1, 0, 1, 1, 0, 0, 1], dtype=np.uint8)),
-    ("range_query", [(0, 0, 16), (2, 37, 74), (3, 1000, 2000)]),
+    ("range_query", 3, np.array([0, 37, 1000]), np.array([16, 74, 2000])),
     ("range_reply", np.array([0, 1, 1], dtype=np.uint8)),
     ("verify", 0xDEADBEEFCAFEF00D, 42),
-    ("verify_result", True, 0x0123456789ABCDEF),
+    ("verify_result", True),
 ])
 def test_recon_payload_roundtrip(msg):
     subkind = RECON_KINDS.index(msg[0])
@@ -145,13 +145,16 @@ def test_recon_payload_rejects_garbage():
 
 
 def test_payload_bytes_follow_the_layouts():
-    """Pinned bytes: a range query is the old >BII record per query, a sift
-    reply one class byte and one match bit per click, and counts are filled
-    in from the arrays' lengths."""
-    queries = [(0, 0, 16), (2, 37, 74)]
-    assert encode_payload(FrameType.RECON_MSG, 2, queries) == (
-        struct.pack(">BI", 2, 2) + struct.pack(">BII", 0, 0, 16) + struct.pack(">BII", 2, 37, 74)
-    )
+    """Pinned bytes: a range query is its pass byte, then its lo column and
+    its hi column of >u4, a verify result only its match byte, a sift reply
+    one class byte and one match bit per click, and counts are filled in
+    from the arrays' lengths."""
+    range_query = struct.pack(">BBI", 2, 3, 2) + struct.pack(">II", 0, 37) + struct.pack(">II", 16, 74)
+    assert encode_payload(FrameType.RECON_MSG, 2, 3, [0, 37], [16, 74]) == range_query
+    back = decode_payload(FrameType.RECON_MSG, range_query)
+    assert back[:2] == (2, 3) and back[2].tolist() == [0, 37] and back[3].tolist() == [16, 74]
+    assert back[2].dtype == back[3].dtype == np.int64
+    assert encode_payload(FrameType.RECON_MSG, 5, True) == b"\x05\x01"
     kinds, matched = np.array([2, 0], dtype=np.uint8), np.array([True, False])
     sift_ack = struct.pack(">QQQQQdI", 5, 3, 2, 7, 9, 0.5, 2) + b"\x02\x00\x80"
     assert encode_payload(FrameType.SIFT_ACK, 5, 3, 2, 7, 9, 0.5, kinds, matched) == sift_ack
@@ -162,6 +165,23 @@ def test_payload_bytes_follow_the_layouts():
     assert encode_payload(FrameType.PA_SEED, 4, 6, 1, bits) == struct.pack(">IIB", 4, 6, 1) + b"\xb0\x80"
     assert encode_payload(FrameType.ABORT, 4, np.frombuffer(b"hi", np.uint8)) == b"\x04\x00\x02hi"
     assert {key if isinstance(key, FrameType) else key[0] for key in PAYLOAD_LAYOUTS} == set(FrameType)
+
+
+@pytest.mark.parametrize(
+    "frame_type, values, field",
+    [
+        (FrameType.BASIS_REVEAL, ([1, 2, 3], [0, 1]), "bases"),
+        (FrameType.BASIS_REVEAL, ([1, 2], [0, 1, 1]), "bases"),
+        (FrameType.SIFT_ACK, (5, 3, 2, 7, 9, 0.5, np.array([2, 0], np.uint8), [True]), "matched"),
+        (FrameType.RECON_MSG, (2, 0, [0, 37], [16]), "hi"),
+    ],
+    ids=["basis_reveal_short", "basis_reveal_long", "sift_ack", "range_query"],
+)
+def test_encode_payload_refuses_arrays_unequal_in_a_shared_count(frame_type, values, field):
+    """Arrays that share one count field must be as long; otherwise the
+    encoder names the frame type and the field, and writes nothing."""
+    with pytest.raises(ValueError, match=f"{frame_type.name} field {field} has"):
+        encode_payload(frame_type, *values)
 
 
 def test_sample_payload_roundtrip():
@@ -569,11 +589,12 @@ def test_receiver_checks_peer_fields(mangle, reason, message):
 
 
 def _flood(values):
-    values[1] = [(0, 0, 1)] * (8 * 4096 + 1)  # more than 8 n for any key of these 4096 slots
+    n = 8 * 4096 + 1  # more than 8 n for any key of these 4096 slots
+    values[1:] = [0, np.zeros(n, np.int64), np.ones(n, np.int64)]
 
 
 def _range_outside_key(values):
-    values[1] = [(0, 0, 0xFFFFFFFF)]
+    values[1:] = [0, [0], [0xFFFFFFFF]]
 
 
 def _drop_pass_parity(values):
@@ -671,7 +692,7 @@ def test_truncated_payloads_abort_without_raising():
     assert {decode_frame(data).frame_type for data in clean} == set(FrameType) - {FrameType.ABORT}
     # the wire bytes of the clean session, in delivery order
     assert hashlib.sha256(b"".join(clean)).hexdigest() == (
-        "b253bb20d2ecef1042f34e81167380acd223d98d581f47253a805fdc28b8b077"
+        "04693f7c767a880a6566a26fb74c48ad8bf482fa30237cfb8e0020afa60025e0"
     )
     resizes = [lambda p, cut=cut: p[:-cut] for cut in range(1, 5)]
     resizes += [lambda p: p + b"\x00", lambda p: p + b"\x00\x00"]
