@@ -7,21 +7,12 @@ amplify. The run report is a plain dict, ready for JSON.
 """
 
 import json
+from pathlib import Path
 
-from uwqkd import config_from_dict, run_experiment
+from uwqkd import load_config, run_experiment
 
-config = {
-    "n_pulses": 4_000_000,
-    "seeds": {"alice": 401, "bob": 402, "channel": 403},
-    "source": {"mu": 0.8, "nu": 0.1, "repetition_rate_hz": 20e6},
-    # 2.4 m tank at the clearest operating point plus the standard receiver
-    "channel": {"attenuation_coefficient_per_m": 0.98, "length_m": 2.4},
-    "receiver": {"optics_loss_db": 4.1, "detector_efficiency": 0.2},
-    "detector": {"dark_count_prob_per_gate": 2e-5},
-    "misalignment_deg": 6.859,
-}
-
-cfg = config_from_dict(config)
+# the 2.4 m tank at the clearest operating point plus the standard receiver
+cfg = load_config(Path(__file__).resolve().parents[1] / "configs" / "tank_run.json")
 print(f"total loss: {cfg.total_loss_db:.2f} dB (eta = {cfg.eta:.3e})")
 
 report = run_experiment(cfg)

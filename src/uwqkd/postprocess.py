@@ -233,13 +233,6 @@ class CascadeCorrector(_CascadeParty):
         self._mismatch: list[np.ndarray] = []  # per begun pass: remote ^ own block parities
         self._run = None  # the _messages generator, once started
 
-    def _flip(self, real_pos: int) -> None:
-        self.key[real_pos] ^= 1
-        self._prefixes.clear()
-        self.corrections += 1
-        for lay, mismatch in zip(self.layouts, self._mismatch):
-            mismatch[int(lay.inverse[real_pos]) // lay.block_size] ^= 1
-
     def start(self) -> tuple:
         if self._run is not None:
             raise ReconciliationFailed("reconciliation already started")
@@ -284,8 +277,13 @@ class CascadeCorrector(_CascadeParty):
                         left = remote != pref[mid] ^ pref[lo[open_]]
                         hi[open_[left]] = mid[left]  # the error is left of mid
                         lo[open_[~left]] = mid[~left]
-                    for pos in lay.permutation[lo].tolist():
-                        self._flip(pos)
+                    # one error per searched block, all distinct; a block of a pass hit twice toggles back
+                    found = lay.permutation[lo]
+                    self.key[found] ^= 1
+                    self._prefixes.clear()
+                    self.corrections += len(found)
+                    for other, mismatch in zip(self.layouts, self._mismatch):
+                        np.bitwise_xor.at(mismatch, other.inverse[found] // other.block_size, 1)
             verdict = yield ("verify", key_hash_64(self.key), self.corrections)
             _, match = self._expect(verdict, "verify_result")
             if not self._compare_digests(match):

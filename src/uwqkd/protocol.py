@@ -94,15 +94,19 @@ class FrameDecodeError(ValueError):
 
 
 class FrameTruncatedError(FrameDecodeError):
-    pass
+    counter = "truncated"  # its key in a session's error_counters
 
 
 class FrameChecksumError(FrameDecodeError):
-    pass
+    counter = "crc"
 
 
 class UnknownFrameTypeError(FrameDecodeError):
-    pass
+    counter = "unknown_type"
+
+
+# the frames a session drops and counts, in the order of their error_counters keys
+_FRAME_ERRORS = (FrameChecksumError, FrameTruncatedError, UnknownFrameTypeError)
 
 
 class PayloadTooLargeError(ValueError):
@@ -323,7 +327,7 @@ class _Session:
         self.next_send_seq = 0
         self.next_recv_seq = 0
         self.error_counters = dict.fromkeys(
-            ("crc", "truncated", "unknown_type", *(r.name.lower() for r in _COUNTED_ABORTS)), 0
+            (*(e.counter for e in _FRAME_ERRORS), *(r.name.lower() for r in _COUNTED_ABORTS)), 0
         )
         self.abort_reason: AbortReason | None = None
         self.abort_message = ""
@@ -382,14 +386,8 @@ class _Session:
         if isinstance(event, IncomingFrame):
             try:
                 frame = decode_frame(event.data)
-            except FrameChecksumError:
-                self.error_counters["crc"] += 1
-                return []
-            except FrameTruncatedError:
-                self.error_counters["truncated"] += 1
-                return []
-            except UnknownFrameTypeError:
-                self.error_counters["unknown_type"] += 1
+            except _FRAME_ERRORS as exc:
+                self.error_counters[exc.counter] += 1
                 return []
             if frame.sequence != self.next_recv_seq:
                 return self._abort(
@@ -473,9 +471,9 @@ class _Session:
         """Clicks per class, and the matched-basis bits split by class."""
         counts = np.bincount(clicked_kind, minlength=3)
         self.clicks_per_class = {v: int(counts[v]) for v in StateClass}
-        self.matched_signal_bits = matched_bits[matched_kind == StateClass.SIGNAL].copy()
-        self.matched_decoy_bits = matched_bits[matched_kind == StateClass.DECOY].copy()
-        self.matched_vacuum_bits = matched_bits[matched_kind == StateClass.VACUUM].copy()
+        self.matched_signal_bits = matched_bits[matched_kind == StateClass.SIGNAL]
+        self.matched_decoy_bits = matched_bits[matched_kind == StateClass.DECOY]
+        self.matched_vacuum_bits = matched_bits[matched_kind == StateClass.VACUUM]
 
     def _sample_disclosure(self) -> Frame:
         """This side's sampled signal bits and all its matched decoy and vacuum bits."""
@@ -590,12 +588,10 @@ class AliceSession(_Session):
         super().__init__(options, config_digest, len(view))
         self.view = view
         self.coin_rng = coin_rng
-        self._hello_sent = False
 
     def start(self) -> list[Frame]:
-        if self.phase is not Phase.IDLE or self._hello_sent:
+        if self.phase is not Phase.IDLE or self.next_send_seq:  # the hello is her first frame
             return []
-        self._hello_sent = True
         return [self._emit(FrameType.SYNC_HELLO, 0, self.config_digest, self.n_slots)]
 
     def _handle_hello_ack(self, role: int, digest: bytes, n_slots: int) -> list[Frame]:
@@ -609,9 +605,10 @@ class AliceSession(_Session):
             return self._abort(AbortReason.INTERNAL, "clicked slot list not strictly ascending in range")
         self.n_clicked = len(slots)
         clicked = self.view.at(slots)
+        kind = clicked.kind
         matched = clicked.basis == bases
         self.n_matched = int(np.count_nonzero(matched))
-        self._tally_classes(clicked.kind, clicked.kind[matched], clicked.bit[matched])
+        self._tally_classes(kind, kind[matched], clicked.bit[matched])
         self.emitted_per_class = self.view.class_totals()
         empty = self._empty_class()
         if empty is not None:
@@ -623,7 +620,7 @@ class AliceSession(_Session):
         return [self._emit(
             FrameType.SIFT_ACK,
             *(self.emitted_per_class[v] for v in (StateClass.SIGNAL, StateClass.DECOY, StateClass.VACUUM)),
-            sample_seed, self.cascade_seed, self.options.sample_fraction, clicked.kind, matched,
+            sample_seed, self.cascade_seed, self.options.sample_fraction, kind, matched,
         )]
 
     def _handle_sample_bits(self, *disclosure) -> list[Frame]:

@@ -360,6 +360,34 @@ def test_source_seed_must_match_seed_alice(base_cfg):
     assert override_seeds(base_cfg, 999).source.rng_seed == 999
 
 
+# one edit of BASE per key config_from_dict reads, required or optional;
+# channel.jerlov_type replaces the attenuation coefficient
+DIGEST_EDITS = {
+    "n_pulses": 120_001,
+    "seeds.alice": 12,
+    "seeds.bob": 23,
+    "seeds.channel": 34,
+    "source.mu": 0.81,
+    "source.nu": 0.11,
+    "source.repetition_rate_hz": 21e6,
+    "channel.attenuation_coefficient_per_m": 0.051,
+    "channel.jerlov_type": "II",
+    "channel.length_m": 10.5,
+    "receiver.optics_loss_db": 0.6,
+    "receiver.detector_efficiency": 0.8,
+    "detector.dark_count_prob_per_gate": 2e-5,
+    "detector.double_click_policy": "discard",
+    "misalignment_deg": 8.0001,
+    "protocol.sample_fraction": 0.2,
+    "protocol.q": 0.4,
+    "protocol.error_correction_efficiency": 1.2,
+    "protocol.n_cascade_passes": 5,
+    "protocol.min_key_bits": 65,
+    "protocol.timeout_s": 31.0,
+    "transport.drop_probability": 0.01,
+}
+
+
 def test_digest_stable_and_sensitive(base_cfg):
     d = base_cfg.digest()
     assert isinstance(d, bytes) and len(d) == 16
@@ -368,11 +396,21 @@ def test_digest_stable_and_sensitive(base_cfg):
     # key order in the source dict is irrelevant
     shuffled = {k: base_dict()[k] for k in reversed(list(BASE))}
     assert config_from_dict(shuffled).digest() == d
-    # any physics change shows up
     assert override_seeds(base_cfg, 700).digest() != d
-    tweaked = base_dict()
-    tweaked["misalignment_deg"] = 8.0001
-    assert config_from_dict(tweaked).digest() != d
+    # every key the digest lists has an edit (the preset's is jerlov_type)
+    listed = {"channel.jerlov_type"}
+    for section, value in base_cfg.to_dict().items():
+        listed |= {f"{section}.{key}" for key in value} if isinstance(value, dict) else {section}
+    assert listed - {"channel.preset"} == set(DIGEST_EDITS)
+    # changing any one key changes the digest
+    for key, value in DIGEST_EDITS.items():
+        data = base_dict()
+        *section, leaf = key.split(".")
+        target = data.setdefault(section[0], {}) if section else data
+        target[leaf] = value
+        if leaf == "jerlov_type":
+            del target["attenuation_coefficient_per_m"]
+        assert config_from_dict(data).digest() != d, key
 
 
 # ---------------------------------------------------------------------------

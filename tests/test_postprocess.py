@@ -235,6 +235,39 @@ def test_responder_answers_a_level_in_one_gather():
     assert responder.parity_bits == 4 * 300
 
 
+def _double_hit_keys():
+    """Two errors in pass 0's first block (so pass 0 sees neither) that pass 1
+    puts in two of its blocks: pass 1's one search finds both, and both toggle
+    pass 0's first block, which must end matched."""
+    reference, noisy = _keys_with_errors(1024, 0, seed=8)
+    pass1 = _layouts(1024, 37, seed=1, first=0, n_passes=2)[1]  # 0.02 hint: blocks of 37, then 74
+    second = next(b for b in range(1, 37) if pass1.inverse[b] // 74 != pass1.inverse[0] // 74)
+    noisy[[0, second]] ^= 1
+    return reference, noisy
+
+
+@pytest.mark.parametrize(
+    "keys", [_double_hit_keys, lambda: _keys_with_errors(36_000, 700, seed=21)], ids=["double_hit", "lowloss"]
+)
+def test_corrector_mismatch_records_follow_its_key(keys):
+    """At every message the corrector sends, so after every finished search,
+    each begun pass's mismatch record is the responder's block parities XOR
+    the corrector's own, read off its current key through its prefix cache."""
+    reference, noisy = keys()
+    corrector = CascadeCorrector(noisy, 0.02, seed=1)
+    responder = CascadeResponder(reference, 0.02, seed=1)
+    msg = corrector.start()
+    while msg is not None:
+        for p, mismatch in enumerate(corrector._mismatch):
+            lay, pref = corrector.layouts[p], corrector._prefix(p)
+            assert np.array_equal(pref, _parity_prefix(corrector.key, lay))
+            remote = _block_parities(_parity_prefix(reference, lay), lay.block_size)
+            assert np.array_equal(mismatch, remote ^ _block_parities(pref, lay.block_size))
+        msg = corrector.on_reply(responder.on_message(msg))
+    assert corrector.residual_check and np.array_equal(corrector.key, reference)
+    assert corrector.corrections == np.count_nonzero(noisy != reference)
+
+
 def _party(state):
     """A responder, a corrector awaiting its first pass parities, or one
     awaiting a range reply; and the call that takes its next message."""
